@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from metaphish.dataset import FeatureRecord, ScalerStats, fit_scaler, transform
+from metaphish.dataset import FeatureRecord, ScalerStats, fit_scaler
 from metaphish.classifiers.forest import RandomForest
 from metaphish.classifiers.knn import KNearestNeighbors
 from metaphish.classifiers.svm import KernelSVM

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,47 +115,57 @@ class DecisionTree:
         self.root_ = root
         return self
 
-    def _candidate_features(self, n_features: int):
+    def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
-            return range(n_features)
-        chosen = self.rng.choice(n_features, size=self.max_features, replace=False)
-        return sorted(int(j) for j in chosen)
+            return np.arange(n_features)
+        return np.sort(self.rng.choice(n_features, size=self.max_features, replace=False))
 
     def _best_split(self, X, y, impurity):
+        """Score every threshold of every candidate feature in one (n-1) x k
+        gain matrix; row i of a column is the cut between its sorted values
+        i and i + 1.
+
+        The gain is computed elementwise with the same operations in the same
+        order for every cut, so equal splits give bitwise-equal gains and the
+        tie-break below is exact; an algebraically rearranged impurity would
+        round differently and could pick another split."""
         n = len(y)
         total_pos = int(y.sum())
         parent = float(impurity(total_pos / n))
-        best_gain = 0.0
-        best = None
-        for j in self._candidate_features(X.shape[1]):
-            col = X[:, j]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            cum_pos = np.cumsum(y[order])
-            cut = np.nonzero(sv[:-1] < sv[1:])[0]  # boundaries between distinct values
-            if len(cut) == 0:
-                continue
-            n_left = cut + 1
-            n_right = n - n_left
-            pos_left = cum_pos[cut]
-            p_left = pos_left / n_left
-            p_right = (total_pos - pos_left) / n_right
-            child = (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
-            gains = parent - child
-            k = int(np.argmax(gains))  # first max -> lowest threshold
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                best = (j, float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0))
-        return best
+        features = self._candidate_features(X.shape[1])
+        cols = X[:, features]
+        order = np.argsort(cols, axis=0, kind="stable")
+        sv = np.take_along_axis(cols, order, axis=0)
+        n_left = np.arange(1, n)[:, None]
+        n_right = n - n_left
+        pos_left = np.cumsum(y[order], axis=0)[:-1]
+        p_left = pos_left / n_left
+        p_right = (total_pos - pos_left) / n_right
+        child = (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
+        # only boundaries between distinct values are thresholds
+        gains = np.where(sv[:-1] < sv[1:], parent - child, -np.inf)
+        col_best = gains.max(axis=0)
+        j = int(np.argmax(col_best))  # first max -> lowest feature index
+        if not col_best[j] > 0.0:
+            return None
+        r = int(np.argmax(gains[:, j]))  # first max -> lowest threshold
+        return int(features[j]), float((sv[r, j] + sv[r + 1, j]) / 2.0)
 
     def predict(self, X) -> np.ndarray:
+        """Route row-index arrays down the tree; empty partitions stop early."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(len(X), dtype=np.int64)
-        for i, x in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            out[i] = node.label
+        stack = [(self.root_, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if len(rows) == 0:
+                continue
+            if node.is_leaf:
+                out[rows] = node.label
+                continue
+            go_left = X[rows, node.feature] <= node.threshold
+            stack.append((node.left, rows[go_left]))
+            stack.append((node.right, rows[~go_left]))
         return out
 
     def to_dict(self) -> dict:

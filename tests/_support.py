@@ -55,6 +55,42 @@ def separable_set(n: int = 500, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return X[order], y[order]
 
 
+def per_feature_best_split(X, y, impurity, max_features=None, rng=None):
+    """The tree's split search as one pass per candidate feature (the oracle
+    for ``DecisionTree._best_split``): the best impurity decrease above 0,
+    ties to the lower feature index, then the lower threshold.  Draws the
+    candidate features from ``rng`` exactly as the tree does."""
+    n, d = X.shape
+    if max_features is None or max_features >= d:
+        features = range(d)
+    else:
+        features = sorted(int(j) for j in rng.choice(d, size=max_features, replace=False))
+    total_pos = int(y.sum())
+    parent = float(impurity(total_pos / n))
+    best_gain = 0.0
+    best = None
+    for j in features:
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cum_pos = np.cumsum(y[order])
+        cut = np.nonzero(sv[:-1] < sv[1:])[0]  # boundaries between distinct values
+        if len(cut) == 0:
+            continue
+        n_left = cut + 1
+        n_right = n - n_left
+        pos_left = cum_pos[cut]
+        p_left = pos_left / n_left
+        p_right = (total_pos - pos_left) / n_right
+        child = (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
+        gains = parent - child
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (j, float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0))
+    return best
+
+
 def direct_revision(initial_class: int, meta_present: bool) -> int:
     """Direct functional evaluation of the revision rule (the test oracle):
     phishing with meta present becomes benign, everything else passes through."""

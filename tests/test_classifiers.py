@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,14 @@ from metaphish.classifiers import (
 )
 from metaphish.dataset import FeatureRecord
 
-from _support import make_records, separable_set
+from _support import make_records, per_feature_best_split, separable_set
+
+# sha256 of the tree model files written by the fixture's
+# `train --best-config --seed 42`; a change that alters any tree fails here
+PINNED_TREE_MODELS = {
+    "model_dt.json": "0820b07d31fcc15149138938ee93ec403d6a1bf002a67493e522b80c3296aaad",
+    "model_rf.json": "295e1424b3142cebaedb1667f93e9e4d312454337de18f15c23bfb10a7ef3178",
+}
 
 
 class TestImpurity:
@@ -86,6 +94,10 @@ class TestDecisionTree:
 
         Q = rng.normal(size=(40, 6))
         assert tree.predict(Q).tolist() == [walk(tree.root_, x) for x in Q]
+        for x in Q[:10]:  # one row at a time
+            assert tree.predict(x[None, :]).tolist() == [walk(tree.root_, x)]
+        empty = tree.predict(np.empty((0, 6)))
+        assert empty.dtype == np.int64 and empty.shape == (0,)
 
     def test_tie_breaks_to_lower_feature_index(self):
         # identical columns give identical gains; the first feature must win
@@ -122,6 +134,59 @@ class TestDecisionTree:
         tree = DecisionTree().fit(X, y)
         clone = DecisionTree.from_dict(tree.to_dict())
         assert clone.predict(X).tolist() == tree.predict(X).tolist()
+
+
+class TestBestSplitEquivalence:
+    """The single-pass split search against the per-feature oracle."""
+
+    @staticmethod
+    def _tied_matrix(gen, n, d):
+        # integer-valued columns with heavy ties, plus constant, duplicated
+        # and scaled columns so that gains tie across features and thresholds
+        X = gen.integers(0, 4, size=(n, d)).astype(np.float64)
+        if gen.random() < 0.3:
+            X[:, 0] = gen.normal(size=n)
+        if d > 1 and gen.random() < 0.5:
+            X[:, gen.integers(d)] = 7.0
+        if d > 1 and gen.random() < 0.5:
+            X[:, gen.integers(d)] = X[:, gen.integers(d)]
+        if d > 1 and gen.random() < 0.3:
+            X[:, gen.integers(d)] = X[:, gen.integers(d)] / 3.0
+        return X
+
+    def test_matches_oracle_on_random_tied_matrices(self):
+        gen = np.random.default_rng(20260)
+        found = 0
+        for case in range(400):
+            n = int(gen.integers(2, 40))
+            d = int(gen.integers(1, 10))
+            X = self._tied_matrix(gen, n, d)
+            y = gen.integers(0, 2, size=n)
+            if case % 5 == 0:
+                y[:] = y[0]  # pure node: no positive gain anywhere
+            criterion = ("gini", "entropy")[case % 2]
+            impurity = gini if criterion == "gini" else entropy
+            max_features = None if case % 4 < 2 else int(gen.integers(1, d + 1))
+            seed = int(gen.integers(2**32))
+            tree = DecisionTree(criterion=criterion, max_features=max_features,
+                                rng=np.random.default_rng(seed))
+            oracle_rng = np.random.default_rng(seed)
+            for _ in range(2):  # two draws in a row keep the streams in step
+                got = tree._best_split(X, y, impurity)
+                want = per_feature_best_split(X, y, impurity, max_features, oracle_rng)
+                assert got == want, (case, got, want)
+                assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
+                if got is not None:
+                    assert type(got[0]) is int and type(got[1]) is float
+                    found += 1
+        assert found > 200  # most cases do split; the comparison is not vacuous
+
+
+class TestTreeModelParity:
+    @pytest.mark.parametrize("name", sorted(PINNED_TREE_MODELS))
+    def test_fixture_tree_model_bytes_pinned(self, pipeline_run, name):
+        digest = hashlib.sha256((pipeline_run / name).read_bytes()).hexdigest()
+        assert digest == PINNED_TREE_MODELS[name]
 
 
 class TestKNN:
