@@ -28,12 +28,26 @@ from metaphish.dataset import FeatureRecord
 
 from _support import make_records, per_feature_best_split, separable_set
 
-# sha256 of the tree model files written by the fixture's
-# `train --best-config --seed 42`; a change that alters any tree fails here
-PINNED_TREE_MODELS = {
+# sha256 of the byte-stable artifacts of the fixture's `train --best-config
+# --seed 42` and `revise` (run_config.kv records the output path, so it is not
+# pinned); a change that alters any model, the split or a verdict fails here
+PINNED_ARTIFACTS = {
+    "model_svm.json": "ffb3ed3fbcc6e18f39acfd50bffec454899bd831298ac365215f536e1ce5e8ef",
+    "model_knn.json": "b3b1dc078c3fa323122f0d6897e8ba87ca3d4019c51dc8d9585426aa27c020e4",
     "model_dt.json": "0820b07d31fcc15149138938ee93ec403d6a1bf002a67493e522b80c3296aaad",
     "model_rf.json": "295e1424b3142cebaedb1667f93e9e4d312454337de18f15c23bfb10a7ef3178",
+    "split_manifest.csv": "2959b93a3652e831d09fa7b773169dbd76df33651a85f33c232899e80030b224",
+    "cv_summary.kv": "685c6712b0777eebfe3eee604a37dd832cf35e4fff5054eb60c465ecf88fb4d9",
+    "facts.lp": "4f455ad1e1d28b621b8abc43e25db95344a5cecf6485b0460a608eacc8acded2",
+    "final_beliefs.csv": "1b608a901303235bb410468ad3c74779eef8f63bd37cb3d18b4cf0fd6692526b",
+    "report.kv": "a1715480356f44be7403c864884d809655f862d5f05322d598b3b93b603c006c",
 }
+PINNED_TREE_MODELS = ("model_dt.json", "model_rf.json")
+
+
+def _assert_pinned(run_dir, name):
+    digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACTS[name], name
 
 
 class TestImpurity:
@@ -183,10 +197,15 @@ class TestBestSplitEquivalence:
 
 
 class TestTreeModelParity:
-    @pytest.mark.parametrize("name", sorted(PINNED_TREE_MODELS))
+    @pytest.mark.parametrize("name", PINNED_TREE_MODELS)
     def test_fixture_tree_model_bytes_pinned(self, pipeline_run, name):
-        digest = hashlib.sha256((pipeline_run / name).read_bytes()).hexdigest()
-        assert digest == PINNED_TREE_MODELS[name]
+        _assert_pinned(pipeline_run, name)
+
+
+class TestPipelineArtifactParity:
+    @pytest.mark.parametrize("name", [n for n in PINNED_ARTIFACTS if n not in PINNED_TREE_MODELS])
+    def test_fixture_artifact_bytes_pinned(self, pipeline_run, name):
+        _assert_pinned(pipeline_run, name)
 
 
 class TestKNN:
