@@ -15,7 +15,6 @@ from metaphish.classifiers.models import (
     generate_initial_beliefs,
     grid_search,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -44,7 +43,6 @@ __all__ = [
     "grid_search",
     "linear_kernel",
     "load_model",
-    "predict",
     "predict_batch",
     "rbf_kernel",
     "resolve_gamma",

@@ -1,10 +1,11 @@
 """Hyperparameter grids, cross-validated selection, and the trained-model API.
 
 The four classifier kinds share one interface: :func:`train` fits the scaler
-on the training rows and the estimator on the scaled matrix, and
-:func:`predict` takes raw (unscaled) records and applies the model's own
-scaler.  Model files are self-describing JSON whose floats round-trip
-exactly, so a reloaded model reproduces bit-identical predictions.
+on the training rows of a :class:`~metaphish.dataset.Dataset` and the
+estimator on the scaled matrix, and :func:`predict_batch` takes a raw
+(unscaled) feature matrix and applies the model's own scaler.  Model files
+are self-describing JSON whose floats round-trip exactly, so a reloaded
+model reproduces bit-identical predictions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from metaphish.dataset import FeatureRecord, ScalerStats, fit_scaler
+from metaphish.dataset import Dataset, ScalerStats, fit_scaler
 from metaphish.classifiers.forest import RandomForest
 from metaphish.classifiers.knn import KNearestNeighbors
 from metaphish.classifiers.svm import KernelSVM
@@ -135,95 +136,71 @@ def _build_estimator(kind: ClassifierKind, params: dict, seed: int):
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-def _scaled_matrix(records, ids, stats: ScalerStats):
-    chosen = sorted((r for r in records if r.id in ids), key=lambda r: r.id)
-    X = np.vstack([(r.features - stats.means) / stats.std_devs for r in chosen])
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature after scaling")
-    y = np.array([r.label for r in chosen], dtype=np.int64)
-    return X, y, [r.id for r in chosen]
-
-
-def train(kind: ClassifierKind, params: dict, records: list[FeatureRecord],
+def train(kind: ClassifierKind, params: dict, data: Dataset,
           train_ids, seed: int = 42) -> TrainedModel:
     """Fit the scaler on the training rows, then the estimator on scaled data."""
-    train_ids = set(train_ids)
-    if not train_ids:
-        raise ValueError("empty training set")
-    stats = fit_scaler(records, train_ids)
-    X, y, _ = _scaled_matrix(records, train_ids, stats)
+    stats = fit_scaler(data, train_ids)
+    rows = data.rows(train_ids)
     estimator = _build_estimator(kind, dict(params), seed)
-    estimator.fit(X, y)
+    estimator.fit(stats.scale(data.X[rows]), data.y[rows])
     return TrainedModel(kind, dict(params), seed, stats, estimator)
 
 
-def predict_batch(model: TrainedModel, records: list[FeatureRecord]) -> np.ndarray:
-    """Deterministic class predictions for raw records, in the given order."""
-    if not records:
+def predict_batch(model: TrainedModel, X) -> np.ndarray:
+    """Deterministic class predictions for the raw rows of ``X``, in order."""
+    X = model.scaler.scale(X)
+    if not len(X):
         return np.empty(0, dtype=np.int64)
-    width = model.scaler.width
-    for r in records:
-        if r.features.shape[0] != width:
-            raise ValueError(
-                f"record {r.id}: expected {width} features, got {r.features.shape[0]}"
-            )
-    X = np.vstack([(r.features - model.scaler.means) / model.scaler.std_devs
-                   for r in records])
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature after scaling")
     return model.estimator.predict(X)
 
 
-def predict(model: TrainedModel, record: FeatureRecord) -> int:
-    return int(predict_batch(model, [record])[0])
-
-
 def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],
-                             records: list[FeatureRecord], test_ids) -> list[InitialBelief]:
+                             data: Dataset, test_ids) -> list[InitialBelief]:
     """One belief per (classifier, test instance); requires all four models."""
     missing = [k.value for k in KIND_ORDER if k not in models]
     if missing:
         raise ValueError(f"missing model for classifier(s): {', '.join(missing)}")
-    test_ids = set(test_ids)
-    chosen = sorted((r for r in records if r.id in test_ids), key=lambda r: r.id)
+    rows = data.rows(test_ids)
+    ids = rows.tolist()  # Python ints, as the fact encoding requires
+    X = data.X[rows]
     beliefs = []
     for kind in KIND_ORDER:
-        classes = predict_batch(models[kind], chosen)
-        beliefs.extend(
-            InitialBelief(kind, r.id, int(c)) for r, c in zip(chosen, classes)
-        )
+        classes = predict_batch(models[kind], X)
+        beliefs.extend(InitialBelief(kind, i, int(c)) for i, c in zip(ids, classes))
     return beliefs
 
 
-def grid_search(kind: ClassifierKind, grid: HyperGrid, records: list[FeatureRecord],
+def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
                 folds, seed: int = 42) -> GridSearchResult:
     """Pick the candidate with the best mean fold accuracy.
 
-    The scaler is refit inside each fold on that fold's training portion;
+    The scaler is refit inside each fold on that fold's training portion,
+    once per fold, and every candidate is scored on the same scaled folds;
     ties are broken by grid enumeration order (first listed wins).
     """
     folds = [frozenset(f) for f in folds]
     if not folds:
         raise ValueError("no folds given")
-    by_id = {r.id: r for r in records}
-    for f, fold in enumerate(folds):
-        labels = {by_id[i].label for i in fold}
-        if len(labels) < 2:
-            raise ValueError(f"fold {f} contains a single class; refusing to score")
-
     candidates = effective_candidates(grid)
     if not candidates:
         raise ValueError("empty hyperparameter grid")
+
+    scaled_folds = []
+    for f, holdout in enumerate(folds):
+        val_rows = data.rows(holdout)
+        if len(np.unique(data.y[val_rows])) < 2:
+            raise ValueError(f"fold {f} contains a single class; refusing to score")
+        fit_ids = frozenset().union(*(other for other in folds if other is not holdout))
+        stats = fit_scaler(data, fit_ids)
+        fit_rows = data.rows(fit_ids)
+        scaled_folds.append((stats.scale(data.X[fit_rows]), data.y[fit_rows],
+                             stats.scale(data.X[val_rows]), data.y[val_rows]))
 
     scores = []
     best = None
     for params in candidates:
         fold_accs = []
-        for holdout in folds:
-            fit_ids = frozenset().union(*(f for f in folds if f is not holdout))
-            stats = fit_scaler(records, fit_ids)
-            X_fit, y_fit, _ = _scaled_matrix(records, fit_ids, stats)
-            X_val, y_val, _ = _scaled_matrix(records, holdout, stats)
+        for X_fit, y_fit, X_val, y_val in scaled_folds:
             estimator = _build_estimator(kind, dict(params), seed)
             estimator.fit(X_fit, y_fit)
             fold_accs.append(float((estimator.predict(X_val) == y_val).mean()))

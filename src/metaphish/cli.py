@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,7 +29,7 @@ from metaphish.classifiers import (
 )
 from metaphish.dataset import (
     CsvSchema,
-    fit_scaler,
+    fit_scaler,  # noqa: F401  (unused here; perfbench/spans.py times cli.fit_scaler)
     load_dataset,
     load_meta_from_snapshots,
     make_split,
@@ -114,7 +113,7 @@ def _selected_kinds(cfg: RunConfig) -> tuple[ClassifierKind, ...]:
     return (ClassifierKind(cfg.classifier),)
 
 
-def _load_records(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("no dataset path given (use --dataset or the config file)")
     path = Path(cfg.dataset)
@@ -138,39 +137,48 @@ def _write_manifest(split, out_dir: Path) -> None:
                 writer.writerow([rid, "train", fold_of[rid]])
 
 
-def _read_manifest(out_dir: Path) -> tuple[set[int], set[int]]:
+def _read_manifest(out_dir: Path, n_rows: int) -> set[int]:
+    """The test ids of the split manifest, checked against a dataset of ``n_rows`` rows."""
     path = out_dir / MANIFEST_FILE
     if not path.is_file():
         raise ConfigError(f"split manifest not found: {path} (run 'train' first)")
-    train_ids, test_ids = set(), set()
+    ids_by_role: dict[str, set[int]] = {"train": set(), "test": set()}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            (train_ids if row["role"] == "train" else test_ids).add(int(row["id"]))
-    return train_ids, test_ids
+            role = row.get("role")
+            try:
+                rid = int(row.get("id") or "")
+            except ValueError:
+                rid = None
+            if role not in ids_by_role:
+                problem = f"unknown role {role!r} (expected 'train' or 'test')"
+            elif rid is None:
+                problem = f"id {row.get('id')!r} is not an integer"
+            elif not 0 <= rid < n_rows:
+                problem = f"id {rid} is outside the dataset's rows [0, {n_rows})"
+            elif rid in ids_by_role["train"] or rid in ids_by_role["test"]:
+                problem = f"duplicate id {rid}"
+            else:
+                ids_by_role[role].add(rid)
+                continue
+            raise ConfigError(
+                f"{path}, line {reader.line_num}: {problem}; re-run 'train' on this dataset"
+            )
+    return ids_by_role["test"]
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    records = _load_records(cfg)
-    split = make_split(records, cfg.test_fraction, cfg.folds, cfg.seed)
+    data = _load_dataset(cfg)
+    split = make_split(data, cfg.test_fraction, cfg.folds, cfg.seed)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(split, out_dir)
 
-    scaler = fit_scaler(records, split.train_ids)
-    (out_dir / "scaler.json").write_text(
-        json.dumps(
-            {"means": scaler.means.tolist(), "std_devs": scaler.std_devs.tolist()},
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
     summary: dict[str, str] = {}
     for kind in _selected_kinds(cfg):
         if cfg.params == "grid":
-            result = grid_search(kind, DEFAULT_GRIDS[kind], records, split.folds, cfg.seed)
+            result = grid_search(kind, DEFAULT_GRIDS[kind], data, split.folds, cfg.seed)
             params = result.params
             summary[f"{kind.value}.source"] = "grid-search"
             summary[f"{kind.value}.cv_accuracy"] = f"{result.cv_accuracy:.6f}"
@@ -179,7 +187,7 @@ def cmd_train(cfg: RunConfig) -> int:
             summary[f"{kind.value}.source"] = "best-config"
         for name, value in params.items():
             summary[f"{kind.value}.param.{name}"] = str(value)
-        model = train(kind, params, records, split.train_ids, cfg.seed)
+        model = train(kind, params, data, split.train_ids, cfg.seed)
         save_model(model, out_dir / MODEL_FILES[kind])
         print(f"trained {kind.value} ({summary[f'{kind.value}.source']})")
     (out_dir / "cv_summary.kv").write_text(revision.format_kv(summary), encoding="utf-8")
@@ -188,34 +196,36 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _meta_flags_for(cfg: RunConfig, records, test_ids) -> dict[int, bool]:
+def _meta_flags_for(cfg: RunConfig, data, test_ids) -> dict[int, bool]:
     if cfg.snapshot_dir:
         return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
-    flags = {}
-    for r in records:
-        if r.id in test_ids:
-            if r.meta_present is None:
-                raise ConfigError(
-                    f"no meta information for instance {r.id}: dataset has no "
-                    f"{cfg.meta_column!r} column; pass --meta-column or --snapshot-dir"
-                )
-            flags[r.id] = r.meta_present
-    return flags
+    if data.meta is None:
+        raise ConfigError(
+            f"no meta information: dataset has no {cfg.meta_column!r} column; "
+            f"pass --meta-column or --snapshot-dir"
+        )
+    rows = data.rows(test_ids)
+    return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
 
 def cmd_revise(cfg: RunConfig) -> int:
-    records = _load_records(cfg)
+    data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
-    _, test_ids = _read_manifest(out_dir)
+    test_ids = _read_manifest(out_dir, len(data))
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
         if not path.is_file():
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
         models[kind] = load_model(path)
+        if models[kind].kind is not kind:
+            raise ConfigError(
+                f"{path}: holds a {models[kind].kind.value} model, not {kind.value} "
+                f"(re-run 'train')"
+            )
 
-    beliefs = generate_initial_beliefs(models, records, test_ids)
-    meta_flags = _meta_flags_for(cfg, records, test_ids)
+    beliefs = generate_initial_beliefs(models, data, test_ids)
+    meta_flags = _meta_flags_for(cfg, data, test_ids)
 
     fact_base = kb.encode(beliefs, meta_flags)
     n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
@@ -242,8 +252,7 @@ def cmd_revise(cfg: RunConfig) -> int:
                 ]
             )
 
-    truth = {r.id: r.label for r in records}
-    report = revision.build_report(beliefs, finals, truth)
+    report = revision.build_report(beliefs, finals, dict(enumerate(data.y.tolist())))
     kv = revision.report_to_kv(report)
     (out_dir / "report.kv").write_text(revision.format_kv(kv), encoding="utf-8")
     (out_dir / "report.txt").write_text(revision.render_report_text(kv), encoding="utf-8")

@@ -1,13 +1,18 @@
 """Dataset ingestion, feature scaling, split planning, and meta-tag extraction.
 
 The benchmark CSV carries 87 precomputed lexical features per URL plus a
-label column.  Contextual evidence for the revision layer comes either from
-an optional ``meta_present`` column in the same file or from a directory of
-HTML snapshots named ``<id>.html``, scanned by :func:`extract_meta_presence`.
+label column.  :func:`load_dataset` reads it once into a columnar
+:class:`Dataset` whose row index is the instance id; splits and folds name
+instances by id, and :meth:`Dataset.rows` turns any such id set into the
+sorted row index array that selects them.  Contextual evidence for the
+revision layer comes either from an optional ``meta_present`` column in the
+same file or from a directory of HTML snapshots named ``<id>.html``, scanned
+by :func:`extract_meta_presence`.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 import random
@@ -26,31 +31,45 @@ _META_TAG_NAMES = {"description", "keywords", "keyword", "author"}
 
 
 @dataclass(frozen=True)
-class FeatureRecord:
-    """One URL instance: lexical feature vector, binary label, optional meta flag.
+class Dataset:
+    """All instances as columns; row ``i`` is the instance with id ``i``.
 
-    ``features`` is stored as a read-only float64 copy so records can be
-    shared freely across threads.  ``meta_present`` stays ``None`` when the
-    dataset carries no meta information.
+    ``X`` is the n x d float64 feature matrix, ``y`` the int64 labels (0 or
+    1), and ``meta`` the per-row meta flags, or ``None`` when the dataset
+    carries no meta information.  Every array is a read-only copy, so a
+    Dataset can be shared freely.
     """
 
-    id: int
-    features: np.ndarray
-    label: int
-    meta_present: bool | None = None
+    X: np.ndarray
+    y: np.ndarray
+    meta: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.array(self.features, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"record {self.id}: features must be a flat vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"record {self.id}: non-finite feature value")
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
-        if self.label not in (LABEL_LEGITIMATE, LABEL_PHISHING):
-            raise ValueError(f"record {self.id}: label must be 0 or 1, got {self.label!r}")
-        if self.id < 0:
-            raise ValueError(f"record id must be non-negative, got {self.id}")
+        X = np.array(self.X, dtype=np.float64)
+        y = np.array(self.y)
+        meta = None if self.meta is None else np.array(self.meta, dtype=bool)
+        if X.ndim != 2 or y.shape != X.shape[:1] or (meta is not None and meta.shape != y.shape):
+            raise ValueError("X must be an n x d matrix, and y and meta flat vectors of n values")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: non-finite feature value")
+        bad = np.flatnonzero((y != LABEL_LEGITIMATE) & (y != LABEL_PHISHING))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: label must be 0 or 1, got {y[bad[0]].item()!r}")
+        for name, arr in (("X", X), ("y", y.astype(np.int64)), ("meta", meta)):
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def rows(self, ids) -> np.ndarray:
+        """The sorted row index array that selects the instance ids ``ids``."""
+        rows = np.array(sorted(set(ids)), dtype=np.intp)
+        if rows.size and (rows[0] < 0 or rows[-1] >= len(self)):
+            raise ValueError(f"instance ids must lie in [0, {len(self)}), got {rows[0]}..{rows[-1]}")
+        return rows
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,16 @@ class ScalerStats:
     @property
     def width(self) -> int:
         return self.means.shape[0]
+
+    def scale(self, X) -> np.ndarray:
+        """Apply ``(x - mean) / std`` per column to every row of the matrix ``X``."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.width:
+            raise ValueError(f"expected {self.width} features per row, got shape {X.shape}")
+        scaled = (X - self.means) / self.std_devs
+        if not np.all(np.isfinite(scaled)):
+            raise ValueError("non-finite feature after scaling")
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -112,11 +141,11 @@ class CsvSchema:
     feature_count: int = FEATURE_COUNT
 
 
-def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[FeatureRecord]:
-    """Read the CSV at ``path`` into one FeatureRecord per data row.
+def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Read the CSV at ``path`` into one :class:`Dataset`.
 
-    IDs are assigned by row order starting at 0.  Any malformed cell aborts
-    with the offending 1-based data row number.
+    Data row ``k`` (1-based) becomes instance id ``k - 1``.  Any malformed
+    cell aborts with the offending 1-based data row number.
     """
     path = Path(path)
     if not path.exists():
@@ -144,7 +173,9 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[Feat
                 f"found {len(feature_idx)}"
             )
 
-        records = []
+        values = array.array("d")
+        labels: list[int] = []
+        meta: list[bool] = []
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ValueError(
@@ -153,41 +184,38 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[Feat
             raw_label = row[label_idx].strip().lower()
             if raw_label not in _LABEL_ALIASES:
                 raise ValueError(f"{path}: data row {row_num}: unknown label value {row[label_idx]!r}")
-            label = _LABEL_ALIASES[raw_label]
-            features = np.empty(len(feature_idx), dtype=np.float64)
-            for k, i in enumerate(feature_idx):
+            labels.append(_LABEL_ALIASES[raw_label])
+            for i in feature_idx:
                 try:
-                    features[k] = float(row[i])
+                    values.append(float(row[i]))
                 except ValueError:
                     raise ValueError(
                         f"{path}: data row {row_num}: non-numeric feature value "
                         f"{row[i]!r} in column {header[i]!r}"
                     ) from None
-            if not np.all(np.isfinite(features)):
-                raise ValueError(f"{path}: data row {row_num}: non-finite feature value")
-            meta = None
             if meta_idx is not None:
                 raw_meta = row[meta_idx].strip()
                 if raw_meta not in ("0", "1"):
                     raise ValueError(
                         f"{path}: data row {row_num}: meta column must be 0 or 1, got {row[meta_idx]!r}"
                     )
-                meta = raw_meta == "1"
-            records.append(FeatureRecord(row_num - 1, features, label, meta))
-    return records
+                meta.append(raw_meta == "1")
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(feature_idx))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1}: non-finite feature value")
+    return Dataset(X, labels, meta if meta_idx is not None else None)
 
 
-def fit_scaler(records: list[FeatureRecord], train_ids) -> ScalerStats:
+def fit_scaler(data: Dataset, train_ids) -> ScalerStats:
     """Column means and population standard deviations over the training rows only.
 
     Constant columns get their exact value as the mean and a std of 1.0, so
-    transforming them is a pure centering to zero.
+    scaling them is a pure centering to zero.
     """
-    train_ids = set(train_ids)
-    rows = [r.features for r in records if r.id in train_ids]
-    if not rows:
+    X = data.X[data.rows(train_ids)]
+    if not len(X):
         raise ValueError("empty training set")
-    X = np.vstack(rows)
     lo = X.min(axis=0)
     constant = lo == X.max(axis=0)
     means = np.where(constant, lo, X.mean(axis=0))
@@ -196,22 +224,8 @@ def fit_scaler(records: list[FeatureRecord], train_ids) -> ScalerStats:
     return ScalerStats(means, std)
 
 
-def transform(records: list[FeatureRecord], stats: ScalerStats) -> list[FeatureRecord]:
-    """Apply ``(x - mean) / std`` per column, identically to any row."""
-    out = []
-    for r in records:
-        if r.features.shape[0] != stats.width:
-            raise ValueError(
-                f"record {r.id}: dimension mismatch, got {r.features.shape[0]} "
-                f"features for a {stats.width}-column scaler"
-            )
-        scaled = (r.features - stats.means) / stats.std_devs
-        out.append(FeatureRecord(r.id, scaled, r.label, r.meta_present))
-    return out
-
-
 def make_split(
-    records: list[FeatureRecord],
+    data: Dataset,
     test_fraction: float = 0.2,
     n_folds: int = 5,
     seed: int = 42,
@@ -226,17 +240,13 @@ def make_split(
         raise ValueError("test_fraction must be strictly between 0 and 1")
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
-    if len(records) < n_folds:
-        raise ValueError(f"fewer records ({len(records)}) than folds ({n_folds})")
-    ids_seen = set()
+    if len(data) < n_folds:
+        raise ValueError(f"fewer records ({len(data)}) than folds ({n_folds})")
     by_label: dict[int, list[int]] = {}
-    for r in records:
-        if r.id in ids_seen:
-            raise ValueError(f"duplicate record id {r.id}")
-        ids_seen.add(r.id)
-        by_label.setdefault(r.label, []).append(r.id)
+    for rid, label in enumerate(data.y.tolist()):
+        by_label.setdefault(label, []).append(rid)
 
-    total_test = int(round(test_fraction * len(records)))
+    total_test = int(round(test_fraction * len(data)))
     exact = {lab: test_fraction * len(ids) for lab, ids in by_label.items()}
     quota = {lab: math.floor(v) for lab, v in exact.items()}
     leftover = total_test - sum(quota.values())
@@ -317,14 +327,3 @@ def load_meta_from_snapshots(directory: str | Path, ids) -> dict[int, bool]:
             flags[rid] = False
     return flags
 
-
-def records_matrix(records: list[FeatureRecord], ids=None) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Stack selected records (sorted by id) into an (X, y, ids) triple."""
-    chosen = records if ids is None else [r for r in records if r.id in set(ids)]
-    chosen = sorted(chosen, key=lambda r: r.id)
-    if not chosen:
-        width = records[0].features.shape[0] if records else 0
-        return np.empty((0, width)), np.empty((0,), dtype=np.int64), []
-    X = np.vstack([r.features for r in chosen])
-    y = np.array([r.label for r in chosen], dtype=np.int64)
-    return X, y, [r.id for r in chosen]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from metaphish.classifiers import KIND_ORDER, InitialBelief
-from metaphish.dataset import FeatureRecord
+from metaphish.dataset import Dataset
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "synthetic_200.csv"
@@ -30,17 +30,13 @@ def benchmark_csv() -> Path | None:
     return None
 
 
-def make_records(n: int, d: int = 87, seed: int = 0, shift: float = 0.0) -> list[FeatureRecord]:
-    """n records with alternating labels; optional class shift on feature 0."""
+def make_records(n: int, d: int = 87, seed: int = 0, shift: float = 0.0) -> Dataset:
+    """n rows with alternating labels; optional class shift on feature 0."""
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        label = i % 2
-        x = rng.normal(0.0, 1.0, size=d)
-        if shift:
-            x[0] += shift if label == 1 else -shift
-        records.append(FeatureRecord(i, x, label))
-    return records
+    X = rng.normal(0.0, 1.0, size=(n, d))
+    y = np.arange(n) % 2
+    X[:, 0] += np.where(y == 1, shift, -shift)
+    return Dataset(X, y)
 
 
 def separable_set(n: int = 500, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from metaphish.classifiers import (
     load_model,
     predict_batch,
 )
-from metaphish.dataset import fit_scaler, load_dataset, make_split, transform
+from metaphish.dataset import fit_scaler, load_dataset, make_split
 from metaphish.revision import apply_revision, build_report, parse_kv, render_report_text
 from test_revision import REFERENCE_REPORT_KV
 
@@ -113,8 +113,7 @@ def test_c2_identity_on_synthetic_fixture(pipeline_run):
 def test_c2_identity_on_benchmark(benchmark_run):
     out_dir, _ = benchmark_run
     path = benchmark_csv()
-    records = load_dataset(path)
-    if all(r.meta_present is None for r in records):
+    if load_dataset(path).meta is None:
         pytest.skip("benchmark CSV has no meta_present column")
     from metaphish.cli import main
 
@@ -146,14 +145,14 @@ def test_c3_fp_monotone_over_random_runs():
 def test_c4_benchmark_accuracies(benchmark_run):
     out_dir, train_seconds = benchmark_run
     assert train_seconds <= 900, f"training took {train_seconds:.0f}s (budget 15 min)"
-    records = load_dataset(benchmark_csv())
+    data = load_dataset(benchmark_csv())
     with open(out_dir / "split_manifest.csv", newline="") as fh:
         test_ids = {int(r["id"]) for r in csv.DictReader(fh) if r["role"] == "test"}
-    test_records = sorted((r for r in records if r.id in test_ids), key=lambda r: r.id)
-    truth = np.array([r.label for r in test_records])
+    rows = data.rows(test_ids)
+    truth = data.y[rows]
     for kind in KIND_ORDER:
         model = load_model(out_dir / f"model_{kind.value}.json")
-        accuracy = float((predict_batch(model, test_records) == truth).mean())
+        accuracy = float((predict_batch(model, data.X[rows]) == truth).mean())
         target = TABLE_I_TARGETS[kind]
         assert abs(accuracy - target) <= ACCURACY_TOLERANCE, (
             f"{kind.value}: accuracy {accuracy:.4f} vs target {target:.4f}"
@@ -232,10 +231,9 @@ def test_c8_byte_identical_runs(pipeline_run, pipeline_rerun):
 
 @criterion("C9", "scaler-and-classifier-micro-oracles")
 def test_c9_micro_oracles():
-    # scaler: post-transform training mean/std bounds at 1e-9
-    records = make_records(128, d=20, seed=2)
-    scaled = transform(records, fit_scaler(records, set(range(128))))
-    X = np.vstack([r.features for r in scaled])
+    # scaler: scaled training mean/std bounds at 1e-9
+    data = make_records(128, d=20, seed=2)
+    X = fit_scaler(data, set(range(128))).scale(data.X)
     assert np.all(np.abs(X.mean(axis=0)) < 1e-9)
     std = np.sqrt((X**2).mean(axis=0) - X.mean(axis=0) ** 2)
     assert np.all(np.abs(std - 1.0) < 1e-9)

@@ -18,14 +18,11 @@ from metaphish.classifiers import (
     generate_initial_beliefs,
     gini,
     load_model,
-    predict,
     predict_batch,
     rbf_kernel,
     save_model,
     train,
 )
-from metaphish.dataset import FeatureRecord
-
 from _support import make_records, per_feature_best_split, separable_set
 
 # sha256 of the byte-stable artifacts of the fixture's `train --best-config
@@ -372,11 +369,11 @@ class TestTrainedModelApi:
     ])
     def test_save_load_round_trip(self, tmp_path, records, train_ids, kind, params):
         model = train(kind, params, records, train_ids, seed=42)
-        before = predict_batch(model, records)
+        before = predict_batch(model, records.X)
         path = tmp_path / f"{kind.value}.json"
         save_model(model, path)
         loaded = load_model(path)
-        after = predict_batch(loaded, records)
+        after = predict_batch(loaded, records.X)
         assert before.tolist() == after.tolist()
         assert loaded.params == model.params
         assert loaded.scaler.means.tolist() == model.scaler.means.tolist()
@@ -390,14 +387,15 @@ class TestTrainedModelApi:
 
     def test_predict_single_matches_batch(self, records, train_ids):
         model = train(ClassifierKind.KNN, {"k": 3}, records, train_ids)
-        batch = predict_batch(model, records[:5])
-        singles = [predict(model, r) for r in records[:5]]
+        batch = predict_batch(model, records.X[:5])
+        singles = [int(predict_batch(model, records.X[i : i + 1])[0]) for i in range(5)]
         assert batch.tolist() == singles
 
     def test_predict_wrong_width(self, records, train_ids):
         model = train(ClassifierKind.DT, {}, records, train_ids)
-        with pytest.raises(ValueError, match="expected 9 features"):
-            predict(model, FeatureRecord(99, np.zeros(4), 0))
+        for X in (np.zeros((1, 4)), np.zeros(9)):
+            with pytest.raises(ValueError, match="expected 9 features"):
+                predict_batch(model, X)
 
     def test_train_empty_ids(self, records):
         with pytest.raises(ValueError, match="empty training set"):
@@ -407,16 +405,16 @@ class TestTrainedModelApi:
         params = {"n_estimators": 5, "max_depth": None, "criterion": "entropy"}
         a = train(ClassifierKind.RF, params, records, train_ids, seed=7)
         b = train(ClassifierKind.RF, params, records, train_ids, seed=7)
-        assert predict_batch(a, records).tolist() == predict_batch(b, records).tolist()
+        assert predict_batch(a, records.X).tolist() == predict_batch(b, records.X).tolist()
 
     def test_knn_stores_scaled_training_matrix_verbatim(self, records, train_ids):
         model = train(ClassifierKind.KNN, {"k": 3}, records, train_ids)
-        rows = sorted((r for r in records if r.id in train_ids), key=lambda r: r.id)
+        rows = sorted(train_ids)
         expected = np.vstack(
-            [(r.features - model.scaler.means) / model.scaler.std_devs for r in rows]
+            [(records.X[i] - model.scaler.means) / model.scaler.std_devs for i in rows]
         )
         assert np.array_equal(model.estimator.X_, expected)
-        assert model.estimator.y_.tolist() == [r.label for r in rows]
+        assert model.estimator.y_.tolist() == [int(records.y[i]) for i in rows]
 
 
 class TestGenerateInitialBeliefs:
@@ -431,7 +429,7 @@ class TestGenerateInitialBeliefs:
 
     def test_four_beliefs_per_instance(self, records, train_ids):
         models = self._models(records, train_ids)
-        test_ids = {r.id for r in records} - train_ids
+        test_ids = set(range(len(records))) - train_ids
         beliefs = generate_initial_beliefs(models, records, test_ids)
         assert len(beliefs) == 4 * len(test_ids)
         per_pair = {(b.classifier, b.instance_id) for b in beliefs}
@@ -445,7 +443,7 @@ class TestGenerateInitialBeliefs:
         models = self._models(records, train_ids)
         beliefs = generate_initial_beliefs(models, records, {41})
         assert [b.classifier for b in beliefs] == list(ClassifierKind)
-        assert all(b.instance_id == 41 for b in beliefs)
+        assert all(type(b.instance_id) is int and b.instance_id == 41 for b in beliefs)
 
     def test_missing_model_rejected(self, records, train_ids):
         models = self._models(records, train_ids)

@@ -11,14 +11,20 @@ from metaphish.revision import parse_kv
 from _support import FIXTURE_CSV
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
+MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json")
+
+
+def _copy_run(run_dir, out):
+    """A fresh output directory holding the models and manifest of ``run_dir``."""
+    out.mkdir()
+    for name in (*MODEL_FILES, "split_manifest.csv"):
+        (out / name).write_bytes((run_dir / name).read_bytes())
+    return out
 
 
 class TestTrain:
     def test_artifacts_written(self, pipeline_run):
-        for name in (
-            "model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json",
-            "split_manifest.csv", "scaler.json", "cv_summary.kv", "run_config.kv",
-        ):
+        for name in (*MODEL_FILES, "split_manifest.csv", "cv_summary.kv", "run_config.kv"):
             assert (pipeline_run / name).is_file(), name
 
     def test_manifest_partitions_ids(self, pipeline_run):
@@ -31,8 +37,7 @@ class TestTrain:
         assert folds == {0, 1, 2, 3, 4}
 
     def test_repeat_run_is_byte_identical(self, pipeline_run, pipeline_rerun):
-        for name in ("model_svm.json", "model_knn.json", "model_dt.json",
-                     "model_rf.json", "scaler.json", "split_manifest.csv"):
+        for name in (*MODEL_FILES, "split_manifest.csv"):
             assert (pipeline_run / name).read_bytes() == (pipeline_rerun / name).read_bytes()
 
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
@@ -130,11 +135,7 @@ class TestRevise:
         # an empty snapshot directory means meta absent for every instance
         empty = tmp_path / "snapshots"
         empty.mkdir()
-        out = tmp_path / "out"
-        out.mkdir()
-        for name in ("model_svm.json", "model_knn.json", "model_dt.json",
-                     "model_rf.json", "split_manifest.csv"):
-            (out / name).write_bytes((pipeline_run / name).read_bytes())
+        out = _copy_run(pipeline_run, tmp_path / "out")
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(empty)])
         assert rc == 0
         kv = parse_kv((out / "report.kv").read_text())
@@ -152,11 +153,7 @@ class TestRevise:
             (snapshots / f"{rid}.html").write_text(
                 '<meta name="description" content="present">'
             )
-        out = tmp_path / "out"
-        out.mkdir()
-        for name in ("model_svm.json", "model_knn.json", "model_dt.json",
-                     "model_rf.json", "split_manifest.csv"):
-            (out / name).write_bytes((pipeline_run / name).read_bytes())
+        out = _copy_run(pipeline_run, tmp_path / "out")
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(snapshots)])
         assert rc == 0
         kv = parse_kv((out / "report.kv").read_text())
@@ -168,14 +165,44 @@ class TestRevise:
     def test_empty_rules_program_is_pipeline_error(self, pipeline_run, tmp_path, capsys):
         rules = tmp_path / "empty.lp"
         rules.write_text("% no rules\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        for name in ("model_svm.json", "model_knn.json", "model_dt.json",
-                     "model_rf.json", "split_manifest.csv"):
-            (out / name).write_bytes((pipeline_run / name).read_bytes())
+        out = _copy_run(pipeline_run, tmp_path / "out")
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--rules", str(rules)])
         assert rc == 1
         assert "final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: [l.replace(",train,", ",trian,") for l in lines], "unknown role 'trian'"),
+        (lambda lines: [*lines, next(l for l in lines if ",test," in l)], "duplicate id"),
+        (lambda lines: [*lines, "5000,test,"], "id 5000 is outside"),
+        (lambda lines: [*lines, "-1,test,"], "id -1 is outside"),
+        (lambda lines: [*lines, "seven,test,"], "'seven' is not an integer"),
+    ], ids=["unknown-role", "duplicate-id", "id-above-range", "negative-id", "non-integer-id"])
+    def test_bad_manifest_row_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        manifest = out / "split_manifest.csv"
+        lines = edit(manifest.read_text().splitlines())
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "line " in err and "re-run 'train'" in err
+        assert not (out / "final_beliefs.csv").exists()
+
+    def test_shorter_dataset_than_trained_on_is_usage_error(self, pipeline_run, tmp_path, capsys):
+        # revise with the first 100 rows of the dataset the models were trained on
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(FIXTURE_CSV.read_text().splitlines()[:101]) + "\n")
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        rc = main(["revise", "--dataset", str(short), "--out", str(out)])
+        assert rc == 2
+        assert "outside the dataset's rows [0, 100)" in capsys.readouterr().err
+
+    def test_model_kind_must_match_file_name(self, pipeline_run, tmp_path, capsys):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        (out / "model_svm.json").write_bytes((out / "model_dt.json").read_bytes())
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        assert "holds a dt model, not svm" in capsys.readouterr().err
 
     def test_dataset_without_meta_column_is_actionable(self, tmp_path, capsys):
         # strip the meta column from the fixture, retrain, then revise

@@ -7,14 +7,13 @@ import pytest
 
 from metaphish.dataset import (
     CsvSchema,
-    FeatureRecord,
+    Dataset,
     ScalerStats,
     extract_meta_presence,
     fit_scaler,
     load_dataset,
     load_meta_from_snapshots,
     make_split,
-    transform,
 )
 
 from _support import FIXTURE_CSV, benchmark_csv, make_records
@@ -58,17 +57,19 @@ def _write(tmp_path, text, name="data.csv"):
 
 class TestLoadDataset:
     def test_tiny_fixture_byte_match(self, tmp_path):
-        records = load_dataset(_write(tmp_path, TINY_CSV), TINY_SCHEMA)
-        assert len(records) == 10
-        assert [r.id for r in records] == list(range(10))
-        assert [r.label for r in records] == [0, 1] * 5
-        for record, expected in zip(records, TINY_EXPECTED):
-            assert record.features.tolist() == expected
-        assert all(r.meta_present is None for r in records)
+        data = load_dataset(_write(tmp_path, TINY_CSV), TINY_SCHEMA)
+        assert len(data) == 10
+        assert data.y.tolist() == [0, 1] * 5
+        assert data.X.tolist() == TINY_EXPECTED
+        assert data.meta is None
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 5.0
 
     def test_empty_file_with_header(self, tmp_path):
         path = _write(tmp_path, "url,f1,f2,f3,f4,f5,status\n")
-        assert load_dataset(path, TINY_SCHEMA) == []
+        data = load_dataset(path, TINY_SCHEMA)
+        assert len(data) == 0
+        assert data.X.shape == (0, 5)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -100,13 +101,13 @@ class TestLoadDataset:
 
     def test_numeric_label_coding(self, tmp_path):
         text = "f1,status\n1.0,0\n2.0,1\n"
-        records = load_dataset(_write(tmp_path, text), CsvSchema(feature_count=1))
-        assert [r.label for r in records] == [0, 1]
+        data = load_dataset(_write(tmp_path, text), CsvSchema(feature_count=1))
+        assert data.y.tolist() == [0, 1]
 
     def test_meta_column_parsed(self, tmp_path):
         text = "f1,status,meta_present\n1.0,0,1\n2.0,1,0\n"
-        records = load_dataset(_write(tmp_path, text), CsvSchema(feature_count=1))
-        assert [r.meta_present for r in records] == [True, False]
+        data = load_dataset(_write(tmp_path, text), CsvSchema(feature_count=1))
+        assert data.meta.tolist() == [True, False]
 
     def test_meta_column_strict_values(self, tmp_path):
         text = "f1,status,meta_present\n1.0,0,yes\n"
@@ -118,42 +119,59 @@ class TestLoadDataset:
             load_dataset(_write(tmp_path, TINY_CSV), CsvSchema(feature_count=4))
 
     def test_fixture_dataset_shape(self):
-        records = load_dataset(FIXTURE_CSV)
-        assert len(records) == 200
-        assert sum(r.label == 0 for r in records) == 100
-        assert sum(r.label == 1 for r in records) == 100
-        assert all(r.features.shape == (87,) for r in records)
-        assert sum(1 for r in records if r.label == 0 and r.meta_present) == 50
-        assert sum(1 for r in records if r.label == 1 and r.meta_present) == 10
+        data = load_dataset(FIXTURE_CSV)
+        assert data.X.shape == (200, 87)
+        assert int(np.sum(data.y == 0)) == 100
+        assert int(np.sum(data.y == 1)) == 100
+        assert int(np.sum((data.y == 0) & data.meta)) == 50
+        assert int(np.sum((data.y == 1) & data.meta)) == 10
 
 
-class TestFeatureRecord:
+class TestDataset:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            FeatureRecord(0, [1.0, math.inf], 0)
+        with pytest.raises(ValueError, match="row 1: non-finite"):
+            Dataset([[1.0, 2.0], [1.0, math.inf]], [0, 1])
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValueError, match="label"):
-            FeatureRecord(0, [1.0], 2)
+        with pytest.raises(ValueError, match="row 0: label must be 0 or 1, got 2"):
+            Dataset([[1.0]], [2])
+
+    def test_rejects_ragged_shapes(self):
+        with pytest.raises(ValueError, match="n x d"):
+            Dataset([1.0, 2.0], [0, 1])
+        with pytest.raises(ValueError, match="n x d"):
+            Dataset([[1.0], [2.0]], [0])
+        with pytest.raises(ValueError, match="meta"):
+            Dataset([[1.0], [2.0]], [0, 1], meta=[True])
 
     def test_features_are_read_only(self):
-        record = FeatureRecord(0, [1.0, 2.0], 0)
-        with pytest.raises(ValueError):
-            record.features[0] = 5.0
+        source = np.array([[1.0, 2.0]])
+        data = Dataset(source, [0], meta=[True])
+        source[0, 0] = 9.0
+        assert data.X.tolist() == [[1.0, 2.0]]  # a copy, not a view
+        for arr in (data.X, data.y, data.meta):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_rows_are_sorted_and_in_range(self):
+        data = make_records(5, d=1)
+        assert data.rows({3, 0, 4}).tolist() == [0, 3, 4]
+        assert data.rows(set()).tolist() == []
+        for bad in ({5}, {-1}):
+            with pytest.raises(ValueError, match=r"\[0, 5\)"):
+                data.rows(bad)
 
 
 class TestScaler:
     def test_constant_column_centering(self):
-        records = [FeatureRecord(i, [5.0], 0) for i in range(3)]
-        stats = fit_scaler(records, {0, 1, 2})
+        data = Dataset([[5.0]] * 3, [0] * 3)
+        stats = fit_scaler(data, {0, 1, 2})
         assert stats.means.tolist() == [5.0]
         assert stats.std_devs.tolist() == [1.0]
-        scaled = transform(records, stats)
-        assert all(r.features[0] == 0.0 for r in scaled)
+        assert stats.scale(data.X).tolist() == [[0.0]] * 3
 
     def test_two_point_column(self):
-        records = [FeatureRecord(0, [0.0], 0), FeatureRecord(1, [1.0], 1)]
-        stats = fit_scaler(records, {0, 1})
+        stats = fit_scaler(Dataset([[0.0], [1.0]], [0, 1]), {0, 1})
         assert stats.means.tolist() == [0.5]
         assert stats.std_devs.tolist() == [0.5]
 
@@ -161,8 +179,7 @@ class TestScaler:
         # independent oracle: plain-python two-pass mean and population variance
         rng = np.random.default_rng(11)
         X = rng.normal(3.0, 2.5, size=(100, 87))
-        records = [FeatureRecord(i, X[i], i % 2) for i in range(100)]
-        stats = fit_scaler(records, set(range(100)))
+        stats = fit_scaler(Dataset(X, np.arange(100) % 2), set(range(100)))
         for j in range(87):
             col = [float(X[i, j]) for i in range(100)]
             mean = sum(col) / len(col)
@@ -171,92 +188,82 @@ class TestScaler:
             assert abs(stats.std_devs[j] - math.sqrt(var)) < 1e-12
 
     def test_train_rows_only(self):
-        records = [FeatureRecord(0, [0.0], 0), FeatureRecord(1, [2.0], 1),
-                   FeatureRecord(2, [1000.0], 0)]
-        stats = fit_scaler(records, {0, 1})
+        data = Dataset([[0.0], [2.0], [1000.0]], [0, 1, 0])
+        stats = fit_scaler(data, {0, 1})
         assert stats.means.tolist() == [1.0]
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty training set"):
             fit_scaler(make_records(5, d=3), set())
 
-    def test_transform_zscore_bounds(self):
-        records = make_records(64, d=12, seed=5)
-        ids = set(range(64))
-        scaled = transform(records, fit_scaler(records, ids))
-        X = np.vstack([r.features for r in scaled])
+    def test_scale_zscore_bounds(self):
+        data = make_records(64, d=12, seed=5)
+        X = fit_scaler(data, set(range(64))).scale(data.X)
         assert np.all(np.abs(X.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(np.sqrt((X**2).mean(axis=0) - X.mean(axis=0) ** 2) - 1.0) < 1e-9)
 
-    def test_transform_identity_stats(self):
-        records = make_records(4, d=3, seed=1)
+    def test_scale_identity_stats(self):
+        data = make_records(4, d=3, seed=1)
         stats = ScalerStats(np.zeros(3), np.ones(3))
-        scaled = transform(records, stats)
-        for before, after in zip(records, scaled):
-            assert np.array_equal(before.features, after.features)
+        assert np.array_equal(stats.scale(data.X), data.X)
 
-    def test_transform_single_value(self):
+    def test_scale_single_value(self):
         stats = ScalerStats(np.array([5.0]), np.array([2.0]))
-        (scaled,) = transform([FeatureRecord(0, [7.0], 1)], stats)
-        assert scaled.features[0] == 1.0
-        assert scaled.label == 1
+        assert stats.scale([[7.0]]).tolist() == [[1.0]]
 
-    def test_transform_dimension_mismatch(self):
+    def test_scale_dimension_mismatch(self):
         stats = ScalerStats(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            transform([FeatureRecord(0, [1.0], 0)], stats)
+        with pytest.raises(ValueError, match="expected 3 features"):
+            stats.scale(np.ones((1, 1)))
 
 
 class TestMakeSplit:
     def test_balanced_sizes(self):
-        records = make_records(11430, d=1)
-        split = make_split(records, 0.2, 5, seed=42)
+        data = make_records(11430, d=1)
+        split = make_split(data, 0.2, 5, seed=42)
         assert len(split.test_ids) == 2286
         assert len(split.train_ids) == 9144
-        labels = {r.id: r.label for r in records}
-        per_class = [sum(1 for i in split.test_ids if labels[i] == c) for c in (0, 1)]
+        per_class = [sum(1 for i in split.test_ids if data.y[i] == c) for c in (0, 1)]
         assert per_class == [1143, 1143]
 
     def test_deterministic(self):
-        records = make_records(101, d=1)
-        assert make_split(records, 0.2, 5, seed=9) == make_split(records, 0.2, 5, seed=9)
-        assert make_split(records, 0.2, 5, seed=9) != make_split(records, 0.2, 5, seed=10)
+        data = make_records(101, d=1)
+        assert make_split(data, 0.2, 5, seed=9) == make_split(data, 0.2, 5, seed=9)
+        assert make_split(data, 0.2, 5, seed=9) != make_split(data, 0.2, 5, seed=10)
 
     def test_partition_round_trip(self):
-        records = make_records(103, d=1)
-        split = make_split(records, 0.3, 4, seed=0)
-        all_ids = {r.id for r in records}
-        assert split.train_ids | split.test_ids == all_ids
+        data = make_records(103, d=1)
+        split = make_split(data, 0.3, 4, seed=0)
+        assert split.train_ids | split.test_ids == set(range(len(data)))
         assert not split.train_ids & split.test_ids
         assert frozenset().union(*split.folds) == split.train_ids
         assert sum(len(f) for f in split.folds) == len(split.train_ids)
 
     def test_test_size_within_one(self):
         for n in (37, 101, 250):
-            records = make_records(n, d=1)
-            split = make_split(records, 0.2, 5, seed=1)
+            data = make_records(n, d=1)
+            split = make_split(data, 0.2, 5, seed=1)
             assert abs(len(split.test_ids) - 0.2 * n) <= 1
 
     def test_stratification_bound(self):
-        records = make_records(157, d=1, seed=2)
-        split = make_split(records, 0.25, 5, seed=3)
-        labels = {r.id: r.label for r in records}
-        n_class = [sum(1 for r in records if r.label == c) for c in (0, 1)]
+        data = make_records(157, d=1, seed=2)
+        split = make_split(data, 0.25, 5, seed=3)
+        n_class = [int(np.sum(data.y == c)) for c in (0, 1)]
         test_frac = [
-            sum(1 for i in split.test_ids if labels[i] == c) / n_class[c] for c in (0, 1)
+            sum(1 for i in split.test_ids if data.y[i] == c) / n_class[c] for c in (0, 1)
         ]
         assert abs(test_frac[0] - test_frac[1]) <= 1 / len(split.test_ids) + 1e-12
 
     def test_errors(self):
-        records = make_records(10, d=1)
+        data = make_records(10, d=1)
         with pytest.raises(ValueError):
-            make_split(records, 0.0, 5)
+            make_split(data, 0.0, 5)
         with pytest.raises(ValueError):
-            make_split(records, 1.0, 5)
+            make_split(data, 1.0, 5)
         with pytest.raises(ValueError):
-            make_split(records, 0.2, 1)
+            make_split(data, 0.2, 1)
         with pytest.raises(ValueError, match="fewer records"):
-            make_split(records, 0.2, 11)
+            make_split(data, 0.2, 11)
 
 
 META_CORPUS = [
@@ -307,22 +314,21 @@ class TestExtractMetaPresence:
 @pytest.mark.skipif(benchmark_csv() is None, reason="benchmark CSV not available")
 class TestBenchmarkDataset:
     def test_row_and_class_counts(self):
-        records = load_dataset(benchmark_csv())
-        assert len(records) == 11430
-        assert sum(r.label == 0 for r in records) == 5715
-        assert sum(r.label == 1 for r in records) == 5715
+        data = load_dataset(benchmark_csv())
+        assert len(data) == 11430
+        assert int(np.sum(data.y == 0)) == 5715
+        assert int(np.sum(data.y == 1)) == 5715
 
     def test_split_sizes(self):
-        records = load_dataset(benchmark_csv())
-        split = make_split(records, 0.2, 5, seed=42)
+        data = load_dataset(benchmark_csv())
+        split = make_split(data, 0.2, 5, seed=42)
         assert len(split.test_ids) == 2286
-        labels = {r.id: r.label for r in records}
-        assert sum(1 for i in split.test_ids if labels[i] == 0) == 1143
+        assert sum(1 for i in split.test_ids if data.y[i] == 0) == 1143
 
     def test_meta_distribution(self):
-        records = load_dataset(benchmark_csv())
-        if all(r.meta_present is None for r in records):
+        data = load_dataset(benchmark_csv())
+        if data.meta is None:
             pytest.skip("benchmark CSV has no meta_present column")
-        legit = sum(1 for r in records if r.label == 0 and r.meta_present)
-        phish = sum(1 for r in records if r.label == 1 and r.meta_present)
+        legit = int(np.sum((data.y == 0) & data.meta))
+        phish = int(np.sum((data.y == 1) & data.meta))
         assert (legit, phish) == (2887, 569)

@@ -12,7 +12,7 @@ from metaphish.classifiers import (
     grid_search,
 )
 from metaphish.classifiers import models as models_module
-from metaphish.dataset import FeatureRecord, fit_scaler, make_split, transform
+from metaphish.dataset import Dataset, fit_scaler, make_split
 
 from _support import make_records
 
@@ -46,14 +46,14 @@ def _noisy_records(n=80, seed=4, flip=0.2):
     """Class determined by feature 0 sign, with flipped labels as noise;
     the noise makes k=1 memorize wrong labels while k=9 smooths them out."""
     rng = np.random.default_rng(seed)
-    records = []
+    X = np.empty((n, 4))
+    y = np.empty(n, dtype=np.int64)
     for i in range(n):
-        x = rng.normal(0.0, 1.0, size=4)
-        label = int(x[0] > 0)
+        X[i] = rng.normal(0.0, 1.0, size=4)
+        y[i] = int(X[i, 0] > 0)
         if rng.random() < flip:
-            label = 1 - label
-        records.append(FeatureRecord(i, x, label))
-    return records
+            y[i] = 1 - y[i]
+    return Dataset(X, y)
 
 
 class TestGridSearch:
@@ -82,11 +82,11 @@ class TestGridSearch:
             for holdout in split.folds:
                 fit_ids = frozenset().union(*(f for f in split.folds if f != holdout))
                 stats = fit_scaler(records, fit_ids)
-                scaled = {r.id: r for r in transform(records, stats)}
-                X_fit = np.vstack([scaled[i].features for i in sorted(fit_ids)])
-                y_fit = np.array([scaled[i].label for i in sorted(fit_ids)])
-                X_val = np.vstack([scaled[i].features for i in sorted(holdout)])
-                y_val = np.array([scaled[i].label for i in sorted(holdout)])
+                scaled = (records.X - stats.means) / stats.std_devs
+                X_fit = np.vstack([scaled[i] for i in sorted(fit_ids)])
+                y_fit = np.array([records.y[i] for i in sorted(fit_ids)])
+                X_val = np.vstack([scaled[i] for i in sorted(holdout)])
+                y_val = np.array([records.y[i] for i in sorted(holdout)])
                 knn = KNearestNeighbors(k=k, weights="uniform", metric="euclidean")
                 knn.fit(X_fit, y_fit)
                 fold_accs.append(float((knn.predict(X_val) == y_val).mean()))
@@ -133,7 +133,7 @@ class TestGridSearch:
         grid = HyperGrid(ClassifierKind.KNN, {"k": (1, 3), "weights": ("uniform",),
                                               "metric": ("euclidean",)})
         grid_search(ClassifierKind.KNN, grid, records, split.folds)
-        assert len(calls) == 2 * 3  # candidates x folds
+        assert len(calls) == 3  # once per fold, shared by both candidates
         for fold in split.folds:
             assert split.train_ids - fold in calls
 
