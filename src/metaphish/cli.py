@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from metaphish import kb, revision
+from metaphish import kb, nmr, revision
 from metaphish.classifiers import (
     BEST_CONFIGS,
     DEFAULT_GRIDS,
@@ -165,6 +165,10 @@ def _read_manifest(out_dir: Path, n_rows: int) -> set[int]:
             raise ConfigError(
                 f"{path}, line {reader.line_num}: {problem}; re-run 'train' on this dataset"
             )
+    if not ids_by_role["test"]:
+        raise ConfigError(
+            f"{path}: no test rows to revise; re-run 'train' with a larger --test-fraction"
+        )
     return ids_by_role["test"]
 
 
@@ -208,7 +212,23 @@ def _meta_flags_for(cfg: RunConfig, data, test_ids) -> dict[int, bool]:
     return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
 
+def _load_rules(cfg: RunConfig) -> nmr.Program:
+    """The bundled revision program, or the ``--rules`` file, checked before any work."""
+    if not cfg.rules:
+        return revision.revision_program()
+    path = Path(cfg.rules)
+    if not path.is_file():
+        raise ConfigError(f"rule file not found: {path}; fix the rule file path")
+    try:
+        return revision.load_rules(path)
+    except nmr.ParseError as exc:  # its message starts with line:column
+        raise ConfigError(f"{path}:{exc}; fix the rule file") from None
+    except nmr.ProgramError as exc:
+        raise ConfigError(f"{path}: {exc}; fix the rule file") from None
+
+
 def cmd_revise(cfg: RunConfig) -> int:
+    program = _load_rules(cfg)
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
     test_ids = _read_manifest(out_dir, len(data))
@@ -217,7 +237,13 @@ def cmd_revise(cfg: RunConfig) -> int:
         path = out_dir / MODEL_FILES[kind]
         if not path.is_file():
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
-        models[kind] = load_model(path)
+        try:
+            models[kind] = load_model(path)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(
+                f"{path}: not a usable model file ({detail}); re-run 'train'"
+            ) from None
         if models[kind].kind is not kind:
             raise ConfigError(
                 f"{path}: holds a {models[kind].kind.value} model, not {kind.value} "
@@ -225,13 +251,9 @@ def cmd_revise(cfg: RunConfig) -> int:
             )
 
     beliefs = generate_initial_beliefs(models, data, test_ids)
-    meta_flags = _meta_flags_for(cfg, data, test_ids)
-
-    fact_base = kb.encode(beliefs, meta_flags)
+    fact_base = kb.encode(beliefs, _meta_flags_for(cfg, data, test_ids))
     n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
-
-    program = revision.load_rules(cfg.rules) if cfg.rules else revision.revision_program()
-    finals = revision.apply_revision(beliefs, meta_flags, program)
+    finals = revision.apply_revision(beliefs, fact_base, program)
 
     kind_index = {kind: i for i, kind in enumerate(KIND_ORDER)}
     rows = sorted(

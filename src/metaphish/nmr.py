@@ -2,11 +2,12 @@
 
 Covers exactly the fragment the belief-revision layer needs: normal rules
 with default negation, no function symbols, no disjunction, no aggregates.
-A program is parsed, checked for rule safety and stratification, grounded
-against a fact base with first-argument indexing, and evaluated stratum by
-stratum to its unique stable model.  :func:`check_stability` implements the
-reduct-based stable-model definition directly and serves as an independent
-oracle for the fixpoint evaluator.
+A program is parsed, checked for rule safety and stratification, and
+grounded against a fact base with first-argument indexing.  Grounding runs
+stratum by stratum to a fixpoint, so its atom store is the unique stable
+model, returned as ``GroundProgram.model``.  :func:`solve` re-evaluates a
+ground program and :func:`check_stability` implements the reduct-based
+stable-model definition; both serve as independent oracles for that model.
 
 Ground atoms are plain ``(predicate, args)`` tuples where each argument is a
 lowercase symbol (str) or a non-negative integer.
@@ -121,12 +122,6 @@ class EvalStats:
 
 
 @dataclass(frozen=True)
-class GroundProgram:
-    rules: tuple[GroundRule, ...]
-    stats: EvalStats = field(compare=False, default=EvalStats())
-
-
-@dataclass(frozen=True)
 class AnswerSet:
     """The unique stable model of a stratified ground program."""
 
@@ -140,6 +135,13 @@ class AnswerSet:
         return sorted(
             (a for a in self.atoms if a[0] == predicate), key=_atom_sort_key
         )
+
+
+@dataclass(frozen=True)
+class GroundProgram:
+    rules: tuple[GroundRule, ...]
+    stats: EvalStats = field(compare=False, default=EvalStats())
+    model: AnswerSet = field(compare=False, default=AnswerSet(frozenset()))
 
 
 def _atom_sort_key(atom: GroundAtom):
@@ -570,7 +572,8 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
             for atom in sorted(new_atoms, key=_atom_sort_key):
                 store.add(atom)
 
-    return GroundProgram(tuple(ground_rules), EvalStats(firings, len(store.all)))
+    stats = EvalStats(firings, len(store.all))
+    return GroundProgram(tuple(ground_rules), stats, AnswerSet(frozenset(store.all), stats))
 
 
 # ---------------------------------------------------------------------------

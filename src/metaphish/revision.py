@@ -1,8 +1,8 @@
 """Post-hoc belief revision and before/after reporting.
 
-:func:`apply_revision` routes every belief through the symbolic layer:
-beliefs and meta flags become facts, the bundled rule program is grounded
-and solved, and the final verdicts are read back from the answer set.
+:func:`apply_revision` routes every belief through the symbolic layer: the
+rule program is grounded over the beliefs' fact base (``kb.encode``) and the
+final verdicts are read from the stable model that grounding computes.
 Revision is one-directional: only phishing verdicts with meta evidence are
 withdrawn, so false positives can only fall and false negatives only rise.
 """
@@ -95,20 +95,19 @@ class RevisionReport:
         return self.revised_total / self.decisions_total if self.decisions_total else 0.0
 
 
-def apply_revision(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool],
+def apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
                    program: nmr.Program | None = None) -> list[FinalBelief]:
-    """Revise beliefs through encode -> ground -> solve; one output per input.
+    """Revise beliefs by grounding the rule program over ``fact_base``; one output per input.
 
-    The answer set must carry exactly one ``final(cl,id,class)`` atom per
-    belief; anything else means the rule program is broken and raises.
+    ``fact_base`` is ``kb.encode(beliefs, meta_flags)``.  The verdicts are read
+    from the model that :func:`nmr.ground` computes, which must carry exactly
+    one ``final(cl,id,class)`` atom per belief; anything else means the rule
+    program is broken and raises.
     """
     if program is None:
         program = revision_program()
-    fact_base = kb.encode(beliefs, meta_flags)
-    answer = nmr.solve(nmr.ground(program, fact_base))
-
     final_by_key: dict[tuple[str, int], int] = {}
-    for pred, args in answer.atoms:
+    for pred, args in nmr.ground(program, fact_base).model.atoms:
         if pred != _FINAL:
             continue
         if len(args) != 3:

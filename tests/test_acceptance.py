@@ -75,7 +75,7 @@ def test_c1_asp_path_equals_functional_oracle():
     beliefs, meta, _ = random_scenario(rng, 2500)  # 10,000 decisions
     assert len(beliefs) == 10_000
     start = time.perf_counter()
-    finals = apply_revision(beliefs, meta)
+    finals = apply_revision(beliefs, kb.encode(beliefs, meta))
     mismatches = sum(
         1
         for b, f in zip(beliefs, finals)
@@ -127,7 +127,7 @@ def test_c3_fp_monotone_over_random_runs():
     rng = random.Random(31)
     for _ in range(1000):
         beliefs, meta, truth = random_scenario(rng, rng.randint(1, 12))
-        report = build_report(beliefs, apply_revision(beliefs, meta), truth)
+        report = build_report(beliefs, apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
         for outcome in report.per_classifier.values():
             assert outcome.after.fp <= outcome.before.fp
             assert outcome.after.fn >= outcome.before.fn

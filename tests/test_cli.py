@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from metaphish import kb
+from metaphish import kb, nmr
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
@@ -14,10 +14,10 @@ DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
 MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json")
 
 
-def _copy_run(run_dir, out):
-    """A fresh output directory holding the models and manifest of ``run_dir``."""
+def _copy_run(run_dir, out, *extra):
+    """A fresh output directory holding the models, manifest and ``extra`` files of ``run_dir``."""
     out.mkdir()
-    for name in (*MODEL_FILES, "split_manifest.csv"):
+    for name in (*MODEL_FILES, "split_manifest.csv", *extra):
         (out / name).write_bytes((run_dir / name).read_bytes())
     return out
 
@@ -169,6 +169,74 @@ class TestRevise:
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--rules", str(rules)])
         assert rc == 1
         assert "final" in capsys.readouterr().err
+
+    def test_revise_encodes_once_and_never_solves(self, pipeline_run, tmp_path, monkeypatch):
+        # the verdicts come from the model ground() builds over the facts.lp fact base
+        calls = {"encode": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kb, "encode", counted("encode", kb.encode))
+        monkeypatch.setattr(nmr, "solve", counted("solve", nmr.solve))
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
+        assert calls == {"encode": 1, "solve": 0}
+        for name in ("facts.lp", "final_beliefs.csv"):
+            assert (out / name).read_bytes() == (pipeline_run / name).read_bytes()
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "rule file not found: "),
+        ("final(CL,ID,C) :- pred(CL,ID,C)\n", "rules.lp:2:1: expected '.', found 'end of input'"),
+        ("final(CL,ID,C) :- not pred(CL,ID,C).\n", "rules.lp: unsafe variable"),
+        ("final(CL,ID,C) :- pred(CL,ID,C), not final(CL,ID,C).\n", "rules.lp: program is not stratified"),
+    ], ids=["missing", "parse-error", "unsafe", "not-stratified"])
+    def test_bad_rule_file_is_usage_error(self, pipeline_run, tmp_path, capsys, text, message):
+        rules = tmp_path / "rules.lp"
+        if text is not None:
+            rules.write_text(text)
+        out = _copy_run(pipeline_run, tmp_path / "out", "facts.lp", "final_beliefs.csv")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--rules", str(rules)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and str(rules) in err and "fix the rule file" in err
+        for name in ("facts.lp", "final_beliefs.csv"):
+            assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:1],
+        lambda lines: [l.replace(",test,", ",train,0") for l in lines],
+    ], ids=["header-only", "no-test-role"])
+    def test_manifest_without_test_rows_is_usage_error(self, pipeline_run, tmp_path, capsys, edit):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        manifest = out / "split_manifest.csv"
+        manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "no test rows" in err and "--test-fraction" in err
+        assert not (out / "final_beliefs.csv").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw[:300], "Expecting"),
+        (lambda raw: raw.replace(b'"format": "', b'"format": "x'), "not a model file"),
+        (lambda raw: raw.replace(b'"state"', b'"stat"'), "missing key 'state'"),
+    ], ids=["truncated", "wrong-format", "missing-key"])
+    def test_unusable_model_file_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        model = out / "model_dt.json"
+        raw = model.read_bytes()
+        model.write_bytes(edit(raw))
+        assert model.read_bytes() != raw
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model}: not a usable model file" in err
+        assert message in err and "re-run 'train'" in err
+        assert not (out / "final_beliefs.csv").exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: [l.replace(",train,", ",trian,") for l in lines], "unknown role 'trian'"),

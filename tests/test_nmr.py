@@ -269,6 +269,44 @@ class TestSolve:
         assert after.holds("final", "svm", 1, "benign")
 
 
+class TestGroundModel:
+    """``ground``'s fixpoint is the stable model; ``solve`` is the oracle it must equal."""
+
+    def test_random_programs_match_solve(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            gp = ground(parse_program(random_stratified_program(rng)))
+            assert gp.model == solve(gp)
+
+    def test_revision_program_on_random_fact_bases(self):
+        program = parse_program(REVISION_TEXT)
+        rng = random.Random(43)
+        for _ in range(200):
+            facts = []
+            for i in range(rng.randint(0, 12)):
+                for cl in rng.sample(("svm", "knn", "dt", "rf"), rng.randint(1, 4)):
+                    facts.append(("pred", (cl, i, rng.choice(("phishing", "benign")))))
+                if rng.random() < 0.8:  # some instances carry no meta fact
+                    facts.append(("meta", (i, rng.choice(("yes", "no")))))
+            gp = ground(program, facts)
+            assert gp.model == solve(gp)
+
+    def test_recursive_program_with_negation(self):
+        program = parse_program(
+            "v(X) :- e(X,Y). v(Y) :- e(X,Y). t(X,Y) :- e(X,Y). "
+            "t(X,Z) :- t(X,Y), e(Y,Z). n(X) :- v(X), not t(X,X)."
+        )
+        gp = ground(program, [("e", (0, 1)), ("e", (1, 0)), ("e", (1, 2))])
+        assert gp.model.with_predicate("n") == [("n", (2,))]
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+            gp = ground(program, [("e", edge) for edge in edges])
+            assert gp.model == solve(gp)
+            assert check_stability(gp, gp.model)
+
+
 class TestCheckStability:
     def test_fact_program(self):
         gp = ground(parse_program("a."))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from metaphish import nmr
+from metaphish import kb, nmr
 from metaphish.classifiers import KIND_ORDER, ClassifierKind, InitialBelief
 from metaphish.revision import (
     apply_revision,
@@ -48,20 +48,20 @@ class TestApplyRevision:
         for initial in (0, 1):
             for meta in (False, True):
                 beliefs = [InitialBelief(ClassifierKind.DT, 0, initial)]
-                (final,) = apply_revision(beliefs, {0: meta})
+                (final,) = apply_revision(beliefs, kb.encode(beliefs, {0: meta}))
                 assert final.final_class == direct_revision(initial, meta)
                 assert final.revised == (initial == 1 and meta)
 
     def test_unanimous_phishing_with_meta_flips_all_four(self):
         beliefs = [InitialBelief(kind, 19, 1) for kind in KIND_ORDER]
-        finals = apply_revision(beliefs, {19: True})
+        finals = apply_revision(beliefs, kb.encode(beliefs, {19: True}))
         assert all(f.final_class == 0 and f.revised for f in finals)
         assert len(finals) == 4
 
     def test_output_aligned_with_input(self):
         rng = random.Random(3)
         beliefs, meta, _ = random_scenario(rng, 30)
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         assert len(finals) == len(beliefs)
         for b, f in zip(beliefs, finals):
             assert (b.classifier, b.instance_id) == (f.classifier, f.instance_id)
@@ -69,7 +69,7 @@ class TestApplyRevision:
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(99)
         beliefs, meta, _ = random_scenario(rng, 250)  # 1000 decisions
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         for b, f in zip(beliefs, finals):
             assert f.final_class == direct_revision(b.predicted_class, meta[b.instance_id])
 
@@ -77,18 +77,16 @@ class TestApplyRevision:
         rng = random.Random(5)
         for _ in range(200):
             beliefs, meta, _ = random_scenario(rng, 8)
-            for b, f in zip(beliefs, apply_revision(beliefs, meta)):
+            for b, f in zip(beliefs, apply_revision(beliefs, kb.encode(beliefs, meta))):
                 if b.predicted_class == 0:
                     assert f.final_class == 0 and not f.revised
 
     def test_idempotent(self):
         rng = random.Random(6)
         beliefs, meta, _ = random_scenario(rng, 40)
-        finals = apply_revision(beliefs, meta)
-        again = apply_revision(
-            [InitialBelief(f.classifier, f.instance_id, f.final_class) for f in finals],
-            meta,
-        )
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
+        revised = [InitialBelief(f.classifier, f.instance_id, f.final_class) for f in finals]
+        again = apply_revision(revised, kb.encode(revised, meta))
         assert all(not f.revised for f in again)
         assert [f.final_class for f in again] == [f.final_class for f in finals]
 
@@ -96,14 +94,14 @@ class TestApplyRevision:
         empty = nmr.parse_program("% nothing to derive\n")
         beliefs = [InitialBelief(ClassifierKind.SVM, 0, 1)]
         with pytest.raises(ValueError, match="final"):
-            apply_revision(beliefs, {0: True}, program=empty)
+            apply_revision(beliefs, kb.encode(beliefs, {0: True}), program=empty)
 
 
 class TestBuildReport:
     def test_instance_178_style_false_positive_removal(self):
         # a truly legitimate instance flagged phishing by all four classifiers
         beliefs = [InitialBelief(kind, 178, 1) for kind in KIND_ORDER]
-        finals = apply_revision(beliefs, {178: True})
+        finals = apply_revision(beliefs, kb.encode(beliefs, {178: True}))
         report = build_report(beliefs, finals, {178: 0})
         for outcome in report.per_classifier.values():
             assert outcome.before.fp == 1
@@ -117,7 +115,7 @@ class TestBuildReport:
         rng = random.Random(7)
         beliefs, _, truth = random_scenario(rng, 25)
         meta = {i: False for i in range(25)}
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         report = build_report(beliefs, finals, truth)
         for outcome in report.per_classifier.values():
             assert outcome.before == outcome.after
@@ -129,7 +127,7 @@ class TestBuildReport:
         beliefs = [InitialBelief(k, i, 1) for i in range(n) for k in KIND_ORDER]
         meta = {i: True for i in range(n)}
         truth = {i: i % 2 for i in range(n)}
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         report = build_report(beliefs, finals, truth)
         for outcome in report.per_classifier.values():
             assert outcome.after.fp == 0
@@ -140,7 +138,7 @@ class TestBuildReport:
         rng = random.Random(8)
         for _ in range(50):
             beliefs, meta, truth = random_scenario(rng, 12)
-            finals = apply_revision(beliefs, meta)
+            finals = apply_revision(beliefs, kb.encode(beliefs, meta))
             report = build_report(beliefs, finals, truth)
             for kind, outcome in report.per_classifier.items():
                 expected = sum(
@@ -154,7 +152,7 @@ class TestBuildReport:
         rng = random.Random(9)
         for _ in range(100):
             beliefs, meta, truth = random_scenario(rng, 10)
-            finals = apply_revision(beliefs, meta)
+            finals = apply_revision(beliefs, kb.encode(beliefs, meta))
             report = build_report(beliefs, finals, truth)
             for outcome in report.per_classifier.values():
                 before, after = outcome.before, outcome.after
@@ -171,14 +169,15 @@ class TestBuildReport:
 
     def test_misaligned_ids_rejected(self):
         beliefs = [InitialBelief(ClassifierKind.SVM, 0, 1)]
-        finals = apply_revision([InitialBelief(ClassifierKind.SVM, 1, 1)], {1: False})
+        other = [InitialBelief(ClassifierKind.SVM, 1, 1)]
+        finals = apply_revision(other, kb.encode(other, {1: False}))
         with pytest.raises(ValueError, match="misaligned"):
             build_report(beliefs, finals, {0: 1, 1: 1})
 
     def test_totals_fraction(self):
         beliefs = [InitialBelief(k, i, 1) for i in range(5) for k in KIND_ORDER]
         meta = {i: i == 0 for i in range(5)}
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         report = build_report(beliefs, finals, {i: 1 for i in range(5)})
         assert report.decisions_total == 20
         assert report.revised_total == 4
@@ -241,7 +240,7 @@ class TestReportRendering:
     def test_report_to_kv_round_trip_through_report(self):
         beliefs = [InitialBelief(k, i, (i + 1) % 2) for i in range(6) for k in KIND_ORDER]
         meta = {i: i < 3 for i in range(6)}
-        finals = apply_revision(beliefs, meta)
+        finals = apply_revision(beliefs, kb.encode(beliefs, meta))
         report = build_report(beliefs, finals, {i: i % 2 for i in range(6)})
         kv = report_to_kv(report)
         assert kv["total.decisions"] == "24"
