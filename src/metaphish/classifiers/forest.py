@@ -48,6 +48,17 @@ class RandomForest:
             self.trees_.append(tree)
         return self
 
+    def head(self, n: int) -> "RandomForest":
+        """The forest of this one's first ``n`` trees.
+
+        Tree ``t`` depends only on the data and ``(seed, t)``, so this is the
+        forest that ``fit`` grows with ``n_estimators=n`` on the same data.
+        """
+        forest = RandomForest(n_estimators=n, criterion=self.criterion, max_depth=self.max_depth,
+                              min_samples_split=self.min_samples_split, seed=self.seed)
+        forest.trees_ = self.trees_[:n]
+        return forest
+
     def predict(self, X) -> np.ndarray:
         if not self.trees_:
             raise ValueError("forest is not fitted")

@@ -170,6 +170,24 @@ def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],
     return beliefs
 
 
+def _shared_fits(kind: ClassifierKind, candidates: list[dict]) -> list[tuple[dict, list[int]]]:
+    """Candidate indices grouped so that one fit per fold scores a group, in
+    order of first appearance, as ``(parameters to fit, member indices)``.
+
+    RF candidates that differ only in ``n_estimators`` share the fit of the
+    group's largest forest; every other candidate is a group of one.
+    """
+    groups: dict[tuple, tuple[dict, list[int]]] = {}
+    for i, params in enumerate(candidates):
+        shares = kind is ClassifierKind.RF and "n_estimators" in params
+        key = tuple(kv for kv in params.items() if not (shares and kv[0] == "n_estimators"))
+        fit_params, members = groups.setdefault(key, (dict(params), []))
+        if shares:
+            fit_params["n_estimators"] = max(fit_params["n_estimators"], params["n_estimators"])
+        members.append(i)
+    return list(groups.values())
+
+
 def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
                 folds, seed: int = 42) -> GridSearchResult:
     """Pick the candidate with the best mean fold accuracy.
@@ -177,6 +195,14 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
     The scaler is refit inside each fold on that fold's training portion,
     once per fold, and every candidate is scored on the same scaled folds;
     ties are broken by grid enumeration order (first listed wins).
+
+    RF candidates that differ only in ``n_estimators`` are scored off one
+    forest per fold, grown to the largest of their sizes: tree ``t`` draws
+    its bootstrap sample and feature subsets only from ``(seed, t)``, and
+    every candidate sees the same fold data, so a forest of ``n`` trees is
+    exactly the first ``n`` trees of a larger one (the prefix property
+    behind scikit-learn's ``warm_start``).  A group is scored before the next
+    is grown, so at most one grown forest is alive at a time.
     """
     folds = [frozenset(f) for f in folds]
     if not folds:
@@ -196,15 +222,21 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
         scaled_folds.append((stats.scale(data.X[fit_rows]), data.y[fit_rows],
                              stats.scale(data.X[val_rows]), data.y[val_rows]))
 
+    fold_accs: list[list[float]] = [[] for _ in candidates]
+    for fit_params, members in _shared_fits(kind, candidates):
+        for X_fit, y_fit, X_val, y_val in scaled_folds:
+            estimator = _build_estimator(kind, fit_params, seed)
+            estimator.fit(X_fit, y_fit)
+            for i in members:
+                scorer = (estimator.head(candidates[i]["n_estimators"])
+                          if len(members) > 1 else estimator)
+                fold_accs[i].append(float((scorer.predict(X_val) == y_val).mean()))
+            del scorer  # it holds the trees, which must not outlive this fold's fit
+
     scores = []
     best = None
-    for params in candidates:
-        fold_accs = []
-        for X_fit, y_fit, X_val, y_val in scaled_folds:
-            estimator = _build_estimator(kind, dict(params), seed)
-            estimator.fit(X_fit, y_fit)
-            fold_accs.append(float((estimator.predict(X_val) == y_val).mean()))
-        mean_acc = sum(fold_accs) / len(fold_accs)
+    for params, accs in zip(candidates, fold_accs):
+        mean_acc = sum(accs) / len(accs)
         scores.append((params, mean_acc))
         if best is None or mean_acc > best[1]:
             best = (params, mean_acc)
@@ -245,4 +277,30 @@ def load_model(path: str | Path) -> TrainedModel:
         estimator = DecisionTree.from_dict(state)
     else:
         estimator = RandomForest.from_dict(state)
+    _check_state_width(estimator, scaler.width)
     return TrainedModel(kind, params, payload["seed"], scaler, estimator)
+
+
+def _check_state_width(estimator, width: int) -> None:
+    """Raise ValueError unless the fitted state reads rows of ``width`` features.
+
+    Support vectors and stored training rows must be exactly that wide; a
+    tree must not split on a feature at or past it (a tree need not use the
+    last feature, so its state bounds the width only from below).
+    """
+    if isinstance(estimator, (KernelSVM, KNearestNeighbors)):
+        rows = estimator.support_x_ if isinstance(estimator, KernelSVM) else estimator.X_
+        if rows.size and rows.shape[1] != width:
+            raise ValueError(f"the scaler is {width} features wide "
+                             f"but the model's rows have {rows.shape[1]}")
+        return
+    trees = estimator.trees_ if isinstance(estimator, RandomForest) else [estimator]
+    stack = [tree.root_ for tree in trees]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if not 0 <= node.feature < width:
+            raise ValueError(f"the scaler is {width} features wide "
+                             f"but a tree splits on feature {node.feature}")
+        stack += (node.left, node.right)

@@ -16,11 +16,9 @@ def gini(p):
 def entropy(p):
     """Binary entropy -p*log2(p) - (1-p)*log2(1-p), with 0*log2(0) = 0."""
     p = np.asarray(p, dtype=np.float64)
-    out = np.zeros(p.shape)
-    for side in (p, 1.0 - p):
-        mask = side > 0
-        out = out - np.where(mask, side * np.log2(side, where=mask, out=np.ones(p.shape)), 0.0)
-    return out
+    q = 1 - p
+    # log2 of 1 is exactly 0, so a zero side adds the same 0.0 the masked sum did
+    return 0.0 - p * np.log2(np.where(p > 0, p, 1)) - q * np.log2(np.where(q > 0, q, 1))
 
 
 _CRITERIA = {"gini": gini, "entropy": entropy}
@@ -135,7 +133,7 @@ class DecisionTree:
         features = self._candidate_features(X.shape[1])
         cols = X[:, features]
         order = np.argsort(cols, axis=0, kind="stable")
-        sv = np.take_along_axis(cols, order, axis=0)
+        sv = cols[order, np.arange(len(features))]
         n_left = np.arange(1, n)[:, None]
         n_right = n - n_left
         pos_left = np.cumsum(y[order], axis=0)[:-1]

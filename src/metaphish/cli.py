@@ -220,11 +220,14 @@ def _load_rules(cfg: RunConfig) -> nmr.Program:
     if not path.is_file():
         raise ConfigError(f"rule file not found: {path}; fix the rule file path")
     try:
-        return revision.load_rules(path)
+        program = revision.load_rules(path)
+        # the fact predicates have fixed arities, so a clash shows before grounding
+        nmr.check_arities(program, [(kb.PRED, ("svm", 0, "phishing")), (kb.META, (0, "yes"))])
     except nmr.ParseError as exc:  # its message starts with line:column
         raise ConfigError(f"{path}:{exc}; fix the rule file") from None
     except nmr.ProgramError as exc:
         raise ConfigError(f"{path}: {exc}; fix the rule file") from None
+    return program
 
 
 def cmd_revise(cfg: RunConfig) -> int:
@@ -239,6 +242,9 @@ def cmd_revise(cfg: RunConfig) -> int:
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
         try:
             models[kind] = load_model(path)
+            if models[kind].scaler.width != data.X.shape[1]:
+                raise ValueError(f"the scaler is {models[kind].scaler.width} features wide "
+                                 f"but the dataset has {data.X.shape[1]}")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(

@@ -500,7 +500,9 @@ def _join(body: tuple[Atom, ...], store: _AtomStore) -> Iterator[dict]:
     return expand(0, {})
 
 
-def _check_arities(program: Program, fact_atoms: list[GroundAtom]) -> None:
+def check_arities(program: Program, fact_atoms: list[GroundAtom]) -> None:
+    """Raise :class:`ArityError` if a predicate of the program or the facts
+    is used with two different arities."""
     arity: dict[str, int] = {}
 
     def check(pred: str, n: int, context: str):
@@ -530,7 +532,7 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     else:
         fact_atoms = [(pred, tuple(args)) for pred, args in facts]
     fact_atoms.sort(key=_atom_sort_key)
-    _check_arities(program, fact_atoms)
+    check_arities(program, fact_atoms)
 
     store = _AtomStore()
     ground_rules: list[GroundRule] = []

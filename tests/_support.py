@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from metaphish.classifiers import KIND_ORDER, InitialBelief
-from metaphish.dataset import Dataset
+from metaphish.classifiers import KIND_ORDER, InitialBelief, RandomForest, effective_candidates
+from metaphish.dataset import Dataset, fit_scaler
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "synthetic_200.csv"
@@ -85,6 +85,39 @@ def per_feature_best_split(X, y, impurity, max_features=None, rng=None):
             best_gain = float(gains[k])
             best = (j, float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0))
     return best
+
+
+def masked_entropy(p):
+    """Binary entropy as a masked sum over both sides (the oracle for
+    ``tree.entropy``): a side of 0 adds the literal 0.0, never a log."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.zeros(p.shape)
+    for side in (p, 1.0 - p):
+        mask = side > 0
+        out = out - np.where(mask, side * np.log2(side, where=mask, out=np.ones(p.shape)), 0.0)
+    return out
+
+
+def fit_every_forest(grid, data: Dataset, folds, seed: int = 42):
+    """RF grid search that fits every candidate afresh on every fold (the
+    oracle for ``grid_search``'s shared forests).  Returns the
+    ``(params, mean fold accuracy)`` pairs in enumeration order and the
+    first best params."""
+    folds = [frozenset(f) for f in folds]
+    scores = []
+    for params in effective_candidates(grid):
+        accs = []
+        for holdout in folds:
+            fit_ids = frozenset().union(*(f for f in folds if f is not holdout))
+            stats = fit_scaler(data, fit_ids)
+            fit_rows, val_rows = data.rows(fit_ids), data.rows(holdout)
+            forest = RandomForest(seed=seed, **params)
+            forest.fit(stats.scale(data.X[fit_rows]), data.y[fit_rows])
+            predicted = forest.predict(stats.scale(data.X[val_rows]))
+            accs.append(float((predicted == data.y[val_rows]).mean()))
+        scores.append((params, sum(accs) / len(accs)))
+    best = max(scores, key=lambda pair: pair[1])  # first of the maxima
+    return tuple(scores), best[0]
 
 
 def direct_revision(initial_class: int, meta_present: bool) -> int:

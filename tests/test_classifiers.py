@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from metaphish.classifiers import (
     save_model,
     train,
 )
-from _support import make_records, per_feature_best_split, separable_set
+from _support import make_records, masked_entropy, per_feature_best_split, separable_set
 
 # sha256 of the byte-stable artifacts of the fixture's `train --best-config
 # --seed 42` and `revise` (run_config.kv records the output path, so it is not
@@ -40,6 +41,17 @@ PINNED_ARTIFACTS = {
     "report.kv": "a1715480356f44be7403c864884d809655f862d5f05322d598b3b93b603c006c",
 }
 PINNED_TREE_MODELS = ("model_dt.json", "model_rf.json")
+
+
+def _split_features(root):
+    """The feature index of every split node of a fitted tree."""
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append(node.feature)
+            stack += (node.left, node.right)
+    return out
 
 
 def _assert_pinned(run_dir, name):
@@ -63,6 +75,19 @@ class TestImpurity:
     def test_entropy_peak_values(self):
         assert float(entropy(0.5)) == 1.0
         assert float(gini(0.5)) == 0.5
+
+    def test_entropy_bits_match_masked_oracle(self):
+        # every proportion k/n a node of up to 300 rows can have; comparing
+        # the int64 views also tells 0.0 from -0.0
+        k, n = np.arange(301)[:, None], np.arange(1, 301)[None, :]
+        p = np.where(k <= n, k / n, 0.0)
+        got, want = entropy(p), masked_entropy(p)
+        assert got.shape == want.shape == p.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for value in np.unique(p).tolist():
+            got, want = np.asarray(entropy(value)), np.asarray(masked_entropy(value))
+            assert got.shape == want.shape == ()
+            assert got.view(np.int64) == want.view(np.int64), value
 
 
 class TestDecisionTree:
@@ -332,6 +357,19 @@ class TestRandomForest:
         forest = RandomForest(n_estimators=15, seed=0).fit(X, y)
         assert (forest.predict(X) == y).mean() >= 0.99
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_smaller_forest_is_prefix_of_larger(self, criterion, max_depth):
+        # what lets grid_search score every n_estimators off one grown forest
+        data = make_records(70, d=9, seed=8, shift=0.4)
+        params = {"criterion": criterion, "max_depth": max_depth, "seed": 3}
+        big = RandomForest(n_estimators=9, **params).fit(data.X, data.y)
+        trees = big.to_dict()["trees"]
+        for n in (1, 2, 5, 8):
+            small = RandomForest(n_estimators=n, **params).fit(data.X, data.y)
+            assert small.to_dict()["trees"] == trees[:n]
+            assert big.head(n).to_dict() == small.to_dict()
+
 
 class TestSeparableFloor:
     def test_all_classifiers_clear_95_percent(self):
@@ -396,6 +434,38 @@ class TestTrainedModelApi:
         for X in (np.zeros((1, 4)), np.zeros(9)):
             with pytest.raises(ValueError, match="expected 9 features"):
                 predict_batch(model, X)
+
+    @pytest.mark.parametrize("kind,params", [
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "linear"}),
+        (ClassifierKind.KNN, {"k": 3}),
+        (ClassifierKind.DT, {}),
+        (ClassifierKind.RF, {"n_estimators": 5}),
+    ])
+    def test_load_rejects_scaler_narrower_than_state(self, tmp_path, records, train_ids,
+                                                     kind, params):
+        model = train(kind, params, records, train_ids)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        width = len(payload["scaler"]["means"])
+        if kind in (ClassifierKind.DT, ClassifierKind.RF):
+            # a tree bounds the width only by the highest feature it splits on
+            trees = [model.estimator] if kind is ClassifierKind.DT else model.estimator.trees_
+            width = 1 + max(max(_split_features(t.root_)) for t in trees)
+        for key in ("means", "std_devs"):
+            payload["scaler"][key] = payload["scaler"][key][:width - 1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"scaler is {width - 1} features wide"):
+            load_model(path)
+
+    def test_load_rejects_scaler_halves_of_unequal_length(self, tmp_path, records, train_ids):
+        path = tmp_path / "model.json"
+        save_model(train(ClassifierKind.KNN, {"k": 3}, records, train_ids), path)
+        payload = json.loads(path.read_text())
+        payload["scaler"]["std_devs"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="equal length"):
+            load_model(path)
 
     def test_train_empty_ids(self, records):
         with pytest.raises(ValueError, match="empty training set"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 
@@ -193,7 +194,9 @@ class TestRevise:
         ("final(CL,ID,C) :- pred(CL,ID,C)\n", "rules.lp:2:1: expected '.', found 'end of input'"),
         ("final(CL,ID,C) :- not pred(CL,ID,C).\n", "rules.lp: unsafe variable"),
         ("final(CL,ID,C) :- pred(CL,ID,C), not final(CL,ID,C).\n", "rules.lp: program is not stratified"),
-    ], ids=["missing", "parse-error", "unsafe", "not-stratified"])
+        ("revise(CL,ID) :- pred(CL,ID), meta(ID,yes).\n",
+         "rules.lp: predicate 'pred' used with arity 2"),
+    ], ids=["missing", "parse-error", "unsafe", "not-stratified", "arity-clash"])
     def test_bad_rule_file_is_usage_error(self, pipeline_run, tmp_path, capsys, text, message):
         rules = tmp_path / "rules.lp"
         if text is not None:
@@ -264,6 +267,23 @@ class TestRevise:
         rc = main(["revise", "--dataset", str(short), "--out", str(out)])
         assert rc == 2
         assert "outside the dataset's rows [0, 100)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", MODEL_FILES)
+    def test_scaler_narrower_than_dataset_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                         name):
+        out = _copy_run(pipeline_run, tmp_path / "out", "facts.lp", "final_beliefs.csv")
+        model = out / name
+        payload = json.loads(model.read_text())
+        for key in ("means", "std_devs"):
+            payload["scaler"][key].pop()
+        model.write_text(json.dumps(payload))
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model}: not a usable model file (the scaler is 86 features wide" in err
+        assert "re-run 'train'" in err
+        for artifact in ("facts.lp", "final_beliefs.csv"):
+            assert (out / artifact).read_bytes() == (pipeline_run / artifact).read_bytes()
 
     def test_model_kind_must_match_file_name(self, pipeline_run, tmp_path, capsys):
         out = _copy_run(pipeline_run, tmp_path / "out")

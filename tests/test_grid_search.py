@@ -8,13 +8,14 @@ from metaphish.classifiers import (
     ClassifierKind,
     HyperGrid,
     KNearestNeighbors,
+    RandomForest,
     effective_candidates,
     grid_search,
 )
 from metaphish.classifiers import models as models_module
 from metaphish.dataset import Dataset, fit_scaler, make_split
 
-from _support import make_records
+from _support import fit_every_forest, make_records
 
 
 class TestGridDefinitions:
@@ -142,3 +143,46 @@ class TestGridSearch:
         grid = DEFAULT_GRIDS[ClassifierKind.KNN]
         with pytest.raises(ValueError, match="no folds"):
             grid_search(ClassifierKind.KNN, grid, records, [])
+
+
+# RF grids whose candidates share forests: n_estimators listed in decreasing
+# order and not first in field order, or with a single value (no sharing)
+RF_GRIDS = {
+    "decreasing": {"max_depth": (3, None), "n_estimators": (4, 2),
+                   "criterion": ("gini", "entropy")},
+    "three-sizes": {"criterion": ("entropy",), "max_depth": (None,), "n_estimators": (1, 5, 3)},
+    "single-size": {"n_estimators": (3,), "criterion": ("gini",), "max_depth": (2, None)},
+}
+
+
+class TestSharedForests:
+    @pytest.mark.parametrize("fields", RF_GRIDS.values(), ids=RF_GRIDS.keys())
+    def test_scores_equal_fitting_every_candidate(self, fields):
+        data = _noisy_records(n=60, seed=9, flip=0.25)
+        split = make_split(data, 0.2, 3, seed=2)
+        grid = HyperGrid(ClassifierKind.RF, fields)
+        result = grid_search(ClassifierKind.RF, grid, data, split.folds, seed=5)
+        scores, best = fit_every_forest(grid, data, split.folds, seed=5)
+        assert result.candidate_scores == scores  # exact float equality
+        assert result.params == best
+        assert result.cv_accuracy == max(acc for _, acc in scores)
+
+    @pytest.mark.parametrize("fields,groups,size", [
+        (RF_GRIDS["decreasing"], 4, 4),
+        (RF_GRIDS["three-sizes"], 1, 5),
+        (RF_GRIDS["single-size"], 2, 3),
+        (DEFAULT_GRIDS[ClassifierKind.RF].parameter_lists, 6, 200),  # 12 candidates
+    ], ids=["decreasing", "three-sizes", "single-size", "default"])
+    def test_one_forest_fit_per_group_and_fold(self, monkeypatch, fields, groups, size):
+        grown = []
+        real = RandomForest.fit
+
+        def spy(self, X, y):
+            grown.append(self.n_estimators)
+            return real(self, X, y)
+
+        monkeypatch.setattr(RandomForest, "fit", spy)
+        data = _noisy_records(n=60, seed=9, flip=0.25)
+        split = make_split(data, 0.2, 3, seed=2)
+        grid_search(ClassifierKind.RF, HyperGrid(ClassifierKind.RF, fields), data, split.folds)
+        assert grown == [size] * (groups * len(split.folds))
