@@ -4,16 +4,16 @@ Class labels cross into the symbolic layer as named constants
 (0 <-> benign, 1 <-> phishing); the 0/1 coding is confined to
 :func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
 facts one per line in solver-compatible syntax so the file can also be fed
-to external ASP tooling for cross-validation.
+to external ASP tooling for cross-validation.  A fact is a plain ground atom
+(a named tuple); :class:`FactBase` checks its constants when it is built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from metaphish import nmr
 
@@ -36,46 +36,35 @@ def classifier_symbol(classifier) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Fact:
-    """A ground atom: predicate plus constant arguments (symbols or integers)."""
+class Fact(NamedTuple):
+    """A ground atom, ``(predicate, arguments)``, as :mod:`nmr` grounds it."""
 
     predicate: str
     arguments: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-        for a in self.arguments:
-            if isinstance(a, bool) or not isinstance(a, (str, int)):
-                raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
-            if isinstance(a, int) and a < 0:
-                raise ValueError(f"integer constants must be non-negative, got {a}")
-            if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
-                raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
-
-    def key(self) -> nmr.GroundAtom:
-        return (self.predicate, self.arguments)
-
     def __str__(self):
-        return nmr.format_ground_atom(self.key())
+        return nmr.format_ground_atom(self)
 
 
 def _fact_sort_key(fact: Fact):
     """(predicate, id, classifier) for pipeline facts; stable fallback otherwise."""
-    typed = tuple((0, a) if isinstance(a, int) else (1, a) for a in fact.arguments)
-    if fact.predicate == PRED and len(fact.arguments) == 3:
-        return (fact.predicate, (0, fact.arguments[1]), str(fact.arguments[0]), typed)
-    if fact.predicate == META and len(fact.arguments) == 2:
-        return (fact.predicate, (0, fact.arguments[0]), "", typed)
-    return (fact.predicate, (2,), "", typed)
+    pred, args = fact
+    typed = tuple((0, a) if isinstance(a, int) else (1, str(a)) for a in args)
+    if pred == PRED and len(args) == 3:
+        return (pred, (0, args[1]), str(args[0]), typed)
+    if pred == META and len(args) == 2:
+        return (pred, (0, args[0]), "", typed)
+    return (pred, (2,), "", typed)
 
 
 class FactBase:
     """An immutable set of facts with the pipeline's functional constraints.
 
-    At most one ``pred`` fact per (classifier, instance) and one ``meta``
-    fact per instance; a ``pred`` instance without a matching ``meta`` fact
-    is tolerated but logged at warning level.
+    Every constant is a lowercase symbol or a non-negative integer.  At most
+    one ``pred`` fact per (classifier, instance) and one ``meta`` fact per
+    instance; a ``pred`` instance without a matching ``meta`` fact is
+    tolerated but logged at warning level.  Iterating yields the facts in
+    ``facts.lp`` order.
     """
 
     def __init__(self, facts: Iterable[Fact]):
@@ -83,15 +72,22 @@ class FactBase:
         pred_keys = set()
         meta_ids = set()
         pred_ids = set()
-        for fact in ordered:
-            if fact.predicate == PRED and len(fact.arguments) == 3:
-                key = (fact.arguments[0], fact.arguments[1])
+        for pred, args in ordered:
+            for a in args:
+                if isinstance(a, bool) or not isinstance(a, (str, int)):
+                    raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
+                if isinstance(a, int) and a < 0:
+                    raise ValueError(f"integer constants must be non-negative, got {a}")
+                if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
+                    raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
+            if pred == PRED and len(args) == 3:
+                key = (args[0], args[1])
                 if key in pred_keys:
                     raise ValueError(f"duplicate pred fact for classifier/instance {key}")
                 pred_keys.add(key)
-                pred_ids.add(fact.arguments[1])
-            elif fact.predicate == META and len(fact.arguments) == 2:
-                iid = fact.arguments[0]
+                pred_ids.add(args[1])
+            elif pred == META and len(args) == 2:
+                iid = args[0]
                 if iid in meta_ids:
                     raise ValueError(f"duplicate meta fact for instance {iid}")
                 meta_ids.add(iid)
@@ -105,22 +101,11 @@ class FactBase:
             )
         self._facts = tuple(ordered)
 
-    @property
-    def facts(self) -> tuple[Fact, ...]:
-        return self._facts
-
-    def atoms(self) -> Iterator[nmr.GroundAtom]:
-        for fact in self._facts:
-            yield fact.key()
-
     def __len__(self):
         return len(self._facts)
 
     def __iter__(self):
         return iter(self._facts)
-
-    def __contains__(self, fact):
-        return fact in self._facts
 
     def __eq__(self, other):
         return isinstance(other, FactBase) and self._facts == other._facts
@@ -163,8 +148,7 @@ def serialize(fact_base: FactBase, path: str | Path) -> int:
     No spaces, trailing period, ``\\n`` line ends, facts sorted by
     (predicate, id, classifier) for byte-stable output.
     """
-    lines = [f"{fact}.\n" for fact in fact_base.facts]
-    data = "".join(lines).encode("ascii")
+    data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in fact_base).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)
 

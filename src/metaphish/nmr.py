@@ -3,7 +3,9 @@
 Covers exactly the fragment the belief-revision layer needs: normal rules
 with default negation, no function symbols, no disjunction, no aggregates.
 A program is parsed, checked for rule safety and stratification, and
-grounded against a fact base with first-argument indexing.  Grounding runs
+grounded against a fact base with first-argument indexing.  A cycle through
+``not`` is rejected, naming the first one in sorted order; otherwise the
+strata are the least predicate levels, found by relaxation.  Grounding runs
 stratum by stratum to a fixpoint, so its atom store is the unique stable
 model, returned as ``GroundProgram.model``.  :func:`solve` re-evaluates a
 ground program and :func:`check_stability` implements the reduct-based
@@ -306,102 +308,47 @@ def _dependency_graph(rules: Iterable[Rule]) -> dict[str, set[tuple[str, bool]]]
     return graph
 
 
-def _strongly_connected(graph: dict[str, set[tuple[str, bool]]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; components come out dependencies-first."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = [0]
-
-    for start in sorted(graph):
-        if start in index:
-            continue
-        work = [(start, iter(sorted(d for d, _ in graph[start])))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(d for d, _ in graph[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
-    return components
-
-
-def _negative_cycle(graph, members: set[str], src: str, dst: str) -> tuple[str, ...]:
-    """A concrete cycle src -not-> dst -> ... -> src inside one component."""
-    parents = {dst: None}
-    frontier = [dst]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for succ, _ in sorted(graph[node]):
-                if succ in members and succ not in parents:
-                    parents[succ] = node
-                    nxt.append(succ)
-        if src in parents:
-            break
-        frontier = nxt
-    node = src if src in parents else dst
-    chain = []
-    while node is not None:
-        chain.append(node)
-        node = parents[node]
-    # chain walks src back to dst through the BFS tree; display the cycle
-    # forwards: src -not-> dst -> ... -> src
-    return (src, f"not {chain[-1]}") + tuple(reversed(chain[1:-1])) + (src,)
+def _path(graph: dict[str, set[tuple[str, bool]]], src: str, dst: str) -> list[str] | None:
+    """A shortest dependency path src -> ... -> dst, visiting successors in sorted order."""
+    parents = {src: None}
+    queue = [src]
+    for node in queue:  # the queue grows while it is read: breadth first
+        if node == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(parents[path[-1]])
+            return path[::-1]
+        for succ, _ in sorted(graph[node]):
+            if succ not in parents:
+                parents[succ] = node
+                queue.append(succ)
+    return None
 
 
 def _stratify(graph: dict[str, set[tuple[str, bool]]]) -> dict[str, int]:
-    components = _strongly_connected(graph)
-    comp_of = {}
-    for k, comp in enumerate(components):
-        for pred in comp:
-            comp_of[pred] = k
-    for comp in components:
-        members = set(comp)
-        for pred in comp:
-            for dep, negated in graph[pred]:
-                if negated and dep in members:
-                    raise StratificationError(_negative_cycle(graph, members, pred, dep))
-    strata: dict[str, int] = {}
-    for comp in components:  # dependencies first
-        level = 0
-        for pred in comp:
-            for dep, negated in graph[pred]:
-                if dep in comp:
-                    continue
-                level = max(level, strata[dep] + (1 if negated else 0))
-        for pred in comp:
-            strata[pred] = level
-    return strata
+    """The least levels with ``level[p] >= level[d] + negated`` on every edge.
+
+    A negated edge on a cycle has no such levels: the first one, with edges
+    taken in sorted order, is reported as ``p -> not d -> ... -> p``.  Without
+    one, relaxing the levels from 0 stops (Apt, Blair & Walker 1988), and a
+    cycle of positive edges keeps its members on one level.
+    """
+    for pred in sorted(graph):
+        for dep, negated in sorted(graph[pred]):
+            if negated:
+                path = _path(graph, dep, pred)
+                if path is not None:
+                    raise StratificationError((pred, f"not {dep}", *path[1:-1], pred))
+    level = dict.fromkeys(graph, 0)
+    changed = True
+    while changed:
+        changed = False
+        for pred, deps in graph.items():
+            for dep, negated in deps:
+                if level[dep] + negated > level[pred]:
+                    level[pred] = level[dep] + negated
+                    changed = True
+    return level
 
 
 def parse_program(text: str) -> Program:
@@ -527,10 +474,7 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     Grounding is fact-driven and indexed on (predicate, first argument), so
     the ground program for the revision rules stays linear in the fact count.
     """
-    if hasattr(facts, "atoms"):
-        fact_atoms = list(facts.atoms())
-    else:
-        fact_atoms = [(pred, tuple(args)) for pred, args in facts]
+    fact_atoms = [(pred, tuple(args)) for pred, args in facts]
     fact_atoms.sort(key=_atom_sort_key)
     check_arities(program, fact_atoms)
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from metaphish.classifiers import KIND_ORDER, InitialBelief, RandomForest, effective_candidates
 from metaphish.dataset import Dataset, fit_scaler
+from metaphish.nmr import StratificationError
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "synthetic_200.csv"
@@ -168,3 +169,123 @@ def random_stratified_program(rng: random.Random, max_atoms: int = 11) -> str:
         else:
             lines.append(f"{head}.")
     return "\n".join(lines) + "\n"
+
+
+def strongly_connected(graph: dict[str, set[tuple[str, bool]]]) -> list[list[str]]:
+    """Tarjan's algorithm, iterative; components come out dependencies-first."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = [0]
+
+    for start in sorted(graph):
+        if start in index:
+            continue
+        work = [(start, iter(sorted(d for d, _ in graph[start])))]
+        index[start] = low[start] = counter[0]
+        counter[0] += 1
+        stack.append(start)
+        on_stack.add(start)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(sorted(d for d, _ in graph[succ]))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(comp)
+    return components
+
+
+def negative_cycle(graph, members: set[str], src: str, dst: str) -> tuple[str, ...]:
+    """A concrete cycle src -not-> dst -> ... -> src inside one component."""
+    parents = {dst: None}
+    frontier = [dst]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for succ, _ in sorted(graph[node]):
+                if succ in members and succ not in parents:
+                    parents[succ] = node
+                    nxt.append(succ)
+        if src in parents:
+            break
+        frontier = nxt
+    node = src if src in parents else dst
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = parents[node]
+    # chain walks src back to dst through the BFS tree; display the cycle
+    # forwards: src -not-> dst -> ... -> src
+    return (src, f"not {chain[-1]}") + tuple(reversed(chain[1:-1])) + (src,)
+
+
+def tarjan_stratify(graph: dict[str, set[tuple[str, bool]]]) -> dict[str, int]:
+    """Strata from strongly connected components, dependencies first (the
+    oracle for ``nmr._stratify``): a negated edge inside a component is a
+    negative cycle; otherwise a component sits one level above its highest
+    negated dependency and level with its highest positive one."""
+    components = strongly_connected(graph)
+    for comp in components:
+        members = set(comp)
+        for pred in comp:
+            for dep, negated in graph[pred]:
+                if negated and dep in members:
+                    raise StratificationError(negative_cycle(graph, members, pred, dep))
+    strata: dict[str, int] = {}
+    for comp in components:  # dependencies first
+        level = 0
+        for pred in comp:
+            for dep, negated in graph[pred]:
+                if dep in comp:
+                    continue
+                level = max(level, strata[dep] + (1 if negated else 0))
+        for pred in comp:
+            strata[pred] = level
+    return strata
+
+
+def random_predicate_graph(rng: random.Random, max_preds: int = 7) -> dict[str, set[tuple[str, bool]]]:
+    """A random predicate dependency graph in ``nmr._dependency_graph``'s shape,
+    with positive and negated edges; many have a cycle through a negated edge."""
+    preds = [f"p{k}" for k in range(rng.randint(1, max_preds))]
+    graph = {p: set() for p in preds}
+    for _ in range(rng.randint(0, 2 * len(preds))):
+        graph[rng.choice(preds)].add((rng.choice(preds), rng.random() < 0.3))
+    return graph
+
+
+def assert_cycle_in_graph(cycle: tuple[str, ...], graph) -> None:
+    """``cycle`` reads ``p -> not d -> ... -> p`` and every step is an edge of ``graph``."""
+    start, negated, *rest = cycle
+    assert negated.startswith("not ") and cycle[-1] == start
+    dep = negated[len("not "):]
+    assert (dep, True) in graph[start]
+    walk = [dep, *rest] if dep != start else [dep, *rest[:-1]]  # a self-loop closes at once
+    for a, b in zip(walk, walk[1:]):
+        assert (b, False) in graph[a] or (b, True) in graph[a]
+    assert walk[-1] == start

@@ -11,12 +11,12 @@ from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, FactBase, encod
 
 class TestFact:
     def test_rejects_negative_integer(self):
-        with pytest.raises(ValueError):
-            Fact("pred", ("svm", -1, "benign"))
+        with pytest.raises(ValueError, match="non-negative"):
+            FactBase([Fact("pred", ("svm", -1, "benign"))])
 
     def test_rejects_uppercase_symbol(self):
-        with pytest.raises(ValueError):
-            Fact("pred", ("SVM", 1, "benign"))
+        with pytest.raises(ValueError, match="lowercase"):
+            FactBase([Fact("pred", ("SVM", 1, "benign"))])
 
     def test_str_matches_serialized_form(self):
         assert str(Fact("pred", ("svm", 0, "benign"))) == "pred(svm,0,benign)"
@@ -100,7 +100,7 @@ class TestFactBase:
                 Fact("meta", (1, "yes")),
             ]
         )
-        assert list(fb.atoms()) == [
+        assert list(fb) == [
             ("meta", (1, "yes")),
             ("meta", (2, "no")),
             ("pred", ("dt", 1, "phishing")),

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,12 @@ from metaphish.nmr import (
     solve,
 )
 
-from _support import random_stratified_program
+from _support import (
+    assert_cycle_in_graph,
+    random_predicate_graph,
+    random_stratified_program,
+    tarjan_stratify,
+)
 
 REVISION_TEXT = """
 revise(CL,ID) :- pred(CL,ID,phishing), meta(ID,yes).
@@ -334,3 +343,77 @@ class TestCheckStability:
         for _ in range(100):
             gp = ground(parse_program(random_stratified_program(rng)))
             assert check_stability(gp, solve(gp))
+
+
+TWO_NEGATIVE_CYCLES = "p :- not q, not r. q :- p. r :- p."
+
+
+def _matches_tarjan(graph) -> bool:
+    """Equal strata, or both reject and the reported cycle lies in ``graph``;
+    False for a rejected graph."""
+    try:
+        want = tarjan_stratify(graph)
+    except StratificationError:
+        with pytest.raises(StratificationError) as err:
+            nmr._stratify(graph)
+        assert_cycle_in_graph(err.value.cycle, graph)
+        return False
+    assert nmr._stratify(graph) == want
+    return True
+
+
+class TestStratify:
+    """``_stratify``'s level relaxation against the Tarjan-component oracle."""
+
+    def test_random_programs_match_tarjan(self):
+        rng = random.Random(53)
+        for _ in range(3000):
+            program = parse_program(random_stratified_program(rng))
+            graph = {p: set(deps) for p, deps in program.dependency_graph.items()}
+            assert program.strata == tarjan_stratify(graph)
+
+    def test_random_graphs_match_tarjan(self):
+        rng = random.Random(59)
+        accepted = sum(_matches_tarjan(random_predicate_graph(rng)) for _ in range(10000))
+        assert 1000 < accepted < 9000  # both outcomes are well exercised
+
+    def test_random_graphs_match_tarjan_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        preds = st.sampled_from([f"p{k}" for k in range(6)])
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(preds, preds, st.booleans()), max_size=14))
+        def check(edges):
+            graph = {}
+            for head, dep, negated in edges:
+                graph.setdefault(head, set()).add((dep, negated))
+                graph.setdefault(dep, set())
+            _matches_tarjan(graph)
+
+        check()
+
+    def test_first_cycle_in_sorted_order(self):
+        with pytest.raises(StratificationError) as err:
+            parse_program(TWO_NEGATIVE_CYCLES)
+        assert err.value.cycle == ("p", "not q", "p")
+        with pytest.raises(StratificationError) as err:
+            parse_program("a :- b. b :- c. c :- not a.")
+        assert err.value.cycle == ("c", "not a", "b", "c")
+
+    def test_cycle_report_is_independent_of_hash_seed(self):
+        script = (
+            "from metaphish import nmr\n"
+            "try:\n"
+            f"    nmr.parse_program({TWO_NEGATIVE_CYCLES!r})\n"
+            "except nmr.StratificationError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(nmr.__file__).resolve().parents[1])
+        messages = set()
+        for seed in range(1, 7):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, check=True)
+            messages.add(result.stdout)
+        assert messages == {"program is not stratified: negative cycle p -> not q -> p\n"}
