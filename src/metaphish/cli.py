@@ -200,14 +200,21 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _meta_flags_for(cfg: RunConfig, data, test_ids) -> dict[int, bool]:
+def _check_meta_source(cfg: RunConfig, data) -> None:
     if cfg.snapshot_dir:
-        return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
-    if data.meta is None:
+        if not Path(cfg.snapshot_dir).is_dir():
+            raise ConfigError(f"snapshot directory not found: {cfg.snapshot_dir}; "
+                              f"fix --snapshot-dir or drop it to use the meta column")
+    elif data.meta is None:
         raise ConfigError(
             f"no meta information: dataset has no {cfg.meta_column!r} column; "
             f"pass --meta-column or --snapshot-dir"
         )
+
+
+def _meta_flags_for(cfg: RunConfig, data, test_ids) -> dict[int, bool]:
+    if cfg.snapshot_dir:
+        return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
     rows = data.rows(test_ids)
     return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
@@ -235,6 +242,7 @@ def cmd_revise(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
     test_ids = _read_manifest(out_dir, len(data))
+    _check_meta_source(cfg, data)  # before any model loads
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
@@ -298,8 +306,12 @@ def cmd_report(cfg: RunConfig) -> int:
     path = Path(cfg.out) / "report.kv"
     if not path.is_file():
         raise ConfigError(f"report not found: {path} (run 'revise' first)")
-    kv = revision.parse_kv(path.read_text(encoding="utf-8"))
-    sys.stdout.write(revision.render_report_text(kv))
+    try:
+        text = revision.render_report_text(revision.parse_kv(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}: not a usable report ({detail}); re-run 'revise'") from None
+    sys.stdout.write(text)
     return 0
 
 

@@ -298,14 +298,16 @@ def extract_meta_presence(html: str) -> bool:
     """True iff the document has a description/keywords/keyword/author meta tag
     with non-empty (non-whitespace) content.
 
-    Tolerant of attribute order, quoting style, tag case, and unclosed tags;
-    malformed input yields False rather than an error.
+    Tolerant of attribute order, quoting style, tag case, and unclosed tags.
+    Markup that ``html.parser`` gives up on (it raises ``AssertionError``, as
+    for ``<![foo]]>``) ends the scan with what was found before it; any other
+    error propagates.
     """
     scanner = _MetaTagScanner()
     try:
         scanner.feed(html)
         scanner.close()
-    except Exception:
+    except AssertionError:
         pass
     return scanner.found
 

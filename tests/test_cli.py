@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from metaphish import kb, nmr
+from metaphish import cli, kb, nmr
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
@@ -305,6 +305,28 @@ class TestRevise:
         err = capsys.readouterr().err
         assert "meta" in err and "snapshot-dir" in err
 
+    @pytest.mark.parametrize("source,message", [
+        ("missing-snapshot-dir", "fix --snapshot-dir"),
+        ("no-meta-column", "pass --meta-column or --snapshot-dir"),
+    ], ids=["missing-snapshot-dir", "no-meta-column"])
+    def test_meta_source_checked_before_models_load(self, pipeline_run, tmp_path, capsys,
+                                                     monkeypatch, source, message):
+        loads = []
+        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        if source == "missing-snapshot-dir":
+            args = [*DATASET_ARGS, "--snapshot-dir", str(tmp_path / "missing")]
+        else:  # the fixture without its last (meta) column
+            bare = tmp_path / "bare.csv"
+            bare.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                    for line in FIXTURE_CSV.read_text().splitlines()))
+            args = ["--dataset", str(bare)]
+        rc = main(["revise", *args, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert loads == []
+        assert not (out / "facts.lp").exists()
+
 
 class TestReport:
     def test_renders_stored_report(self, pipeline_run, capsys):
@@ -325,6 +347,18 @@ class TestReport:
 
     def test_empty_results_dir(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text[: text.index("dt.tp_before")], "missing key 'dt.tp_before'"),
+        (lambda text: text + "garbage line\n", "expected key=value"),
+    ], ids=["truncated", "garbage-line"])
+    def test_bad_report_kv_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
+        path = tmp_path / "report.kv"
+        path.write_text(edit((pipeline_run / "report.kv").read_text()))
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not a usable report" in err
+        assert message in err and "re-run 'revise'" in err
 
     def test_renders_published_comparison_numbers(self, tmp_path, capsys):
         from metaphish.revision import format_kv

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metaphish import dataset
 from metaphish.dataset import (
     CsvSchema,
     Dataset,
@@ -285,6 +286,7 @@ META_CORPUS = [
     ("<<<>>><meta name='description' content='y'>", True),
     ('<meta name="robots" content="noindex">', False),
     ('<div><meta name="AUTHOR" content="Z"></div>', True),
+    ("<![foo]]>", False),  # html.parser raises AssertionError on this marked section
 ]
 
 
@@ -299,6 +301,16 @@ class TestExtractMetaPresence:
         second = [extract_meta_presence(d) for d in reversed(docs)]
         assert first == list(reversed(second))
         assert first == [extract_meta_presence(d) for d in docs]
+
+    def test_scanner_bug_is_not_swallowed(self, monkeypatch):
+        # only the parser's AssertionError means "malformed markup"; a fault in
+        # the scanner itself must surface instead of reading as meta-absent
+        def broken(self, tag, attrs):
+            raise TypeError("scanner fault")
+
+        monkeypatch.setattr(dataset._MetaTagScanner, "handle_starttag", broken)
+        with pytest.raises(TypeError, match="scanner fault"):
+            extract_meta_presence('<meta name="description" content="x">')
 
     def test_snapshot_directory(self, tmp_path):
         (tmp_path / "0.html").write_text('<meta name="description" content="x">')
