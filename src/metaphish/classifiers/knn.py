@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_CHUNK_ELEMENTS = 20_000_000  # cap on broadcast buffer size (rows * train * dims)
-
 
 class KNearestNeighbors:
     """Lazy learner: fit stores the training matrix verbatim.
@@ -33,25 +31,23 @@ class KNearestNeighbors:
             raise ValueError("empty training set")
         return self
 
-    def _distances(self, Q: np.ndarray) -> np.ndarray:
-        diff = Q[:, None, :] - self.X_[None, :, :]
+    def _distances(self, q: np.ndarray) -> np.ndarray:
+        diff = q - self.X_
         if self.metric == "euclidean":
-            return np.sqrt((diff * diff).sum(axis=2))
-        return np.abs(diff).sum(axis=2)
+            return np.sqrt((diff * diff).sum(axis=1))
+        return np.abs(diff).sum(axis=1)
 
     def predict(self, X) -> np.ndarray:
+        """Classes of the rows of ``X``, taking the distances of one query row at a
+        time: memory O(n_train x d), however many rows ``X`` has."""
         if self.X_ is None:
             raise ValueError("classifier is not fitted")
         Q = np.asarray(X, dtype=np.float64)
-        n_train, d = self.X_.shape
-        k = min(self.k, n_train)
         out = np.empty(len(Q), dtype=np.int64)
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, n_train * d))
-        for start in range(0, len(Q), chunk):
-            dists = self._distances(Q[start : start + chunk])
-            for row, dist in enumerate(dists):
-                order = np.argsort(dist, kind="stable")[:k]
-                out[start + row] = self._vote(dist[order], self.y_[order])
+        for row, q in enumerate(Q):
+            dist = self._distances(q)
+            order = np.argsort(dist, kind="stable")[: self.k]
+            out[row] = self._vote(dist[order], self.y_[order])
         return out
 
     def _vote(self, dist: np.ndarray, labels: np.ndarray) -> int:

@@ -156,18 +156,17 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],
                              data: Dataset, test_ids) -> list[InitialBelief]:
-    """One belief per (classifier, test instance); requires all four models."""
+    """One belief per (classifier, test instance), ordered by instance id, then by
+    :data:`KIND_ORDER` (the row order of ``final_beliefs.csv``); requires all four models."""
     missing = [k.value for k in KIND_ORDER if k not in models]
     if missing:
         raise ValueError(f"missing model for classifier(s): {', '.join(missing)}")
     rows = data.rows(test_ids)
-    ids = rows.tolist()  # Python ints, as the fact encoding requires
     X = data.X[rows]
-    beliefs = []
-    for kind in KIND_ORDER:
-        classes = predict_batch(models[kind], X)
-        beliefs.extend(InitialBelief(kind, i, int(c)) for i, c in zip(ids, classes))
-    return beliefs
+    classes = [predict_batch(models[kind], X).tolist() for kind in KIND_ORDER]  # Python ints
+    return [InitialBelief(kind, i, c)
+            for i, *verdicts in zip(rows.tolist(), *classes)
+            for kind, c in zip(KIND_ORDER, verdicts)]
 
 
 def _shared_fits(kind: ClassifierKind, candidates: list[dict]) -> list[tuple[dict, list[int]]]:

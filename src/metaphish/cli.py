@@ -269,15 +269,10 @@ def cmd_revise(cfg: RunConfig) -> int:
     n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
     finals = revision.apply_revision(beliefs, fact_base, program)
 
-    kind_index = {kind: i for i, kind in enumerate(KIND_ORDER)}
-    rows = sorted(
-        zip(beliefs, finals),
-        key=lambda pair: (pair[0].instance_id, kind_index[pair[0].classifier]),
-    )
     with open(out_dir / "final_beliefs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "classifier", "initial", "final", "revised"])
-        for belief, final in rows:
+        for belief, final in zip(beliefs, finals):  # already in (id, KIND_ORDER) order
             writer.writerow(
                 [
                     belief.instance_id,

@@ -473,9 +473,9 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
 
     Grounding is fact-driven and indexed on (predicate, first argument), so
     the ground program for the revision rules stays linear in the fact count.
+    Of the result, only the order of ``rules`` follows the order of ``facts``.
     """
     fact_atoms = [(pred, tuple(args)) for pred, args in facts]
-    fact_atoms.sort(key=_atom_sort_key)
     check_arities(program, fact_atoms)
 
     store = _AtomStore()
@@ -496,7 +496,7 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     for stratum in sorted(by_stratum):
         rules = by_stratum[stratum]
         while True:
-            new_atoms: set[GroundAtom] = set()
+            new_atoms: dict[GroundAtom, None] = {}
             for rule in rules:
                 for subst in _join(rule.body_pos, store):
                     firings += 1
@@ -512,10 +512,10 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
                     # negative literals point strictly below this stratum, so
                     # their truth is already decided by the store
                     if head not in store.all and not any(n in store.all for n in g.neg):
-                        new_atoms.add(head)
+                        new_atoms[head] = None
             if not new_atoms:
                 break
-            for atom in sorted(new_atoms, key=_atom_sort_key):
+            for atom in new_atoms:
                 store.add(atom)
 
     stats = EvalStats(firings, len(store.all))

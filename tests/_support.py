@@ -121,6 +121,35 @@ def fit_every_forest(grid, data: Dataset, folds, seed: int = 42):
     return tuple(scores), best[0]
 
 
+_CHUNK_ELEMENTS = 20_000_000  # cap on the broadcast buffer (rows * train * dims)
+
+
+def broadcast_distances(Q, X, metric: str) -> np.ndarray:
+    """Distances from every row of ``Q`` to every row of ``X`` through one 3-D
+    difference reduced over its last axis (the oracle for
+    ``KNearestNeighbors._distances``, which takes one query row)."""
+    diff = Q[:, None, :] - X[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff * diff).sum(axis=2))
+    return np.abs(diff).sum(axis=2)
+
+
+def chunked_knn_predict(knn, X) -> np.ndarray:
+    """``KNearestNeighbors.predict`` over chunks of query rows whose 3-D
+    difference stays under ``_CHUNK_ELEMENTS`` (the oracle for the row loop)."""
+    Q = np.asarray(X, dtype=np.float64)
+    n_train, d = knn.X_.shape
+    k = min(knn.k, n_train)
+    out = np.empty(len(Q), dtype=np.int64)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n_train * d))
+    for start in range(0, len(Q), chunk):
+        dists = broadcast_distances(Q[start : start + chunk], knn.X_, knn.metric)
+        for row, dist in enumerate(dists):
+            order = np.argsort(dist, kind="stable")[:k]
+            out[start + row] = knn._vote(dist[order], knn.y_[order])
+    return out
+
+
 def direct_revision(initial_class: int, meta_present: bool) -> int:
     """Direct functional evaluation of the revision rule (the test oracle):
     phishing with meta present becomes benign, everything else passes through."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from metaphish.classifiers import (
     save_model,
     train,
 )
-from _support import make_records, masked_entropy, per_feature_best_split, separable_set
+from _support import (
+    broadcast_distances,
+    chunked_knn_predict,
+    make_records,
+    masked_entropy,
+    per_feature_best_split,
+    separable_set,
+)
 
 # sha256 of the byte-stable artifacts of the fixture's `train --best-config
 # --seed 42` and `revise` (run_config.kv records the output path, so it is not
@@ -286,6 +294,50 @@ class TestKNN:
         knn = KNearestNeighbors(k=9).fit(X, y)
         assert knn.predict([[0.5]]).tolist() == [1]
 
+    def test_row_distances_bitwise_match_broadcast_oracle(self):
+        # int64 views, so even the last bit and the sign of zero must agree
+        rng = np.random.default_rng(31)
+        for d in range(1, 301):
+            scale = 10.0 ** int(rng.integers(-3, 4))
+            X = rng.normal(size=(int(rng.integers(1, 13)), d)) * scale
+            Q = rng.normal(size=(4, d)) * scale
+            if d % 3 == 0:  # rounded values: many equal terms and exact zeros
+                X, Q = np.round(X), np.round(Q)
+            y = rng.integers(0, 2, size=len(X))
+            for metric in ("euclidean", "manhattan"):
+                knn = KNearestNeighbors(metric=metric).fit(X, y)
+                oracle = broadcast_distances(Q, X, metric)
+                for q, expected in zip(Q, oracle):
+                    got = knn._distances(q)
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (d, metric)
+
+    def test_predictions_match_chunked_oracle_on_ties(self):
+        rng = np.random.default_rng(32)
+        X = rng.integers(0, 3, size=(60, 4)).astype(np.float64)
+        y = rng.integers(0, 2, size=60)
+        Q = rng.integers(0, 3, size=(150, 4)).astype(np.float64)
+        for k in range(1, 10):
+            for weights in ("uniform", "distance"):
+                for metric in ("euclidean", "manhattan"):
+                    knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)
+                    expected = chunked_knn_predict(knn, Q)
+                    assert knn.predict(Q).tolist() == expected.tolist(), (k, weights, metric)
+
+    def test_predict_memory_does_not_grow_with_query_rows(self):
+        # 2,000 x 87 queries against 50 training rows; a 3-D difference of
+        # all of them would take 70 MB
+        rng = np.random.default_rng(33)
+        knn = KNearestNeighbors(k=9, weights="distance", metric="manhattan")
+        knn.fit(rng.normal(size=(50, 87)), rng.integers(0, 2, size=50))
+        Q = rng.normal(size=(2000, 87))
+        tracemalloc.start()
+        try:
+            knn.predict(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
 
 class TestKernelSVM:
     def test_rbf_kernel_self_similarity_is_one(self):
@@ -504,6 +556,11 @@ class TestGenerateInitialBeliefs:
         assert len(beliefs) == 4 * len(test_ids)
         per_pair = {(b.classifier, b.instance_id) for b in beliefs}
         assert len(per_pair) == len(beliefs)
+        # the row order of final_beliefs.csv: instance id, then classifier kind
+        assert len(test_ids) > 1
+        assert [(b.instance_id, b.classifier) for b in beliefs] == [
+            (i, kind) for i in sorted(test_ids) for kind in ClassifierKind
+        ]
 
     def test_empty_test_set(self, records, train_ids):
         models = self._models(records, train_ids)

@@ -249,11 +249,17 @@ class TestSolve:
             ("pred", ("svm", 2, "phishing")),
             ("meta", (2, "no")),
         ]
-        baseline = solve(ground(program, facts))
+        first = ground(program, facts)
+        baseline = solve(first)
         rng = random.Random(14)
         for _ in range(10):
             rng.shuffle(facts)
-            assert solve(ground(program, facts)).atoms == baseline.atoms
+            gp = ground(program, facts)
+            assert solve(gp).atoms == baseline.atoms
+            # only the order of the ground rules may follow the facts
+            assert set(gp.rules) == set(first.rules)
+            assert len(gp.rules) == len(first.rules)
+            assert gp.stats.firings == first.stats.firings
 
     def test_monotone_fragment_grows(self):
         rng = random.Random(17)
