@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,6 +38,7 @@ from metaphish.dataset import (
 
 MODEL_FILES = {kind: f"model_{kind.value}.json" for kind in KIND_ORDER}
 MANIFEST_FILE = "split_manifest.csv"
+INPUTS_FILE = "run_inputs.kv"
 
 
 class ConfigError(Exception):
@@ -46,7 +48,7 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     dataset: str | None = None
-    meta_column: str = "meta_present"
+    meta_column: str | None = None  # None -> CsvSchema's column, when the header has it
     snapshot_dir: str | None = None
     seed: int = 42
     test_fraction: float = 0.2
@@ -119,7 +121,36 @@ def _load_dataset(cfg: RunConfig):
     path = Path(cfg.dataset)
     if not path.is_file():
         raise ConfigError(f"dataset not found: {path}")
-    return load_dataset(path, CsvSchema(meta_column=cfg.meta_column))
+    if cfg.meta_column:  # named explicitly, so it must be there
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader(fh), [])]
+        if cfg.meta_column not in header:
+            raise ConfigError(f"{path}: meta column {cfg.meta_column!r} is not in the header; "
+                              f"fix --meta-column")
+    return load_dataset(path, CsvSchema(meta_column=cfg.meta_column or CsvSchema.meta_column))
+
+
+def _fingerprint(data) -> dict[str, str]:
+    """Row count and sha256 of the features and labels as loaded; the meta
+    column stays out, so new meta evidence needs no retraining."""
+    return {"rows": str(len(data)), "x_sha256": hashlib.sha256(data.X).hexdigest(),
+            "y_sha256": hashlib.sha256(data.y).hexdigest()}
+
+
+def _check_inputs(cfg: RunConfig, out_dir: Path, data) -> None:
+    """Raise ConfigError unless ``data`` is the dataset that 'train' recorded."""
+    path = out_dir / INPUTS_FILE
+    fix = "pass the dataset 'train' used or re-run 'train'"
+    if not path.is_file():
+        raise ConfigError(f"run inputs not found: {path}; {fix}")
+    try:
+        recorded = revision.parse_kv(path.read_text(encoding="utf-8"))
+    except ValueError:
+        recorded = {}
+    differ = [key for key, value in _fingerprint(data).items() if recorded.get(key) != value]
+    if differ:
+        raise ConfigError(f"{path}: {cfg.dataset} is not the dataset 'train' used "
+                          f"(mismatch: {', '.join(differ)}); {fix}")
 
 
 def _write_manifest(split, out_dir: Path) -> None:
@@ -178,6 +209,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(split, out_dir)
+    (out_dir / INPUTS_FILE).write_text(revision.format_kv(_fingerprint(data)), encoding="utf-8")
 
     summary: dict[str, str] = {}
     for kind in _selected_kinds(cfg):
@@ -207,7 +239,7 @@ def _check_meta_source(cfg: RunConfig, data) -> None:
                               f"fix --snapshot-dir or drop it to use the meta column")
     elif data.meta is None:
         raise ConfigError(
-            f"no meta information: dataset has no {cfg.meta_column!r} column; "
+            f"no meta information: dataset has no {CsvSchema.meta_column!r} column; "
             f"pass --meta-column or --snapshot-dir"
         )
 
@@ -242,6 +274,7 @@ def cmd_revise(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
     test_ids = _read_manifest(out_dir, len(data))
+    _check_inputs(cfg, out_dir, data)
     _check_meta_source(cfg, data)  # before any model loads
     models = {}
     for kind in KIND_ORDER:
@@ -327,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file (flags win)")
         p.add_argument("--dataset", help="path to the dataset CSV")
-        p.add_argument("--meta-column", dest="meta_column", help="meta column name")
+        p.add_argument("--meta-column", dest="meta_column", help="meta column name, which must then be in the header "
+                            "(default: meta_present, if the header has it)")
         p.add_argument("--snapshot-dir", dest="snapshot_dir",
                        help="directory of <id>.html snapshots (overrides the meta column)")
         p.add_argument("--seed", type=int, help="global seed (default 42)")

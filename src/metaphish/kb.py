@@ -46,25 +46,29 @@ class Fact(NamedTuple):
         return nmr.format_ground_atom(self)
 
 
+# the position of the instance id in the pipeline's facts
+_ID_POSITION = {(PRED, 3): 1, (META, 2): 0}
+
+
 def _fact_sort_key(fact: Fact):
     """(predicate, id, classifier) for pipeline facts; stable fallback otherwise."""
     pred, args = fact
     typed = tuple((0, a) if isinstance(a, int) else (1, str(a)) for a in args)
     if pred == PRED and len(args) == 3:
-        return (pred, (0, args[1]), str(args[0]), typed)
+        return (pred, typed[1], str(args[0]), typed)
     if pred == META and len(args) == 2:
-        return (pred, (0, args[0]), "", typed)
+        return (pred, typed[0], "", typed)
     return (pred, (2,), "", typed)
 
 
 class FactBase:
     """An immutable set of facts with the pipeline's functional constraints.
 
-    Every constant is a lowercase symbol or a non-negative integer.  At most
-    one ``pred`` fact per (classifier, instance) and one ``meta`` fact per
-    instance; a ``pred`` instance without a matching ``meta`` fact is
-    tolerated but logged at warning level.  Iterating yields the facts in
-    ``facts.lp`` order.
+    Every constant is a lowercase symbol or a non-negative integer, and every
+    instance id an integer.  At most one ``pred`` fact per (classifier,
+    instance) and one ``meta`` fact per instance; a ``pred`` instance without
+    a matching ``meta`` fact is tolerated but logged at warning level.
+    Iterating yields the facts in ``facts.lp`` order.
     """
 
     def __init__(self, facts: Iterable[Fact]):
@@ -72,7 +76,11 @@ class FactBase:
         pred_keys = set()
         meta_ids = set()
         pred_ids = set()
-        for pred, args in ordered:
+        for fact in ordered:
+            pred, args = fact
+            pos = _ID_POSITION.get((pred, len(args)))
+            if pos is not None and (type(args[pos]) is not int or args[pos] < 0):
+                raise ValueError(f"instance id must be a non-negative integer in {fact}")
             for a in args:
                 if isinstance(a, bool) or not isinstance(a, (str, int)):
                     raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
@@ -80,13 +88,13 @@ class FactBase:
                     raise ValueError(f"integer constants must be non-negative, got {a}")
                 if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
                     raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
-            if pred == PRED and len(args) == 3:
+            if pos == 1:
                 key = (args[0], args[1])
                 if key in pred_keys:
                     raise ValueError(f"duplicate pred fact for classifier/instance {key}")
                 pred_keys.add(key)
                 pred_ids.add(args[1])
-            elif pred == META and len(args) == 2:
+            elif pos == 0:
                 iid = args[0]
                 if iid in meta_ids:
                     raise ValueError(f"duplicate meta fact for instance {iid}")
@@ -161,4 +169,7 @@ def load_facts(path: str | Path) -> FactBase:
         if not rule.is_fact or rule.head.variables:
             raise ValueError(f"{path}: not a ground fact: '{rule}'")
         facts.append(Fact(rule.head.predicate, rule.head.terms))
-    return FactBase(facts)
+    try:
+        return FactBase(facts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

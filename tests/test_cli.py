@@ -18,7 +18,7 @@ MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.js
 def _copy_run(run_dir, out, *extra):
     """A fresh output directory holding the models, manifest and ``extra`` files of ``run_dir``."""
     out.mkdir()
-    for name in (*MODEL_FILES, "split_manifest.csv", *extra):
+    for name in (*MODEL_FILES, "split_manifest.csv", "run_inputs.kv", *extra):
         (out / name).write_bytes((run_dir / name).read_bytes())
     return out
 
@@ -36,6 +36,13 @@ class TestTrain:
         assert sum(r["role"] == "test" for r in rows) == 40
         folds = {int(r["fold"]) for r in rows if r["role"] == "train"}
         assert folds == {0, 1, 2, 3, 4}
+
+    def test_run_inputs_fingerprint_features_and_labels(self, pipeline_run, pipeline_rerun):
+        text = (pipeline_run / "run_inputs.kv").read_text()
+        assert set(parse_kv(text)) == {"rows", "x_sha256", "y_sha256"}
+        assert parse_kv(text)["rows"] == "200"
+        # no path in it: a run into another directory writes the same bytes
+        assert (pipeline_rerun / "run_inputs.kv").read_text() == text
 
     def test_repeat_run_is_byte_identical(self, pipeline_run, pipeline_rerun):
         for name in (*MODEL_FILES, "split_manifest.csv"):
@@ -268,6 +275,32 @@ class TestRevise:
         assert rc == 2
         assert "outside the dataset's rows [0, 100)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["flipped-label", "missing-file"])
+    def test_dataset_other_than_trained_on_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                         monkeypatch, case):
+        loads = []
+        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        dataset = FIXTURE_CSV
+        if case == "flipped-label":  # same rows and features, one label flipped
+            lines = FIXTURE_CSV.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[-2] = {"phishing": "legitimate", "legitimate": "phishing"}[cells[-2]]
+            lines[1] = ",".join(cells)
+            dataset = tmp_path / "flipped.csv"
+            dataset.write_text("\n".join(lines) + "\n")
+        else:
+            (out / "run_inputs.kv").unlink()
+        rc = main(["revise", "--dataset", str(dataset), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(out / "run_inputs.kv") in err
+        assert "pass the dataset 'train' used or re-run 'train'" in err
+        if case == "flipped-label":
+            assert "(mismatch: y_sha256)" in err
+        assert loads == []
+        assert not (out / "facts.lp").exists()
+
     @pytest.mark.parametrize("name", MODEL_FILES)
     def test_scaler_narrower_than_dataset_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                          name):
@@ -396,3 +429,21 @@ class TestConfig:
             "dataset", "meta_column", "snapshot_dir", "seed", "test_fraction",
             "folds", "params", "rules", "out", "classifier",
         }
+
+    @pytest.mark.parametrize("command", ["train", "revise"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_meta_column_not_in_header_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                      command, source):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        if source == "flag":
+            args = [*DATASET_ARGS, "--meta-column", "no_such_column"]
+        else:
+            config = tmp_path / "run.kv"
+            config.write_text(f"dataset={FIXTURE_CSV}\nmeta_column=no_such_column\n")
+            args = ["--config", str(config)]
+        rc = main([command, *args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{FIXTURE_CSV}: meta column 'no_such_column' is not in the header" in err
+        assert "fix --meta-column" in err
+        assert not (out / "facts.lp").exists()

@@ -91,6 +91,15 @@ class TestFactBase:
             FactBase([Fact("pred", ("svm", 3, "phishing"))])
         assert "without a meta fact" in caplog.text
 
+    @pytest.mark.parametrize("facts", [
+        [Fact("pred", ("svm", "x", "benign")), Fact("pred", ("svm", 1, "benign"))],
+        [Fact("meta", ("x", "yes")), Fact("meta", (1, "no"))],
+    ], ids=["pred", "meta"])
+    def test_symbol_instance_id_rejected(self, facts):
+        # a symbol id next to an integer one used to fail the sort with TypeError
+        with pytest.raises(ValueError, match=r"instance id .* in (pred\(svm,x,benign\)|meta\(x,yes\))"):
+            FactBase(facts)
+
     def test_atoms_are_sorted_and_typed(self):
         fb = FactBase(
             [
@@ -176,4 +185,10 @@ class TestSerialize:
         path = tmp_path / "rules.lp"
         path.write_text("a :- b.\n")
         with pytest.raises(ValueError, match="not a ground fact"):
+            kb.load_facts(path)
+
+    def test_load_facts_names_file_and_fact_of_bad_id(self, tmp_path):
+        path = tmp_path / "facts.lp"
+        path.write_text("meta(1,yes).\npred(svm,1,benign).\npred(svm,x,benign).\n")
+        with pytest.raises(ValueError, match=r"facts\.lp: instance id .* in pred\(svm,x,benign\)"):
             kb.load_facts(path)
