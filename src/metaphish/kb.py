@@ -88,13 +88,13 @@ class FactBase:
                     raise ValueError(f"integer constants must be non-negative, got {a}")
                 if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
                     raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
-            if pos == 1:
+            if pred == PRED and len(args) == 3:
                 key = (args[0], args[1])
                 if key in pred_keys:
                     raise ValueError(f"duplicate pred fact for classifier/instance {key}")
                 pred_keys.add(key)
                 pred_ids.add(args[1])
-            elif pos == 0:
+            elif pred == META and len(args) == 2:
                 iid = args[0]
                 if iid in meta_ids:
                     raise ValueError(f"duplicate meta fact for instance {iid}")
