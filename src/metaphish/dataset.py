@@ -16,6 +16,7 @@ import array
 import csv
 import math
 import random
+import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
@@ -274,15 +275,31 @@ def make_split(
     return SplitPlan(train_ids, frozenset(test_ids), tuple(frozenset(f) for f in folds), seed)
 
 
-class _MetaTagScanner(HTMLParser):
-    """Flags the first meta element naming a descriptive field with content."""
+# Where a meta start tag can begin: html.parser starts a tag only at "<" plus
+# an ASCII letter and lowercases its name, and no non-ASCII character
+# lowercases to "m", "e", "t" or "a".
+_META_OPEN = re.compile("<[mM][eE][tT][aA]")
 
-    def __init__(self):
+
+class _Settled(Exception):
+    """Raised inside the scanner once no later markup can change its flag."""
+
+
+class _MetaTagScanner(HTMLParser):
+    """Flags the first meta element naming a descriptive field with content.
+
+    Stops at that element, or at the first tag that begins past ``last``, the
+    ``getpos()`` (line, column) of the last place a meta start tag can begin.
+    """
+
+    def __init__(self, last: tuple[int, int]):
         super().__init__(convert_charrefs=True)
         self.found = False
+        self.last = last
 
     def handle_starttag(self, tag, attrs):
-        if self.found or tag != "meta":
+        self._stop_if_past()
+        if tag != "meta":
             return
         name = content = None
         for key, value in attrs:
@@ -292,6 +309,14 @@ class _MetaTagScanner(HTMLParser):
                 content = value
         if name and name.strip().lower() in _META_TAG_NAMES and content and content.strip():
             self.found = True
+            raise _Settled
+
+    def handle_endtag(self, tag):
+        self._stop_if_past()
+
+    def _stop_if_past(self):
+        if self.getpos() > self.last:
+            raise _Settled
 
 
 def extract_meta_presence(html: str) -> bool:
@@ -301,13 +326,22 @@ def extract_meta_presence(html: str) -> bool:
     Tolerant of attribute order, quoting style, tag case, and unclosed tags.
     Markup that ``html.parser`` gives up on (it raises ``AssertionError``, as
     for ``<![foo]]>``) ends the scan with what was found before it; any other
-    error propagates.
+    error propagates.  A page without ``<meta`` (in any case) is not parsed,
+    and the parse stops once the flag is settled: at the first descriptive
+    tag, or at the first tag past the last ``<meta``.
     """
-    scanner = _MetaTagScanner()
+    last = None
+    for last in _META_OPEN.finditer(html):
+        pass
+    if last is None:
+        return False
+    # (line, column) as html.parser's updatepos counts them: "\n" ends a line
+    at = last.start()
+    scanner = _MetaTagScanner((html.count("\n", 0, at) + 1, at - html.rfind("\n", 0, at) - 1))
     try:
         scanner.feed(html)
         scanner.close()
-    except AssertionError:
+    except (_Settled, AssertionError):
         pass
     return scanner.found
 

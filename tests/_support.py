@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from html.parser import HTMLParser
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,39 @@ def direct_revision(initial_class: int, meta_present: bool) -> int:
     if initial_class == 1 and meta_present:
         return 0
     return initial_class
+
+
+class _FullParseMetaScanner(HTMLParser):
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.found = False
+
+    def handle_starttag(self, tag, attrs):
+        if self.found or tag != "meta":
+            return
+        name = content = None
+        for key, value in attrs:
+            if key == "name" and name is None:
+                name = value
+            elif key == "content" and content is None:
+                content = value
+        if name and name.strip().lower() in {"description", "keywords", "keyword", "author"}:
+            if content and content.strip():
+                self.found = True
+
+
+def full_parse_meta_presence(html: str) -> bool:
+    """The meta flag from a parse of the whole page (the oracle for
+    ``extract_meta_presence``, which stops once the flag is settled): any
+    descriptive meta tag with non-blank content; ``html.parser``'s
+    ``AssertionError`` ends the scan with what was found before it."""
+    scanner = _FullParseMetaScanner()
+    try:
+        scanner.feed(html)
+        scanner.close()
+    except AssertionError:
+        pass
+    return scanner.found
 
 
 def random_scenario(rng: random.Random, n_instances: int):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from metaphish.dataset import (
     make_split,
 )
 
-from _support import FIXTURE_CSV, benchmark_csv, make_records
+from _support import FIXTURE_CSV, benchmark_csv, full_parse_meta_presence, make_records
 
 # Hand-written 10-row fixture with 5 feature columns; the expected vectors
 # below are the authored values, asserted byte-for-byte after parsing.
@@ -255,6 +256,33 @@ class TestMakeSplit:
         ]
         assert abs(test_frac[0] - test_frac[1]) <= 1 / len(split.test_ids) + 1e-12
 
+    def test_split_properties_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            st.lists(st.sampled_from([0, 1]), min_size=2, max_size=300),
+            st.floats(0.01, 0.99),
+            st.integers(2, 10),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(labels, fraction, n_folds, seed):
+            hypothesis.assume(n_folds <= len(labels))
+            data = Dataset(np.zeros((len(labels), 1)), labels)
+            split = make_split(data, fraction, n_folds, seed)
+            assert not split.train_ids & split.test_ids
+            assert split.train_ids | split.test_ids == set(range(len(labels)))
+            assert frozenset().union(*split.folds) == split.train_ids
+            assert sum(len(f) for f in split.folds) == len(split.train_ids)
+            assert len(split.test_ids) == round(fraction * len(labels))
+            for c in (0, 1):
+                in_test = sum(1 for i in split.test_ids if labels[i] == c)
+                assert abs(in_test - fraction * labels.count(c)) <= 1
+            assert make_split(data, fraction, n_folds, seed) == split
+
+        check()
+
     def test_errors(self):
         data = make_records(10, d=1)
         with pytest.raises(ValueError):
@@ -287,11 +315,67 @@ META_CORPUS = [
     ('<meta name="robots" content="noindex">', False),
     ('<div><meta name="AUTHOR" content="Z"></div>', True),
     ("<![foo]]>", False),  # html.parser raises AssertionError on this marked section
+    # the scan stops at the first descriptive tag or past the last "<meta"
+    (
+        "<html><head><meta charset='utf-8'></head><body>"
+        + "<div><p>filler</p></div>\n" * 820
+        + "<meta name='description' content='late'></body>",
+        True,
+    ),
+    (
+        "<head><meta name='viewport' content='width=device-width'></head>"
+        "<body><p>x</p><!-- <meta name='description' content='old'> --></body>",
+        False,
+    ),
+    ("\u0130\r\n<p>\u0130</p>\r\n<meta name='author' content='a'>", True),
+    ("\u0130\r\n<meta name='author' content=''>\r\n<p>\u0130</p>", False),
+    ("<metadata name=description content=x>", False),
+]
+
+# Pieces of the random documents the scanner is checked on against a full
+# parse: each hits a case of the stop rules (a "<meta" that is not a tag,
+# positions after non-ASCII text and "\r\n", markup the parser gives up on).
+META_FRAGMENTS = [
+    '<meta name="description" content="shop">',
+    "<META NAME=keywords CONTENT=k>",
+    "<meta content='a' name='author'/>",
+    '<meta charset="utf-8">',
+    '<meta name="viewport" content="width=device-width">',
+    '<meta name="description" content=" ">',
+    "<META",
+    "<metadata name=description content=x>",
+    '<!-- <meta name="description" content="c"> -->',
+    '<script>var s = "<meta name=description content=s>";</script>',
+    "<script>",
+    "</script>",
+    '<textarea><meta name="author" content="t"></textarea>',
+    '<a title="<meta name=keywords content=v>">x</a>',
+    "<![CDATA[<meta name=description content=d>]]>",
+    "<![foo]]>",
+    "\n",
+    "\r\n",
+    "\u0130",
+    "&",
+    "&#",
+    "<",
+    '<meta name="description" content="x"',  # left open when it ends the page
+    "<m",
+    'eta name="keywords" content="k">',
+    "<p>",
+    "</p>",
+    "text ",
 ]
 
 
+def _corpus_id(value):
+    # a long page gets a short name; every other case keeps pytest's own id
+    if isinstance(value, str) and len(value) > 1000:
+        return f"{len(value)}-char page ending {value[-40:]}"
+    return None
+
+
 class TestExtractMetaPresence:
-    @pytest.mark.parametrize("html,expected", META_CORPUS)
+    @pytest.mark.parametrize("html,expected", META_CORPUS, ids=_corpus_id)
     def test_corpus(self, html, expected):
         assert extract_meta_presence(html) is expected
 
@@ -311,6 +395,55 @@ class TestExtractMetaPresence:
         monkeypatch.setattr(dataset._MetaTagScanner, "handle_starttag", broken)
         with pytest.raises(TypeError, match="scanner fault"):
             extract_meta_presence('<meta name="description" content="x">')
+
+    def test_stop_check_fault_is_not_swallowed(self, monkeypatch):
+        def broken(self, tag):
+            raise TypeError("stop check fault")
+
+        monkeypatch.setattr(dataset._MetaTagScanner, "handle_endtag", broken)
+        with pytest.raises(TypeError, match="stop check fault"):
+            extract_meta_presence('<p></p><meta name="description" content="x">')
+
+    def test_scan_stops_early(self, monkeypatch):
+        calls = []
+        for name in ("handle_starttag", "handle_endtag", "handle_data"):
+            def counting(self, *args, _handler=getattr(dataset._MetaTagScanner, name)):
+                calls.append(args[0])
+                return _handler(self, *args)
+
+            monkeypatch.setattr(dataset._MetaTagScanner, name, counting)
+        body = "<body>" + "<p>text</p>\n" * 2000 + "</body></html>"
+        pages = [
+            ("<html><head><meta name='description' content='d'></head>" + body, True),
+            ("<html><head><meta name='viewport' content='width=640'></head>" + body, False),
+        ]
+        for page, expected in pages:
+            calls.clear()
+            assert extract_meta_presence(page) is expected
+            assert len(calls) <= 5, calls
+            assert full_parse_meta_presence(page) is expected
+
+    def test_agrees_with_full_parse(self):
+        rng = random.Random(61)
+        found = 0
+        for _ in range(20000):
+            html = "".join(rng.choice(META_FRAGMENTS) for _ in range(rng.randrange(13)))
+            expected = full_parse_meta_presence(html)
+            assert extract_meta_presence(html) is expected, html
+            found += expected
+        assert 5000 < found < 15000  # both outcomes are well exercised
+
+    def test_agrees_with_full_parse_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(st.lists(st.sampled_from(META_FRAGMENTS), max_size=16))
+        def check(parts):
+            html = "".join(parts)
+            assert extract_meta_presence(html) is full_parse_meta_presence(html)
+
+        check()
 
     def test_snapshot_directory(self, tmp_path):
         (tmp_path / "0.html").write_text('<meta name="description" content="x">')
