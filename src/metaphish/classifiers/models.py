@@ -276,28 +276,36 @@ def load_model(path: str | Path) -> TrainedModel:
         estimator = DecisionTree.from_dict(state)
     else:
         estimator = RandomForest.from_dict(state)
-    _check_state_width(estimator, scaler.width)
+    _check_state(estimator, scaler.width)
     return TrainedModel(kind, params, payload["seed"], scaler, estimator)
 
 
-def _check_state_width(estimator, width: int) -> None:
-    """Raise ValueError unless the fitted state reads rows of ``width`` features.
+def _check_state(estimator, width: int) -> None:
+    """Raise ValueError unless the fitted state reads rows of ``width`` features
+    and predicts only the classes 0 and 1.
 
     Support vectors and stored training rows must be exactly that wide; a
     tree must not split on a feature at or past it (a tree need not use the
-    last feature, so its state bounds the width only from below).
+    last feature, so its state bounds the width only from below).  A KNN
+    training label or a tree leaf label must be 0 or 1.
     """
     if isinstance(estimator, (KernelSVM, KNearestNeighbors)):
         rows = estimator.support_x_ if isinstance(estimator, KernelSVM) else estimator.X_
         if rows.size and rows.shape[1] != width:
             raise ValueError(f"the scaler is {width} features wide "
                              f"but the model's rows have {rows.shape[1]}")
+        if isinstance(estimator, KNearestNeighbors):
+            bad = estimator.y_[(estimator.y_ != 0) & (estimator.y_ != 1)]
+            if bad.size:
+                raise ValueError(f"train_y holds class label {bad[0]}, not 0 or 1")
         return
     trees = estimator.trees_ if isinstance(estimator, RandomForest) else [estimator]
     stack = [tree.root_ for tree in trees]
     while stack:
         node = stack.pop()
         if node.is_leaf:
+            if node.label not in (0, 1):
+                raise ValueError(f"a tree leaf has class label {node.label}, not 0 or 1")
             continue
         if not 0 <= node.feature < width:
             raise ValueError(f"the scaler is {width} features wide "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -49,6 +50,13 @@ class Fact(NamedTuple):
 # the position of the instance id in the pipeline's facts
 _ID_POSITION = {(PRED, 3): 1, (META, 2): 0}
 
+# the argument types of a pipeline predicate's plain facts, and a key that
+# sorts them in _fact_sort_key's order: (id, classifier, class), (id, flag)
+_PLAIN_ORDER = {
+    PRED: ((str, int, str), lambda fact: (fact[1][1], fact[1][0], fact[1][2])),
+    META: ((int, str), itemgetter(1)),
+}
+
 
 def _fact_sort_key(fact: Fact):
     """(predicate, id, classifier) for pipeline facts; stable fallback otherwise."""
@@ -59,6 +67,43 @@ def _fact_sort_key(fact: Fact):
     if pred == META and len(args) == 2:
         return (pred, typed[0], "", typed)
     return (pred, (2,), "", typed)
+
+
+def _sorted_facts(facts: Iterable[Fact]) -> list[Fact]:
+    """The distinct facts in _fact_sort_key's order.
+
+    That key compares the predicate first, so each predicate's facts are
+    sorted apart, and those of a pipeline predicate that are all plain by
+    the cheaper key of :data:`_PLAIN_ORDER`.
+    """
+    groups: dict[str, list[Fact]] = {}
+    for fact in set(facts):
+        groups.setdefault(fact[0], []).append(fact)
+    ordered = []
+    for pred in sorted(groups):
+        group = groups[pred]
+        plain = _PLAIN_ORDER.get(pred)
+        group.sort(key=plain[1] if plain and _typed_as(group, plain[0]) else _fact_sort_key)
+        ordered += group
+    return ordered
+
+
+def _typed_as(facts: list[Fact], types: tuple[type, ...]) -> bool:
+    """Whether the arguments of every fact have exactly ``types``, checked
+    one argument position at a time."""
+    args = [fact[1] for fact in facts]
+    return set(map(len, args)) == {len(types)} and all(
+        set(map(type, map(itemgetter(p), args))) == {t} for p, t in enumerate(types)
+    )
+
+
+def _check_constant(a) -> None:
+    if isinstance(a, bool) or not isinstance(a, (str, int)):
+        raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
+    if isinstance(a, int) and a < 0:
+        raise ValueError(f"integer constants must be non-negative, got {a}")
+    if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
+        raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
 
 
 class FactBase:
@@ -72,22 +117,22 @@ class FactBase:
     """
 
     def __init__(self, facts: Iterable[Fact]):
-        ordered = sorted(set(facts), key=_fact_sort_key)
+        ordered = _sorted_facts(facts)
         pred_keys = set()
         meta_ids = set()
         pred_ids = set()
+        symbols = set()  # the symbol constants checked so far
         for fact in ordered:
             pred, args = fact
             pos = _ID_POSITION.get((pred, len(args)))
             if pos is not None and (type(args[pos]) is not int or args[pos] < 0):
                 raise ValueError(f"instance id must be a non-negative integer in {fact}")
             for a in args:
-                if isinstance(a, bool) or not isinstance(a, (str, int)):
-                    raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
-                if isinstance(a, int) and a < 0:
-                    raise ValueError(f"integer constants must be non-negative, got {a}")
-                if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
-                    raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
+                if type(a) is int and a >= 0 or type(a) is str and a in symbols:
+                    continue
+                _check_constant(a)
+                if type(a) is str:
+                    symbols.add(a)
             if pred == PRED and len(args) == 3:
                 key = (args[0], args[1])
                 if key in pred_keys:
@@ -130,20 +175,15 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
     """
     facts = []
     instance_ids = set()
+    symbols = {}  # classifier -> its symbol, looked up once per kind
     for belief in beliefs:
         iid = belief.instance_id
         if iid not in meta_flags:
             raise ValueError(f"belief references instance {iid} absent from meta flags")
-        facts.append(
-            Fact(
-                PRED,
-                (
-                    classifier_symbol(belief.classifier),
-                    iid,
-                    CLASS_TO_SYMBOL[belief.predicted_class],
-                ),
-            )
-        )
+        cl = belief.classifier
+        if cl not in symbols:
+            symbols[cl] = classifier_symbol(cl)
+        facts.append(Fact(PRED, (symbols[cl], iid, CLASS_TO_SYMBOL[belief.predicted_class])))
         if iid not in instance_ids:
             instance_ids.add(iid)
             facts.append(Fact(META, (iid, META_TO_SYMBOL[bool(meta_flags[iid])])))

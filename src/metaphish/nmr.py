@@ -3,11 +3,12 @@
 Covers exactly the fragment the belief-revision layer needs: normal rules
 with default negation, no function symbols, no disjunction, no aggregates.
 A program is parsed, checked for rule safety and stratification, and
-grounded against a fact base with first-argument indexing.  A cycle through
-``not`` is rejected, naming the first one in sorted order; otherwise the
-strata are the least predicate levels, found by relaxation.  Grounding runs
-stratum by stratum to a fixpoint, so its atom store is the unique stable
-model, returned as ``GroundProgram.model``.  :func:`solve` re-evaluates a
+grounded against a fact base.  A cycle through ``not`` is rejected, naming
+the first one in sorted order; otherwise the strata are the least predicate
+levels, found by relaxation.  Grounding runs stratum by stratum, each
+semi-naively, through join plans compiled once per rule over hash indexes on
+(predicate, bound argument positions); the atoms it derives are the unique
+stable model, returned as ``GroundProgram.model``.  :func:`solve` re-evaluates a
 ground program and :func:`check_stability` implements the reduct-based
 stable-model definition; both serve as independent oracles for that model.
 
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Union
+from collections import defaultdict
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Union
 
 GroundAtom = tuple  # (predicate: str, args: tuple[str | int, ...])
 
@@ -370,81 +373,172 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Grounding
 
-class _AtomStore:
-    """Derived ground atoms with per-predicate lists and a first-argument index."""
+class _Relations:
+    """The atoms derived so far: a set, a list per predicate in insertion
+    order, and a hash index per (predicate, key positions) pattern, built on
+    first use and kept up to date as atoms are added."""
 
     def __init__(self):
-        self.all: set[GroundAtom] = set()
-        self.by_pred: dict[str, list[tuple]] = {}
-        self.by_first: dict[tuple[str, object], list[tuple]] = {}
+        self.atoms: set[GroundAtom] = set()
+        self.lists: defaultdict[str, list[GroundAtom]] = defaultdict(list)
+        self._indexes: dict[tuple, defaultdict] = {}
+        self._by_pred: dict[str, list[tuple[Callable, defaultdict]]] = {}
 
-    def add(self, atom: GroundAtom) -> bool:
-        if atom in self.all:
-            return False
-        self.all.add(atom)
-        pred, args = atom
-        self.by_pred.setdefault(pred, []).append(args)
-        if args:
-            self.by_first.setdefault((pred, args[0]), []).append(args)
-        return True
+    def extend(self, atoms: Iterable[GroundAtom]) -> None:
+        """Add ``atoms``, none of which is here yet."""
+        for atom in atoms:
+            self.atoms.add(atom)
+            self.lists[atom[0]].append(atom)
+            for key, index in self._by_pred.get(atom[0], ()):
+                index[key(atom[1])].append(atom)
 
-    def candidates(self, pred: str, first) -> list[tuple]:
-        if first is _UNBOUND:
-            return self.by_pred.get(pred, ())
-        return self.by_first.get((pred, first), ())
-
-
-_UNBOUND = object()
-
-
-def _first_key(atom: Atom, subst: dict):
-    if not atom.terms:
-        return _UNBOUND
-    t0 = atom.terms[0]
-    if isinstance(t0, Variable):
-        return subst.get(t0.name, _UNBOUND)
-    return t0
+    def index(self, pred: str, positions: tuple[int, ...]) -> defaultdict:
+        """The atoms of ``pred`` keyed by their argument at ``positions``
+        (a value for one position, a tuple for several)."""
+        index = self._indexes.get((pred, positions))
+        if index is None:
+            key = itemgetter(*positions)
+            index = self._indexes[pred, positions] = _bucket(self.lists.get(pred, ()), key)
+            self._by_pred.setdefault(pred, []).append((key, index))
+        return index
 
 
-def _extend(terms: tuple[Term, ...], args: tuple, subst: dict) -> dict | None:
-    out = subst
-    copied = False
-    for t, a in zip(terms, args):
-        if isinstance(t, Variable):
-            cur = out.get(t.name, _UNBOUND)
-            if cur is _UNBOUND:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[t.name] = a
-            elif cur != a:
-                return None
-        elif t != a:
-            return None
-    return out
+def _bucket(atoms: Iterable[GroundAtom], key: Callable) -> defaultdict:
+    index = defaultdict(list)
+    for atom in atoms:
+        index[key(atom[1])].append(atom)
+    return index
 
 
-def _substitute(atom: Atom, subst: dict) -> GroundAtom:
-    return (
-        atom.predicate,
-        tuple(subst[t.name] if isinstance(t, Variable) else t for t in atom.terms),
-    )
+def _getter(slots: list[int]) -> Callable:
+    """A function of a sequence that returns the tuple of its items at ``slots``."""
+    if len(slots) == 1:
+        return lambda seq, s=slots[0]: (seq[s],)
+    return itemgetter(*slots) if slots else lambda seq: ()
 
 
-def _join(body: tuple[Atom, ...], store: _AtomStore) -> Iterator[dict]:
-    """All substitutions grounding every body atom against the store."""
+_FULL, _DELTA, _OLD = range(3)  # which atoms of its predicate a join step reads
 
-    def expand(i: int, subst: dict) -> Iterator[dict]:
-        if i == len(body):
-            yield subst
+
+class _Step(NamedTuple):
+    """One positive body atom of a join plan; see :func:`_compile`."""
+
+    predicate: str
+    source: int
+    key_positions: tuple[int, ...]  # argument positions a constant or a bound variable fixes
+    key: Callable | None  # env -> the index key at those positions
+    repeats: tuple[tuple[int, int], ...]  # (position, earlier position) of one new variable
+    lo: int  # env[lo:hi] takes the atom's new variables
+    hi: int
+    take: Callable  # args -> the values of the new variables
+    written: int  # the atom's position in the written body
+
+
+class _Plan(NamedTuple):
+    steps: tuple[_Step, ...]
+    env: list  # the rule's constants, then one slot per variable
+    head: tuple[str, Callable]  # predicate, env -> arguments
+    neg: tuple[tuple[str, Callable], ...]
+
+
+def _compile(rule: Rule, delta_at: int | None = None, derived=frozenset()) -> _Plan:
+    """The join plan of ``rule``: its positive body in written order, every
+    atom read in full; or, with ``delta_at``, that atom moved first to read
+    only the last pass's new atoms, and the atoms written before it that
+    this stratum derives reading only the atoms older than those.
+
+    Every term gets a slot in the plan's environment: constants first, then
+    the variables in the order the plan binds them.  Each step looks up the
+    atoms that match its constants and bound variables in a hash index,
+    checks a variable repeated inside the atom, and copies its new variables
+    into consecutive slots.
+    """
+    body = rule.body_pos
+    order = sorted(range(len(body)), key=lambda j: j != delta_at)  # delta_at first
+    atoms = (rule.head, *body, *rule.body_neg)
+    consts = list(dict.fromkeys(t for a in atoms for t in a.terms if not isinstance(t, Variable)))
+    slot = {t: i for i, t in enumerate(consts)}
+    steps = []
+    for j in order:
+        atom = body[j]
+        key_positions, key_slots, repeats, first = [], [], [], {}
+        for p, t in enumerate(atom.terms):
+            if t in first:
+                repeats.append((p, first[t]))
+            elif t in slot:
+                key_positions.append(p)
+                key_slots.append(slot[t])
+            else:
+                first[t] = p
+        lo = len(slot)
+        slot.update((t, lo + i) for i, t in enumerate(first))
+        if j == delta_at:
+            source = _DELTA
+        elif delta_at is not None and j < delta_at and atom.predicate in derived:
+            source = _OLD
+        else:
+            source = _FULL
+        steps.append(_Step(atom.predicate, source, tuple(key_positions),
+                           itemgetter(*key_slots) if key_slots else None, tuple(repeats),
+                           lo, len(slot), _getter(list(first.values())), j))
+    env = consts + [None] * (len(slot) - len(consts))
+    head, *neg = ((a.predicate, _getter([slot[t] for t in a.terms]))
+                  for a in (rule.head, *rule.body_neg))
+    return _Plan(tuple(steps), env, head, tuple(neg))
+
+
+def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict, new: dict) -> int:
+    """Run ``plan`` against ``rel`` and the last pass's new atoms ``fresh``;
+    return its firings.
+
+    Each instantiation of the positive body becomes a ground rule in
+    ``rules``; its head goes to ``new`` unless it is already derived or a
+    negative literal holds.
+    """
+    steps, env, (head_pred, head_args), negs = plan
+    env = list(env)
+    matched = [None] * len(steps)
+    atoms = rel.atoms
+    tables = []
+    for step in steps:
+        if step.source == _DELTA:
+            src = [atom for atom in fresh if atom[0] == step.predicate]
+            tables.append(_bucket(src, itemgetter(*step.key_positions))
+                          if step.key_positions else src)
+        elif step.key_positions:
+            tables.append(rel.index(step.predicate, step.key_positions))
+        else:
+            tables.append(rel.lists.get(step.predicate, ()))
+    firings = 0
+
+    def walk(i: int) -> None:
+        nonlocal firings
+        if i == len(steps):
+            firings += 1
+            head = (head_pred, head_args(env))
+            neg = tuple([(pred, args(env)) for pred, args in negs])
+            rules[GroundRule(head, tuple(matched), neg)] = None
+            if head not in atoms:
+                for atom in neg:
+                    if atom in atoms:
+                        break
+                else:
+                    new[head] = None
             return
-        atom = body[i]
-        for args in store.candidates(atom.predicate, _first_key(atom, subst)):
-            extended = _extend(atom.terms, args, subst)
-            if extended is not None:
-                yield from expand(i + 1, extended)
+        _, source, _, key, repeats, lo, hi, take, written = steps[i]
+        table = tables[i]
+        for atom in table if key is None else table.get(key(env), ()):
+            args = atom[1]
+            if repeats and any(args[p] != args[q] for p, q in repeats):
+                continue
+            if source == _OLD and atom in fresh:
+                continue
+            env[lo:hi] = take(args)
+            matched[written] = atom
+            walk(i + 1)
 
-    return expand(0, {})
+    walk(0)
+    return firings
 
 
 def check_arities(program: Program, fact_atoms: list[GroundAtom]) -> None:
@@ -460,8 +554,8 @@ def check_arities(program: Program, fact_atoms: list[GroundAtom]) -> None:
                 f"but with arity {seen} elsewhere"
             )
 
-    for pred, args in fact_atoms:
-        check(pred, len(args), "the fact base")
+    for pred, n in dict.fromkeys((pred, len(args)) for pred, args in fact_atoms):
+        check(pred, n, "the fact base")
     for rule in program.rules:
         for atom in (rule.head, *rule.body_pos, *rule.body_neg):
             check(atom.predicate, len(atom.terms), f"rule '{rule}'")
@@ -471,55 +565,47 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     """Instantiate the program over every substitution whose positive body is
     satisfiable by derivable atoms (facts included as empty-body ground rules).
 
-    Grounding is fact-driven and indexed on (predicate, first argument), so
-    the ground program for the revision rules stays linear in the fact count.
+    Strata run bottom-up, each semi-naively (Bancilhon & Ramakrishnan 1986):
+    a first pass joins every rule against all atoms so far, and while a pass
+    derives new atoms, the next joins the rules whose positive body has a
+    predicate of this stratum against those new atoms only.  Each rule is
+    compiled once into join plans over hash indexes on (predicate, bound
+    argument positions), so the ground program for the revision rules stays
+    linear in the fact count, and every instantiation fires exactly once.
     Of the result, only the order of ``rules`` follows the order of ``facts``.
     """
     fact_atoms = [(pred, tuple(args)) for pred, args in facts]
     check_arities(program, fact_atoms)
 
-    store = _AtomStore()
-    ground_rules: list[GroundRule] = []
-    seen: set[GroundRule] = set()
-    firings = 0
-
-    for atom in fact_atoms:
-        if store.add(atom):
-            rule = GroundRule(atom, (), ())
-            seen.add(rule)
-            ground_rules.append(rule)
+    # an insertion-ordered set: program facts and rules may repeat the facts
+    rules = {GroundRule(atom, (), ()): None for atom in fact_atoms}
+    rel = _Relations()
+    rel.extend(rule.head for rule in rules)
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
         by_stratum.setdefault(program.strata[rule.head.predicate], []).append(rule)
 
+    firings = 0
     for stratum in sorted(by_stratum):
-        rules = by_stratum[stratum]
-        while True:
-            new_atoms: dict[GroundAtom, None] = {}
-            for rule in rules:
-                for subst in _join(rule.body_pos, store):
-                    firings += 1
-                    head = _substitute(rule.head, subst)
-                    g = GroundRule(
-                        head,
-                        tuple(_substitute(a, subst) for a in rule.body_pos),
-                        tuple(_substitute(a, subst) for a in rule.body_neg),
-                    )
-                    if g not in seen:
-                        seen.add(g)
-                        ground_rules.append(g)
-                    # negative literals point strictly below this stratum, so
-                    # their truth is already decided by the store
-                    if head not in store.all and not any(n in store.all for n in g.neg):
-                        new_atoms[head] = None
-            if not new_atoms:
-                break
-            for atom in new_atoms:
-                store.add(atom)
+        stratum_rules = by_stratum[stratum]
+        derived = {rule.head.predicate for rule in stratum_rules}
+        delta_plans = [_compile(rule, k, derived) for rule in stratum_rules
+                       for k, atom in enumerate(rule.body_pos) if atom.predicate in derived]
+        # negative literals point strictly below this stratum, so their
+        # truth is already decided by the atoms derived so far
+        new: dict[GroundAtom, None] = {}
+        for rule in stratum_rules:
+            firings += _fire(_compile(rule), rel, {}, rules, new)
+        rel.extend(new)
+        while new and delta_plans:
+            fresh, new = new, {}
+            for plan in delta_plans:
+                firings += _fire(plan, rel, fresh, rules, new)
+            rel.extend(new)
 
-    stats = EvalStats(firings, len(store.all))
-    return GroundProgram(tuple(ground_rules), stats, AnswerSet(frozenset(store.all), stats))
+    stats = EvalStats(firings, len(rel.atoms))
+    return GroundProgram(tuple(rules), stats, AnswerSet(frozenset(rel.atoms), stats))
 
 
 # ---------------------------------------------------------------------------

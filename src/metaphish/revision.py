@@ -122,8 +122,12 @@ def apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
         final_by_key[key] = cls
 
     finals = []
+    symbols = {}  # classifier -> its symbol, looked up once per kind
     for belief in beliefs:
-        key = (kb.classifier_symbol(belief.classifier), belief.instance_id)
+        cl = belief.classifier
+        if cl not in symbols:
+            symbols[cl] = kb.classifier_symbol(cl)
+        key = (symbols[cl], belief.instance_id)
         if key not in final_by_key:
             raise ValueError(
                 f"rule program derived no final belief for classifier {key[0]!r}, "
@@ -132,7 +136,7 @@ def apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
             )
         cls = final_by_key[key]
         finals.append(
-            FinalBelief(belief.classifier, belief.instance_id, cls,
+            FinalBelief(cl, belief.instance_id, cls,
                         revised=cls != belief.predicted_class)
         )
     return finals

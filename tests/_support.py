@@ -4,14 +4,29 @@ from __future__ import annotations
 
 import os
 import random
+from typing import Iterable, Iterator
 from html.parser import HTMLParser
 from pathlib import Path
 
 import numpy as np
 
+from metaphish import kb
 from metaphish.classifiers import KIND_ORDER, InitialBelief, RandomForest, effective_candidates
 from metaphish.dataset import Dataset, fit_scaler
-from metaphish.nmr import StratificationError
+from metaphish.nmr import (
+    AnswerSet,
+    Atom,
+    EvalStats,
+    GroundAtom,
+    GroundProgram,
+    GroundRule,
+    Program,
+    Rule,
+    StratificationError,
+    Term,
+    Variable,
+    check_arities,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "synthetic_200.csv"
@@ -352,3 +367,262 @@ def assert_cycle_in_graph(cycle: tuple[str, ...], graph) -> None:
     for a, b in zip(walk, walk[1:]):
         assert (b, False) in graph[a] or (b, True) in graph[a]
     assert walk[-1] == start
+
+
+# ---------------------------------------------------------------------------
+# The grounder before semi-naive evaluation, kept as the oracle of nmr.ground
+
+class _AtomStore:
+    """Derived ground atoms with per-predicate lists and a first-argument index."""
+
+    def __init__(self):
+        self.all: set[GroundAtom] = set()
+        self.by_pred: dict[str, list[tuple]] = {}
+        self.by_first: dict[tuple[str, object], list[tuple]] = {}
+
+    def add(self, atom: GroundAtom) -> bool:
+        if atom in self.all:
+            return False
+        self.all.add(atom)
+        pred, args = atom
+        self.by_pred.setdefault(pred, []).append(args)
+        if args:
+            self.by_first.setdefault((pred, args[0]), []).append(args)
+        return True
+
+    def candidates(self, pred: str, first) -> list[tuple]:
+        if first is _UNBOUND:
+            return self.by_pred.get(pred, ())
+        return self.by_first.get((pred, first), ())
+
+
+_UNBOUND = object()
+
+
+def _first_key(atom: Atom, subst: dict):
+    if not atom.terms:
+        return _UNBOUND
+    t0 = atom.terms[0]
+    if isinstance(t0, Variable):
+        return subst.get(t0.name, _UNBOUND)
+    return t0
+
+
+def _extend(terms: tuple[Term, ...], args: tuple, subst: dict) -> dict | None:
+    out = subst
+    copied = False
+    for t, a in zip(terms, args):
+        if isinstance(t, Variable):
+            cur = out.get(t.name, _UNBOUND)
+            if cur is _UNBOUND:
+                if not copied:
+                    out = dict(out)
+                    copied = True
+                out[t.name] = a
+            elif cur != a:
+                return None
+        elif t != a:
+            return None
+    return out
+
+
+def _substitute(atom: Atom, subst: dict) -> GroundAtom:
+    return (
+        atom.predicate,
+        tuple(subst[t.name] if isinstance(t, Variable) else t for t in atom.terms),
+    )
+
+
+def _join(body: tuple[Atom, ...], store: _AtomStore) -> Iterator[dict]:
+    """All substitutions grounding every body atom against the store."""
+
+    def expand(i: int, subst: dict) -> Iterator[dict]:
+        if i == len(body):
+            yield subst
+            return
+        atom = body[i]
+        for args in store.candidates(atom.predicate, _first_key(atom, subst)):
+            extended = _extend(atom.terms, args, subst)
+            if extended is not None:
+                yield from expand(i + 1, extended)
+
+    return expand(0, {})
+
+
+def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
+    """``nmr.ground`` as a fixpoint that re-joins every rule of a stratum until
+    a pass adds nothing, one tuple at a time through a first-argument index
+    (the oracle for its semi-naive, compiled joins).  It returns the same
+    model and set of rules; its ``stats.firings`` counts every instantiation
+    once per pass, so at least twice."""
+    fact_atoms = [(pred, tuple(args)) for pred, args in facts]
+    check_arities(program, fact_atoms)
+
+    store = _AtomStore()
+    ground_rules: list[GroundRule] = []
+    seen: set[GroundRule] = set()
+    firings = 0
+
+    for atom in fact_atoms:
+        if store.add(atom):
+            rule = GroundRule(atom, (), ())
+            seen.add(rule)
+            ground_rules.append(rule)
+
+    by_stratum: dict[int, list[Rule]] = {}
+    for rule in program.rules:
+        by_stratum.setdefault(program.strata[rule.head.predicate], []).append(rule)
+
+    for stratum in sorted(by_stratum):
+        rules = by_stratum[stratum]
+        while True:
+            new_atoms: dict[GroundAtom, None] = {}
+            for rule in rules:
+                for subst in _join(rule.body_pos, store):
+                    firings += 1
+                    head = _substitute(rule.head, subst)
+                    g = GroundRule(
+                        head,
+                        tuple(_substitute(a, subst) for a in rule.body_pos),
+                        tuple(_substitute(a, subst) for a in rule.body_neg),
+                    )
+                    if g not in seen:
+                        seen.add(g)
+                        ground_rules.append(g)
+                    # negative literals point strictly below this stratum, so
+                    # their truth is already decided by the store
+                    if head not in store.all and not any(n in store.all for n in g.neg):
+                        new_atoms[head] = None
+            if not new_atoms:
+                break
+            for atom in new_atoms:
+                store.add(atom)
+
+    stats = EvalStats(firings, len(store.all))
+    return GroundProgram(tuple(ground_rules), stats, AnswerSet(frozenset(store.all), stats))
+
+
+
+
+def random_nonground_program(rng: random.Random) -> tuple[str, list[GroundAtom]]:
+    """A random non-ground stratified program and input facts for it.
+
+    Predicates of arity 0-2 get levels 0-2; a rule's positive body stays at
+    or below its head's level (so a stratum can recurse, through rules of
+    up to three body atoms) and its negative body strictly below.  Terms are
+    variables from a small pool, so one can repeat inside an atom, or
+    constants, in the head and both bodies.  Every program also holds a
+    duplicated rule, a copy of a rule with its variables renamed, and a
+    program fact equal to an input fact, if there is one.
+    """
+    consts = [0, 1, 2, "a", "b"]
+    preds = {f"p{k}": (rng.randint(0, 2), rng.randint(0, 2)) for k in range(rng.randint(2, 5))}
+    facts = [(pred, tuple(rng.choice(consts) for _ in range(arity)))
+             for pred, (arity, _) in preds.items() for _ in range(rng.randint(0, 4))]
+
+    def atom(pred, variables):
+        terms = [rng.choice(variables) if variables and rng.random() < 0.8 else rng.choice(consts)
+                 for _ in range(preds[pred][0])]
+        return pred, terms
+
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        head = rng.choice(list(preds))
+        level = preds[head][1]
+        pos = [atom(rng.choice([p for p in preds if preds[p][1] <= level]), ["X", "Y", "Z"])
+               for _ in range(rng.randint(0, 3))]
+        bound = sorted({t for _, terms in pos for t in terms if t in ("X", "Y", "Z")})
+        lower = [p for p in preds if preds[p][1] < level]
+        neg = [atom(rng.choice(lower), bound) for _ in range(rng.randint(0, 1)) if lower]
+        rules.append((atom(head, bound), pos, neg))
+
+    def renamed(a):
+        return a[0], [{"X": "V", "Y": "W", "Z": "U"}.get(t, t) for t in a[1]]
+
+    head, pos, neg = rng.choice(rules)
+    rules += [rng.choice(rules), (renamed(head), [*map(renamed, pos)], [*map(renamed, neg)])]
+
+    def text(pred, terms):
+        return f"{pred}({','.join(map(str, terms))})" if terms else pred
+
+    lines = [f"{text(*fact)}." for fact in rng.sample(facts, min(len(facts), 1))]
+    for head, pos, neg in rules:
+        body = [text(*a) for a in pos] + [f"not {text(*a)}" for a in neg]
+        lines.append(f"{text(*head)} :- {', '.join(body)}." if body else f"{text(*head)}.")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n", facts
+
+
+def positive_instantiations(program: Program, model: Iterable[GroundAtom]) -> int:
+    """The number of (rule, substitution) pairs whose positive body holds in
+    ``model``: the firings of an evaluator that fires each once."""
+    by_pred: dict[str, list[tuple]] = {}
+    for pred, args in model:
+        by_pred.setdefault(pred, []).append(args)
+
+    def count(body: tuple[Atom, ...], subst: dict) -> int:
+        if not body:
+            return 1
+        total = 0
+        for args in by_pred.get(body[0].predicate, ()):
+            extended = dict(subst)
+            if all(extended.setdefault(t.name, a) == a if isinstance(t, Variable) else t == a
+                   for t, a in zip(body[0].terms, args)):
+                total += count(body[1:], extended)
+        return total
+
+    return sum(count(rule.body_pos, {}) for rule in program.rules)
+
+
+def reference_fact_base(facts) -> tuple:
+    """``kb.FactBase``'s facts and errors from one sort of all facts by
+    ``kb._fact_sort_key`` and one loop that checks every argument of every
+    fact (the oracle for ``FactBase``, which sorts a predicate of plain
+    pipeline facts by their arguments and checks each symbol once)."""
+    ordered = sorted(set(facts), key=kb._fact_sort_key)
+    pred_keys, meta_ids = set(), set()
+    for fact in ordered:
+        pred, args = fact
+        pos = kb._ID_POSITION.get((pred, len(args)))
+        if pos is not None and (type(args[pos]) is not int or args[pos] < 0):
+            raise ValueError(f"instance id must be a non-negative integer in {fact}")
+        for a in args:
+            if isinstance(a, bool) or not isinstance(a, (str, int)):
+                raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
+            if isinstance(a, int) and a < 0:
+                raise ValueError(f"integer constants must be non-negative, got {a}")
+            if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
+                raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
+        if pred == kb.PRED and len(args) == 3:
+            key = (args[0], args[1])
+            if key in pred_keys:
+                raise ValueError(f"duplicate pred fact for classifier/instance {key}")
+            pred_keys.add(key)
+        elif pred == kb.META and len(args) == 2:
+            if args[0] in meta_ids:
+                raise ValueError(f"duplicate meta fact for instance {args[0]}")
+            meta_ids.add(args[0])
+    return tuple(ordered)
+
+
+def random_facts(rng: random.Random) -> list:
+    """Mostly plain pipeline facts; now and then an odd one: another predicate
+    or arity, an argument of another type or value, or a duplicate key."""
+    odd = [0, 3, -1, True, 1.0, None, "x", "Svm", "1a", "", "dt", "yes"]
+    facts = []
+    for iid in rng.sample(range(40), rng.randint(0, 8)):
+        facts.append(kb.Fact("meta", (iid, rng.choice(("yes", "no")))))
+        for cl in rng.sample(("svm", "knn", "dt", "rf"), rng.randint(0, 4)):
+            facts.append(kb.Fact("pred", (cl, iid, rng.choice(("phishing", "benign")))))
+    plain = list(facts)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if plain and rng.random() < 0.5:  # a changed copy of a plain fact
+            pred, args = rng.choice(plain)
+            args = list(args)
+            args[rng.randrange(len(args))] = rng.choice(odd)
+        else:
+            pred = rng.choice(("pred", "meta", "other"))
+            args = [rng.choice(odd) for _ in range(rng.randint(0, 3))]
+        facts.append(kb.Fact(pred, tuple(args)))
+    rng.shuffle(facts)
+    return facts

@@ -141,6 +141,29 @@ def test_c3_fp_monotone_over_random_runs():
     assert all(a < b for a, b in zip(after, before))
 
 
+@criterion("C3", "fp-monotonicity-hypothesis")
+def test_c3_fp_monotone_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # per instance: the four classifiers' verdicts, the meta flag, the truth
+    instance = st.tuples(st.tuples(*[st.integers(0, 1)] * len(KIND_ORDER)),
+                         st.booleans(), st.integers(0, 1))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(instance, min_size=1, max_size=12))
+    def check(instances):
+        beliefs = [InitialBelief(kind, iid, c) for iid, (classes, _, _) in enumerate(instances)
+                   for kind, c in zip(KIND_ORDER, classes)]
+        meta = {iid: flag for iid, (_, flag, _) in enumerate(instances)}
+        truth = {iid: t for iid, (_, _, t) in enumerate(instances)}
+        report = build_report(beliefs, apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
+        for outcome in report.per_classifier.values():
+            assert outcome.after.fp <= outcome.before.fp
+            assert outcome.after.fn >= outcome.before.fn
+
+    check()
+
+
 @criterion("C4", "benchmark-accuracy")
 def test_c4_benchmark_accuracies(benchmark_run):
     out_dir, train_seconds = benchmark_run
@@ -181,6 +204,25 @@ def test_c5_solver_matches_exhaustive_oracle():
         assert stable == [answer.atoms]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
+
+
+@criterion("C5", "solver-vs-stability-oracle-hypothesis")
+def test_c5_solver_matches_exhaustive_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.randoms(use_true_random=False))
+    def check(rng):
+        gp = nmr.ground(nmr.parse_program(random_stratified_program(rng, max_atoms=11)))
+        universe = {a for r in gp.rules for a in (r.head, *r.pos, *r.neg)}
+        stable = [frozenset(combo)
+                  for size in range(len(universe) + 1)
+                  for combo in itertools.combinations(universe, size)
+                  if nmr.check_stability(gp, frozenset(combo))]
+        assert stable == [nmr.solve(gp).atoms] == [gp.model.atoms]
+
+    check()
 
 
 @criterion("C6", "non-monotonic-withdrawal")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -247,6 +248,28 @@ class TestRevise:
         assert f"{model}: not a usable model file" in err
         assert message in err and "re-run 'train'" in err
         assert not (out / "final_beliefs.csv").exists()
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("model_dt.json", lambda raw: re.sub(rb'"label": [01]', b'"label": 2', raw, count=1),
+         "a tree leaf has class label 2, not 0 or 1"),
+        ("model_rf.json", lambda raw: re.sub(rb'"label": [01]', b'"label": 2', raw, count=1),
+         "a tree leaf has class label 2, not 0 or 1"),
+        ("model_knn.json", lambda raw: re.sub(rb'"train_y": \[[01]', b'"train_y": [2', raw),
+         "train_y holds class label 2, not 0 or 1"),
+    ], ids=["dt-leaf", "rf-leaf", "knn-train-y"])
+    def test_class_label_other_than_0_or_1_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                          name, edit, message):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        model = out / name
+        raw = model.read_bytes()
+        model.write_bytes(edit(raw))
+        assert model.read_bytes() != raw
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model}: not a usable model file ({message})" in err
+        assert err.rstrip().endswith("re-run 'train'")
+        assert not (out / "facts.lp").exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: [l.replace(",train,", ",trian,") for l in lines], "unknown role 'trian'"),

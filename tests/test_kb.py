@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
 
 from metaphish import kb
 from metaphish.classifiers import ClassifierKind, InitialBelief
 from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, FactBase, encode, serialize
+
+from _support import random_facts, reference_fact_base
 
 
 class TestFact:
@@ -115,6 +118,24 @@ class TestFactBase:
             ("pred", ("dt", 1, "phishing")),
             ("pred", ("svm", 2, "benign")),
         ]
+
+
+    def test_order_and_errors_match_reference(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for _ in range(5000):
+            facts = random_facts(rng)
+            try:
+                want = reference_fact_base(facts)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    FactBase(facts)
+                assert str(err.value) == str(exc)
+                outcomes.add(str(exc).split(" ")[0])
+                continue
+            assert tuple(FactBase(facts)) == want
+            outcomes.add("ok")
+        assert outcomes == {"ok", "instance", "fact", "integer", "symbol", "duplicate"}
 
 
 class TestSerialize:

@@ -24,8 +24,13 @@ from metaphish.nmr import (
     solve,
 )
 
+from metaphish.revision import revision_program
+
 from _support import (
     assert_cycle_in_graph,
+    naive_ground,
+    positive_instantiations,
+    random_nonground_program,
     random_predicate_graph,
     random_stratified_program,
     tarjan_stratify,
@@ -211,6 +216,24 @@ class TestGround:
         assert abs(r2 - 10.0) < 1.0
 
 
+    def test_bundled_rules_fire_once_per_instantiation(self):
+        # revise fires once per revised belief; final once per belief and once
+        # more per revised one (its pass-through rule is blocked, not skipped)
+        rng = random.Random(67)
+        facts, n_pred, n_revised = [], 0, 0
+        for i in range(500):
+            meta = rng.random() < 0.5
+            facts.append(("meta", (i, "yes" if meta else "no")))
+            for cl in ("svm", "knn", "dt", "rf"):
+                cls = rng.choice(("phishing", "benign"))
+                facts.append(("pred", (cl, i, cls)))
+                n_pred += 1
+                n_revised += meta and cls == "phishing"
+        gp = ground(revision_program(), facts)
+        assert gp.stats.firings == n_pred + 2 * n_revised
+        assert len(gp.rules) == len(facts) + gp.stats.firings
+
+
 class TestSolve:
     def test_negation_blocks_when_underivable(self):
         gp = ground(parse_program("a. b :- a, not c."))
@@ -320,6 +343,45 @@ class TestGroundModel:
             gp = ground(program, [("e", edge) for edge in edges])
             assert gp.model == solve(gp)
             assert check_stability(gp, gp.model)
+
+
+class TestSemiNaive:
+    """``ground`` against ``naive_ground``, the fixpoint it replaced, on
+    non-ground programs: the same model, the same set of ground rules, and
+    one firing per instantiation of a rule's positive body."""
+
+    @staticmethod
+    def check(text, facts):
+        program = parse_program(text)
+        gp = ground(program, facts)
+        oracle = naive_ground(program, facts)
+        assert gp.model == oracle.model
+        assert set(gp.rules) == set(oracle.rules)
+        assert gp.stats.firings == positive_instantiations(program, gp.model.atoms)
+
+    def test_random_programs_match_naive_ground(self):
+        rng = random.Random(61)
+        for _ in range(1000):
+            self.check(*random_nonground_program(rng))
+
+    def test_random_programs_match_naive_ground_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            self.check(*random_nonground_program(rng))
+
+        check()
+
+    def test_recursion_over_many_passes(self):
+        # a path of 30 edges: its closure takes passes doubling the path length,
+        # and each t(X,Z) :- t(X,Y), t(Y,Z) instance joins two atoms of the stratum
+        text = "t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z). s(X) :- t(X,X)."
+        edges = [("e", (i, i + 1)) for i in range(30)]
+        self.check(text, edges)
+        self.check(text, edges + [("e", (30, 0))])  # a cycle makes s hold everywhere
 
 
 class TestCheckStability:
