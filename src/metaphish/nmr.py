@@ -6,11 +6,12 @@ A program is parsed, checked for rule safety and stratification, and
 grounded against a fact base.  A cycle through ``not`` is rejected, naming
 the first one in sorted order; otherwise the strata are the least predicate
 levels, found by relaxation.  Grounding runs stratum by stratum, each
-semi-naively, through join plans compiled once per rule over hash indexes on
-(predicate, bound argument positions); the atoms it derives are the unique
-stable model, returned as ``GroundProgram.model``.  :func:`solve` re-evaluates a
-ground program and :func:`check_stability` implements the reduct-based
-stable-model definition; both serve as independent oracles for that model.
+semi-naively, through join plans compiled once per rule over hash indexes
+on (predicate, bound argument positions); the atoms it derives are the
+unique stable model, returned as ``GroundProgram.model``.  :func:`solve`
+re-evaluates a ground program and :func:`check_stability` implements the
+reduct-based stable-model definition; both serve as independent oracles for
+that model.
 
 Ground atoms are plain ``(predicate, args)`` tuples where each argument is a
 lowercase symbol (str) or a non-negative integer.
