@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from metaphish.classifiers.tree import DecisionTree
+from metaphish.classifiers.tree import DecisionTree, RankTable
 
 
 class RandomForest:
@@ -14,7 +14,9 @@ class RandomForest:
 
     Each tree draws its bootstrap sample and per-node feature subsets
     (ceil(sqrt(d)) features) from a generator seeded by (seed, tree index),
-    so training is reproducible and order-independent.
+    so training is reproducible and order-independent.  The trees share one
+    :class:`RankTable` of the training set and take their bootstrap samples
+    as row ids, so no tree copies rows.
     """
 
     def __init__(self, n_estimators=100, criterion="gini", max_depth=None,
@@ -27,11 +29,8 @@ class RandomForest:
         self.trees_: list[DecisionTree] = []
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ValueError("empty training set")
-        n, d = X.shape
+        table = RankTable(X, y)  # one rank table for every tree
+        n, d = table.X.shape
         max_features = min(d, math.ceil(math.sqrt(d)))
         self.trees_ = []
         for t in range(self.n_estimators):
@@ -44,7 +43,7 @@ class RandomForest:
                 max_features=max_features,
                 rng=rng,
             )
-            tree.fit(X[sample], y[sample])
+            tree.fit(table.X, table.y, sample, table)
             self.trees_.append(tree)
         return self
 

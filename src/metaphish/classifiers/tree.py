@@ -1,4 +1,12 @@
-"""Binary decision tree with exhaustive midpoint threshold search."""
+"""Binary decision tree with exhaustive midpoint threshold search over ranks.
+
+A fit first turns its training matrix into a :class:`RankTable`: each column's
+values become integer codes that sort like the values, with the row's class
+label packed into the low bit.  A node then finds its split by gathering the
+codes of its rows for the candidate features and running one integer sort per
+feature (the presort idea of SLIQ: Mehta, Agrawal & Rissanen, EDBT 1996);
+no float column is copied or argsorted per node.
+"""
 
 from __future__ import annotations
 
@@ -63,14 +71,74 @@ def _majority(y) -> int:
     return 1 if 2 * int(y.sum()) > len(y) else 0
 
 
+def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as float64 and int64 arrays, or a ``ValueError`` that says
+    what a fit needs: a 2-D ``X`` with at least one row and one column, no
+    NaN, and one label of 0 or 1 per row."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(y)
+    if X.ndim != 2 or labels.shape != (len(X),):
+        raise ValueError(f"pass a 2-D X and one label per row; got X of shape {X.shape} "
+                         f"and y of shape {labels.shape}")
+    if len(X) == 0:
+        raise ValueError("empty training set")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns; pass at least one")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if len(bad):
+        raise ValueError(f"class labels must be 0 or 1, got {bad[0].item()!r}")
+    if np.isnan(X).any():
+        raise ValueError("X contains NaN; pass finite feature values")
+    return X, labels.astype(np.int64)
+
+
+class RankTable:
+    """The training rows of a fit as integer sort keys, built once per fit.
+
+    ``values`` holds the sorted distinct values of every column, column after
+    column, so column ``f`` owns one contiguous range of codes and a code
+    sorts like its value.  ``keys[f, r]`` is ``code << 1 | y[r]`` for row ``r``
+    and column ``f`` (a d x n int64 array).  ``-0.0`` and ``0.0`` share a code;
+    the midpoint of either with another value is the same.
+    """
+
+    def __init__(self, X, y):
+        self.X, self.y = training_set(X, y)
+        columns = np.ascontiguousarray(self.X.T)
+        order = np.argsort(columns, axis=1)
+        ordered = np.take_along_axis(columns, order, axis=1)
+        starts = np.ones(columns.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        self.values = ordered[starts]  # row-major: column by column, ascending
+        ranks = np.cumsum(starts, axis=1)  # 1 + the code of each sorted entry
+        ranks += (np.cumsum(ranks[:, -1]) - ranks[:, -1] - 1)[:, None]
+        codes = np.empty_like(ranks)
+        np.put_along_axis(codes, order, ranks, axis=1)
+        self.keys = codes << 1 | self.y
+
+
 class DecisionTree:
     """CART-style tree; splits maximize impurity decrease, ties broken by
-    (lower feature index, lower threshold) for determinism."""
+    (lower feature index, lower threshold) for determinism.
+
+    A node sorts the rank-table keys of its rows once per candidate feature.
+    A cut lies wherever the code changes between sorted neighbours, so only
+    thresholds between distinct values are scored.  The counts left of such a
+    cut (rows, and positives from the label bits) do not depend on the order
+    of rows inside a run of equal values, so the integer sort needs no
+    stability, and every gain is the one a stable float argsort of the node's
+    column gives, bit for bit.  The threshold is the midpoint of the two
+    distinct values; the node's rows are partitioned by comparing their float
+    values with it, as ``predict`` does, never by rank, because the midpoint
+    of two adjacent floats can round to the upper one.
+    """
 
     def __init__(self, criterion="gini", max_depth=None, min_samples_split=2,
                  max_features=None, rng=None):
         if criterion not in _CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
+        if max_features is not None and max_features < 1:
+            raise ValueError(f"max_features must be at least 1 or None, got {max_features!r}")
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -79,26 +147,32 @@ class DecisionTree:
         self.root_ = None
         self.n_features_ = None
 
-    def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ValueError("empty training set")
-        self.n_features_ = X.shape[1]
+    def fit(self, X, y, sample=None, table=None):
+        """Grow the tree on the rows ``sample`` of ``(X, y)`` (every row when
+        None; a row id may repeat, as in a bootstrap).  ``table`` is
+        ``RankTable(X, y)`` when the caller shares one across fits; it is built
+        here otherwise."""
+        if table is None:
+            table = RankTable(X, y)
+        self.n_features_ = table.X.shape[1]
+        if self.max_features is not None and self.max_features < self.n_features_ \
+                and self.rng is None:
+            raise ValueError(f"max_features={self.max_features} draws features at random; "
+                             "pass rng=np.random.default_rng(seed)")
         impurity = _CRITERIA[self.criterion]
 
         root = TreeNode()
-        stack = [(np.arange(len(y)), 0, root)]
+        stack = [(np.arange(len(table.y)) if sample is None else sample, 0, root)]
         while stack:
             idx, depth, node = stack.pop()
-            y_node = y[idx]
+            y_node = table.y[idx]
             n = len(idx)
             n_pos = int(y_node.sum())
             at_depth_limit = self.max_depth is not None and depth >= self.max_depth
             if n_pos in (0, n) or at_depth_limit or n < self.min_samples_split:
                 node.label = _majority(y_node)
                 continue
-            split = self._best_split(X[idx], y_node, impurity)
+            split = self._best_cut(table, idx, impurity)
             if split is None:
                 node.label = _majority(y_node)
                 continue
@@ -107,7 +181,7 @@ class DecisionTree:
             node.threshold = threshold
             node.left = TreeNode()
             node.right = TreeNode()
-            left_mask = X[idx, feature] <= threshold
+            left_mask = table.X[idx, feature] <= threshold
             stack.append((idx[left_mask], depth + 1, node.left))
             stack.append((idx[~left_mask], depth + 1, node.right))
         self.root_ = root
@@ -118,36 +192,38 @@ class DecisionTree:
             return np.arange(n_features)
         return np.sort(self.rng.choice(n_features, size=self.max_features, replace=False))
 
-    def _best_split(self, X, y, impurity):
-        """Score every threshold of every candidate feature in one (n-1) x k
-        gain matrix; row i of a column is the cut between its sorted values
-        i and i + 1.
+    def _best_cut(self, table: RankTable, rows: np.ndarray, impurity):
+        """The best ``(feature, threshold)`` for the node of ``rows``, or None
+        when no cut decreases the impurity.
 
-        The gain is computed elementwise with the same operations in the same
-        order for every cut, so equal splits give bitwise-equal gains and the
-        tie-break below is exact; an algebraically rearranged impurity would
+        Every cut of every candidate feature is scored with the same
+        elementwise operations in the same order, so equal splits give
+        bitwise-equal gains and the tie-break (the first maximum in feature,
+        then value order) is exact; an algebraically rearranged impurity would
         round differently and could pick another split."""
-        n = len(y)
-        total_pos = int(y.sum())
+        features = self._candidate_features(table.keys.shape[0])
+        keys = table.keys[features].take(rows, axis=1)
+        keys.sort(axis=1)
+        codes = keys >> 1
+        pos = np.cumsum(keys & 1, axis=1)
+        f, r = np.nonzero(codes[:, :-1] != codes[:, 1:])  # cut r: after sorted entry r
+        if len(r) == 0:
+            return None
+        n = len(rows)
+        total_pos = int(pos[0, -1])
         parent = float(impurity(total_pos / n))
-        features = self._candidate_features(X.shape[1])
-        cols = X[:, features]
-        order = np.argsort(cols, axis=0, kind="stable")
-        sv = cols[order, np.arange(len(features))]
-        n_left = np.arange(1, n)[:, None]
+        n_left = r + 1
         n_right = n - n_left
-        pos_left = np.cumsum(y[order], axis=0)[:-1]
+        pos_left = pos[f, r]
         p_left = pos_left / n_left
         p_right = (total_pos - pos_left) / n_right
         child = (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
-        # only boundaries between distinct values are thresholds
-        gains = np.where(sv[:-1] < sv[1:], parent - child, -np.inf)
-        col_best = gains.max(axis=0)
-        j = int(np.argmax(col_best))  # first max -> lowest feature index
-        if not col_best[j] > 0.0:
+        gains = parent - child
+        best = int(np.argmax(gains))  # first max -> lowest feature, then threshold
+        if not gains[best] > 0.0:
             return None
-        r = int(np.argmax(gains[:, j]))  # first max -> lowest threshold
-        return int(features[j]), float((sv[r, j] + sv[r + 1, j]) / 2.0)
+        below, above = table.values[codes[f[best], r[best]:r[best] + 2]]
+        return int(features[f[best]]), float((below + above) / 2.0)
 
     def predict(self, X) -> np.ndarray:
         """Route row-index arrays down the tree; empty partitions stop early."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from typing import Iterable, Iterator
@@ -11,7 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from metaphish import kb
-from metaphish.classifiers import KIND_ORDER, InitialBelief, RandomForest, effective_candidates
+from metaphish.classifiers import (
+    KIND_ORDER,
+    InitialBelief,
+    RandomForest,
+    effective_candidates,
+    entropy,
+    gini,
+)
 from metaphish.dataset import Dataset, fit_scaler
 from metaphish.nmr import (
     AnswerSet,
@@ -70,7 +78,7 @@ def separable_set(n: int = 500, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 def per_feature_best_split(X, y, impurity, max_features=None, rng=None):
     """The tree's split search as one pass per candidate feature (the oracle
-    for ``DecisionTree._best_split``): the best impurity decrease above 0,
+    for ``DecisionTree._best_cut``): the best impurity decrease above 0,
     ties to the lower feature index, then the lower threshold.  Draws the
     candidate features from ``rng`` exactly as the tree does."""
     n, d = X.shape
@@ -102,6 +110,52 @@ def per_feature_best_split(X, y, impurity, max_features=None, rng=None):
             best_gain = float(gains[k])
             best = (j, float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0))
     return best
+
+
+def grow_tree(X, y, criterion="gini", max_depth=None, min_samples_split=2,
+              max_features=None, rng=None) -> dict:
+    """The tree's grower before the rank table (the oracle for
+    ``DecisionTree.fit``): a depth-first stack of row-index arrays, each
+    node's rows copied out of ``X`` and searched by
+    ``per_feature_best_split``.  Returns the ``to_dict()`` of the tree."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    impurity = {"gini": gini, "entropy": entropy}[criterion]
+    root: dict = {}
+    stack = [(np.arange(len(y)), 0, root)]
+    while stack:
+        idx, depth, node = stack.pop()
+        y_node = y[idx]
+        n = len(idx)
+        n_pos = int(y_node.sum())
+        at_depth_limit = max_depth is not None and depth >= max_depth
+        split = None
+        if not (n_pos in (0, n) or at_depth_limit or n < min_samples_split):
+            split = per_feature_best_split(X[idx], y_node, impurity, max_features, rng)
+        if split is None:
+            node["label"] = 1 if 2 * n_pos > n else 0  # ties go to class 0
+            continue
+        feature, threshold = split
+        node.update(feature=feature, threshold=threshold, left={}, right={})
+        left_mask = X[idx, feature] <= threshold
+        stack.append((idx[left_mask], depth + 1, node["left"]))
+        stack.append((idx[~left_mask], depth + 1, node["right"]))
+    return {"criterion": criterion, "root": root}
+
+
+def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None,
+                min_samples_split=2, seed=0) -> dict:
+    """``RandomForest.to_dict()`` grown by ``grow_tree`` on copied bootstrap
+    rows, each tree drawing its sample and features from ``(seed, t)``."""
+    n, d = X.shape
+    max_features = min(d, math.ceil(math.sqrt(d)))
+    trees = []
+    for t in range(n_estimators):
+        rng = np.random.default_rng([seed, t])
+        sample = rng.integers(0, n, size=n)
+        trees.append(grow_tree(X[sample], y[sample], criterion, max_depth,
+                               min_samples_split, max_features, rng))
+    return {"criterion": criterion, "trees": trees}
 
 
 def masked_entropy(p):

@@ -25,9 +25,12 @@ from metaphish.classifiers import (
     save_model,
     train,
 )
+from metaphish.classifiers.tree import RankTable
 from _support import (
     broadcast_distances,
     chunked_knn_predict,
+    grow_forest,
+    grow_tree,
     make_records,
     masked_entropy,
     per_feature_best_split,
@@ -120,7 +123,8 @@ class TestDecisionTree:
         y = np.array([0, 0, 0])
         for criterion in ("gini", "entropy"):
             tree = DecisionTree(criterion=criterion)
-            assert tree._best_split(X, y, gini if criterion == "gini" else entropy) is None
+            impurity = gini if criterion == "gini" else entropy
+            assert tree._best_cut(RankTable(X, y), np.arange(3), impurity) is None
 
     def test_predict_matches_manual_walk(self):
         # independent oracle: recursive descent through the stored nodes
@@ -181,7 +185,8 @@ class TestDecisionTree:
 
 
 class TestBestSplitEquivalence:
-    """The single-pass split search against the per-feature oracle."""
+    """The rank-table split search of one node against the per-feature
+    oracle on that node's rows, copied out of the matrix."""
 
     @staticmethod
     def _tied_matrix(gen, n, d):
@@ -215,15 +220,169 @@ class TestBestSplitEquivalence:
             tree = DecisionTree(criterion=criterion, max_features=max_features,
                                 rng=np.random.default_rng(seed))
             oracle_rng = np.random.default_rng(seed)
+            table = RankTable(X, y)
+            # every row once, or a bootstrap of row ids as a forest's tree gets
+            rows = np.arange(n) if case % 3 else np.random.default_rng(case).integers(0, n, n)
             for _ in range(2):  # two draws in a row keep the streams in step
-                got = tree._best_split(X, y, impurity)
-                want = per_feature_best_split(X, y, impurity, max_features, oracle_rng)
+                got = tree._best_cut(table, rows, impurity)
+                want = per_feature_best_split(X[rows], y[rows], impurity, max_features, oracle_rng)
                 assert got == want, (case, got, want)
                 assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
                 if got is not None:
                     assert type(got[0]) is int and type(got[1]) is float
                     found += 1
         assert found > 200  # most cases do split; the comparison is not vacuous
+
+
+# adjacent floats whose midpoint rounds to the upper one: (A + B) / 2 == B
+ADJ_LOW = float(np.nextafter(1.0, 2.0))
+ADJ_HIGH = float(np.nextafter(ADJ_LOW, 2.0))
+
+
+def _rank_matrix(gen, n, d, adjacent):
+    """Random columns with repeated values, normal draws, -0.0 next to 0.0 and
+    constants, some rows duplicated (with or without their labels); with
+    ``adjacent``, one column of ADJ_LOW / ADJ_HIGH."""
+    X = gen.integers(0, 4, size=(n, d)).astype(np.float64)
+    y = gen.integers(0, 2, size=n)
+    for j in range(d):
+        kind = int(gen.integers(4))
+        if kind == 0:
+            X[:, j] = gen.normal(size=n)
+        elif kind == 1:
+            X[:, j] = gen.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+        elif kind == 2:
+            X[:, j] = 7.0
+    if adjacent:
+        X[:, gen.integers(d)] = gen.choice([ADJ_LOW, ADJ_HIGH], size=n)
+    src, dst = gen.integers(0, n, size=(2, n // 3))
+    X[dst] = X[src]
+    if gen.random() < 0.5:
+        y[dst] = y[src]
+    return X, y
+
+
+class TestGrowerMatchesOracle:
+    """Whole fits against the grower that copied each node's rows and sorted
+    its float columns (``grow_tree``), compared as serialized model state.
+
+    A cut between ADJ_LOW and ADJ_HIGH has the threshold ADJ_HIGH, so it sends
+    every row left and the left child is the same node again; without a depth
+    limit (or another feature that wins) the grower would repeat it forever.
+    Matrices get that column only when ``max_depth`` is set."""
+
+    @staticmethod
+    def _params(gen, d):
+        max_depth = (None, 1, 3, 6)[int(gen.integers(4))]
+        return {
+            "criterion": ("gini", "entropy")[int(gen.integers(2))],
+            "max_depth": max_depth,
+            "min_samples_split": (2, 3, 7)[int(gen.integers(3))],
+        }
+
+    def test_tree_matches_oracle_on_random_matrices(self):
+        gen = np.random.default_rng(20261)
+        splits = 0
+        for case in range(600):
+            n, d = int(gen.integers(1, 60)), int(gen.integers(1, 8))
+            params = self._params(gen, d)
+            X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
+            max_features = None if case % 3 else int(gen.integers(1, d + 1))
+            seed = int(gen.integers(2**32))
+            tree = DecisionTree(max_features=max_features, rng=np.random.default_rng(seed),
+                                **params).fit(X, y)
+            oracle_rng = np.random.default_rng(seed)
+            want = grow_tree(X, y, max_features=max_features, rng=oracle_rng, **params)
+            assert json.dumps(tree.to_dict()) == json.dumps(want), case
+            assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
+            splits += "feature" in want["root"]
+        assert splits > 300  # most roots split; the comparison is not vacuous
+
+    def test_forest_matches_oracle_on_random_matrices(self):
+        gen = np.random.default_rng(20262)
+        for case in range(80):
+            n, d = int(gen.integers(2, 50)), int(gen.integers(1, 12))
+            params = self._params(gen, d)
+            X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
+            forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
+            want = grow_forest(X, y, 4, seed=case, **params)
+            assert json.dumps(forest.to_dict()) == json.dumps(want), case
+
+    def test_adjacent_floats_split_like_the_oracle(self):
+        X = np.array([[ADJ_LOW], [ADJ_HIGH]] * 3)
+        y = np.array([0, 1] * 3)
+        tree = DecisionTree(max_depth=2).fit(X, y)
+        assert tree.root_.threshold == ADJ_HIGH  # the midpoint rounded up
+        assert tree.to_dict() == grow_tree(X, y, max_depth=2)
+
+    def test_tree_matches_oracle_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 25))
+            d = data.draw(st.integers(1, 4))
+            criterion = data.draw(st.sampled_from(["gini", "entropy"]))
+            max_depth = data.draw(st.sampled_from([None, 1, 2, 5]))
+            min_samples_split = data.draw(st.sampled_from([2, 3, 6]))
+            max_features = data.draw(st.one_of(st.none(), st.integers(1, d)))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            # eighths keep every midpoint exact, so only the pool holds adjacent floats
+            pool = [-0.0, 0.0, 1.0, 7.0] + ([ADJ_LOW, ADJ_HIGH] if max_depth else [])
+            value = st.sampled_from(pool) | st.integers(-40, 40).map(lambda k: k / 8)
+            row = st.lists(value, min_size=d, max_size=d)
+            X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+            y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            params = {"criterion": criterion, "max_depth": max_depth,
+                      "min_samples_split": min_samples_split, "max_features": max_features}
+            tree = DecisionTree(rng=np.random.default_rng(seed), **params).fit(X, y)
+            want = grow_tree(X, y, rng=np.random.default_rng(seed), **params)
+            assert json.dumps(tree.to_dict()) == json.dumps(want)
+
+        check()
+
+
+class TestTreeArguments:
+    """Bad labels, arguments and matrices end in a ValueError that says what
+    to pass, never in a wrong fit or a numpy traceback."""
+
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
+    def test_non_binary_labels_are_rejected(self, make):
+        X, y = separable_set(40, seed=5)
+        with pytest.raises(ValueError, match="0 or 1, got 2"):
+            make().fit(X, 2 * y)
+        with pytest.raises(ValueError, match="0 or 1, got -1"):
+            make().fit(X, y - 1)
+
+    def test_max_features_needs_an_rng(self):
+        X, y = separable_set(40, seed=5)
+        with pytest.raises(ValueError, match="pass rng="):
+            DecisionTree(max_features=1).fit(X, y)
+        DecisionTree(max_features=2).fit(X, y)  # every feature: nothing to draw
+
+    def test_max_features_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="max_features must be at least 1"):
+            DecisionTree(max_features=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
+    def test_matrix_without_columns_is_rejected(self, make):
+        with pytest.raises(ValueError, match="no feature columns; pass at least one"):
+            make().fit(np.empty((4, 0)), np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("X,y", [
+        (np.zeros(4), np.array([0, 1, 0, 1])),
+        (np.zeros((4, 2)), np.array([0, 1, 0])),
+    ])
+    def test_shape_mismatch_is_rejected(self, X, y):
+        with pytest.raises(ValueError, match="pass a 2-D X and one label per row"):
+            DecisionTree().fit(X, y)
+
+    def test_nan_is_rejected(self):
+        X = np.array([[0.0], [np.nan], [1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            DecisionTree().fit(X, np.array([0, 1, 1]))
 
 
 class TestTreeModelParity:
