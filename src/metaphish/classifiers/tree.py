@@ -71,10 +71,10 @@ def _majority(y) -> int:
     return 1 if 2 * int(y.sum()) > len(y) else 0
 
 
-def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``(X, y)`` as float64 and int64 arrays, or a ``ValueError`` that says
-    what a fit needs: a 2-D ``X`` with at least one row and one column, no
-    NaN, and one label of 0 or 1 per row."""
+    what a fit needs: a 2-D ``X`` of finite values with at least one row and
+    one column, and one label of 0 or 1 per row."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(y)
     if X.ndim != 2 or labels.shape != (len(X),):
@@ -87,8 +87,8 @@ def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     bad = labels[(labels != 0) & (labels != 1)]
     if len(bad):
         raise ValueError(f"class labels must be 0 or 1, got {bad[0].item()!r}")
-    if np.isnan(X).any():
-        raise ValueError("X contains NaN; pass finite feature values")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds NaN or infinite values; pass finite feature values")
     return X, labels.astype(np.int64)
 
 
@@ -103,15 +103,15 @@ class RankTable:
     """
 
     def __init__(self, X, y):
-        self.X, self.y = training_set(X, y)
+        self.X, self.y = _training_set(X, y)
         columns = np.ascontiguousarray(self.X.T)
         order = np.argsort(columns, axis=1)
         ordered = np.take_along_axis(columns, order, axis=1)
         starts = np.ones(columns.shape, dtype=bool)
         starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         self.values = ordered[starts]  # row-major: column by column, ascending
-        ranks = np.cumsum(starts, axis=1)  # 1 + the code of each sorted entry
-        ranks += (np.cumsum(ranks[:, -1]) - ranks[:, -1] - 1)[:, None]
+        ranks = np.cumsum(starts, axis=1)  # 1-based rank within the column
+        ranks += (np.cumsum(ranks[:, -1]) - ranks[:, -1] - 1)[:, None]  # -> code
         codes = np.empty_like(ranks)
         np.put_along_axis(codes, order, ranks, axis=1)
         self.keys = codes << 1 | self.y

@@ -379,9 +379,10 @@ class TestTreeArguments:
         with pytest.raises(ValueError, match="pass a 2-D X and one label per row"):
             DecisionTree().fit(X, y)
 
-    def test_nan_is_rejected(self):
-        X = np.array([[0.0], [np.nan], [1.0]])
-        with pytest.raises(ValueError, match="NaN"):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        X = np.array([[0.0], [bad], [1.0]])
+        with pytest.raises(ValueError, match="pass finite feature values"):
             DecisionTree().fit(X, np.array([0, 1, 1]))
 
 
