@@ -234,7 +234,7 @@ class TestBestSplitEquivalence:
         assert found > 200  # most cases do split; the comparison is not vacuous
 
 
-# adjacent floats whose midpoint rounds to the upper one: (A + B) / 2 == B
+# adjacent floats whose midpoint rounds to the upper one: (ADJ_LOW + ADJ_HIGH) / 2 == ADJ_HIGH
 ADJ_LOW = float(np.nextafter(1.0, 2.0))
 ADJ_HIGH = float(np.nextafter(ADJ_LOW, 2.0))
 
@@ -272,11 +272,10 @@ class TestGrowerMatchesOracle:
     Matrices get that column only when ``max_depth`` is set."""
 
     @staticmethod
-    def _params(gen, d):
-        max_depth = (None, 1, 3, 6)[int(gen.integers(4))]
+    def _params(gen):
         return {
             "criterion": ("gini", "entropy")[int(gen.integers(2))],
-            "max_depth": max_depth,
+            "max_depth": (None, 1, 3, 6)[int(gen.integers(4))],
             "min_samples_split": (2, 3, 7)[int(gen.integers(3))],
         }
 
@@ -285,7 +284,7 @@ class TestGrowerMatchesOracle:
         splits = 0
         for case in range(600):
             n, d = int(gen.integers(1, 60)), int(gen.integers(1, 8))
-            params = self._params(gen, d)
+            params = self._params(gen)
             X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
             max_features = None if case % 3 else int(gen.integers(1, d + 1))
             seed = int(gen.integers(2**32))
@@ -302,7 +301,7 @@ class TestGrowerMatchesOracle:
         gen = np.random.default_rng(20262)
         for case in range(80):
             n, d = int(gen.integers(2, 50)), int(gen.integers(1, 12))
-            params = self._params(gen, d)
+            params = self._params(gen)
             X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
             forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
             want = grow_forest(X, y, 4, seed=case, **params)
