@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from metaphish.classifiers.tree import DecisionTree, RankTable
+from metaphish.classifiers.tree import CRITERIA, DecisionTree, RankTable
 
 
 class RandomForest:
@@ -21,6 +21,8 @@ class RandomForest:
 
     def __init__(self, n_estimators=100, criterion="gini", max_depth=None,
                  min_samples_split=2, seed=0):
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}")
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -67,13 +69,18 @@ class RandomForest:
         return (2 * votes > len(self.trees_)).astype(np.int64)
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "trees": [tree.to_dict() for tree in self.trees_],
-        }
+        return {"trees": [tree.to_dict() for tree in self.trees_]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        forest = cls(n_estimators=len(d["trees"]), criterion=d.get("criterion", "gini"))
-        forest.trees_ = [DecisionTree.from_dict(t) for t in d["trees"]]
+    def from_dict(cls, d: dict, n_features: int, **params) -> "RandomForest":
+        """The forest of :meth:`to_dict`'s trees, each checked by
+        :meth:`DecisionTree.from_dict`; ``n_estimators`` must count them."""
+        forest = cls(**params)
+        trees = d["trees"]
+        if type(trees) is not list or not trees:
+            raise ValueError("trees must be a non-empty list")
+        if len(trees) != forest.n_estimators:
+            raise ValueError(f"the forest holds {len(trees)} trees, "
+                             f"but n_estimators is {forest.n_estimators}")
+        forest.trees_ = [DecisionTree.from_dict(t, n_features) for t in trees]
         return forest

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -14,6 +16,8 @@ class KNearestNeighbors:
     """
 
     def __init__(self, k=5, weights="uniform", metric="euclidean"):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"k must be an integer of at least 1, got {k!r}")
         if weights not in ("uniform", "distance"):
             raise ValueError(f"unknown weights {weights!r}")
         if metric not in ("euclidean", "manhattan"):
@@ -63,11 +67,6 @@ class KNearestNeighbors:
         return 1 if pos > neg else 0
 
     def to_dict(self) -> dict:
-        return {"train_x": self.X_.tolist(), "train_y": self.y_.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict, k=5, weights="uniform", metric="euclidean") -> "KNearestNeighbors":
-        knn = cls(k=k, weights=weights, metric=metric)
-        knn.X_ = np.asarray(d["train_x"], dtype=np.float64)
-        knn.y_ = np.asarray(d["train_y"], dtype=np.int64)
-        return knn
+        """Nothing: the training rows are the scaled rows of the run's dataset
+        that its split manifest names, and they are rebuilt from there."""
+        return {}

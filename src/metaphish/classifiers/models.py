@@ -3,9 +3,13 @@
 The four classifier kinds share one interface: :func:`train` fits the scaler
 on the training rows of a :class:`~metaphish.dataset.Dataset` and the
 estimator on the scaled matrix, and :func:`predict_batch` takes a raw
-(unscaled) feature matrix and applies the model's own scaler.  Model files
-are self-describing JSON whose floats round-trip exactly, so a reloaded
-model reproduces bit-identical predictions.
+(unscaled) feature matrix and applies the model's own scaler.
+
+A model file (``metaphish.model/2``) holds only what the fit learned: the
+params, the scaler, and the estimator's state, whose floats round-trip
+exactly through JSON.  It is not self-contained: KNN's training rows and
+SVM's support vectors are rebuilt from the run's dataset and split manifest,
+so a reloaded model reproduces bit-identical predictions only with those.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import numpy as np
 from metaphish.dataset import Dataset, ScalerStats, fit_scaler
 from metaphish.classifiers.forest import RandomForest
 from metaphish.classifiers.knn import KNearestNeighbors
+from metaphish.classifiers.schema import float_list
 from metaphish.classifiers.svm import KernelSVM
 from metaphish.classifiers.tree import DecisionTree
 
-MODEL_FORMAT = "metaphish.model/1"
+MODEL_FORMAT = "metaphish.model/2"
 
 
 class ClassifierKind(str, Enum):
@@ -257,57 +262,43 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a model file (format {payload.get('format')!r})")
-    kind = ClassifierKind(payload["kind"])
-    params = payload["params"]
-    scaler = ScalerStats(
-        np.asarray(payload["scaler"]["means"], dtype=np.float64),
-        np.asarray(payload["scaler"]["std_devs"], dtype=np.float64),
-    )
-    state = payload["state"]
-    if kind is ClassifierKind.SVM:
-        estimator = KernelSVM.from_dict(state)
-    elif kind is ClassifierKind.KNN:
-        estimator = KNearestNeighbors.from_dict(state, **params)
-    elif kind is ClassifierKind.DT:
-        estimator = DecisionTree.from_dict(state)
-    else:
-        estimator = RandomForest.from_dict(state)
-    _check_state(estimator, scaler.width)
-    return TrainedModel(kind, params, payload["seed"], scaler, estimator)
+def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
+    """The model that :func:`save_model` wrote to ``path`` in the run whose
+    dataset is ``data`` and whose training rows are ``train_ids``.
 
-
-def _check_state(estimator, width: int) -> None:
-    """Raise ValueError unless the fitted state reads rows of ``width`` features
-    and predicts only the classes 0 and 1.
-
-    Support vectors and stored training rows must be exactly that wide; a
-    tree must not split on a feature at or past it (a tree need not use the
-    last feature, so its state bounds the width only from below).  A KNN
-    training label or a tree leaf label must be 0 or 1.
+    KNN's training rows and SVM's support vectors are rebuilt as
+    ``scaler.scale(data.X[data.rows(train_ids)])``, bitwise the matrix the fit
+    saw, so the stored scaler must be the one those rows give.  Raises
+    ValueError (or KeyError or TypeError) on a file that breaks the schema:
+    see the estimators' ``from_dict``.
     """
-    if isinstance(estimator, (KernelSVM, KNearestNeighbors)):
-        rows = estimator.support_x_ if isinstance(estimator, KernelSVM) else estimator.X_
-        if rows.size and rows.shape[1] != width:
-            raise ValueError(f"the scaler is {width} features wide "
-                             f"but the model's rows have {rows.shape[1]}")
-        if isinstance(estimator, KNearestNeighbors):
-            bad = estimator.y_[(estimator.y_ != 0) & (estimator.y_ != 1)]
-            if bad.size:
-                raise ValueError(f"train_y holds class label {bad[0]}, not 0 or 1")
-        return
-    trees = estimator.trees_ if isinstance(estimator, RandomForest) else [estimator]
-    stack = [tree.root_ for tree in trees]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if node.label not in (0, 1):
-                raise ValueError(f"a tree leaf has class label {node.label}, not 0 or 1")
-            continue
-        if not 0 <= node.feature < width:
-            raise ValueError(f"the scaler is {width} features wide "
-                             f"but a tree splits on feature {node.feature}")
-        stack += (node.left, node.right)
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    fmt = payload.get("format") if type(payload) is dict else None
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"not a model file (format {fmt!r}; this version reads {MODEL_FORMAT!r})")
+    kind = ClassifierKind(payload["kind"])
+    params, seed, state = payload["params"], payload["seed"], payload["state"]
+    if type(params) is not dict or type(state) is not dict or type(seed) is not int:
+        raise ValueError("params and state must be objects, and seed an integer")
+    scaler = ScalerStats(float_list(payload["scaler"], "means"),
+                         float_list(payload["scaler"], "std_devs"))
+    width = data.X.shape[1]
+    if scaler.width != width:
+        raise ValueError(f"the scaler is {scaler.width} features wide "
+                         f"but the dataset has {width}")
+    if kind is ClassifierKind.DT:
+        estimator = DecisionTree.from_dict(state, width, **params)
+    elif kind is ClassifierKind.RF:
+        estimator = RandomForest.from_dict(state, width, seed=seed, **params)
+    else:
+        refit = fit_scaler(data, train_ids)
+        if not (np.array_equal(refit.means, scaler.means)
+                and np.array_equal(refit.std_devs, scaler.std_devs)):
+            raise ValueError("the scaler is not the one the manifest's training rows give")
+        rows = data.rows(train_ids)
+        train_x = scaler.scale(data.X[rows])
+        if kind is ClassifierKind.KNN:
+            estimator = KNearestNeighbors(**params).fit(train_x, data.y[rows])
+        else:
+            estimator = KernelSVM.from_dict(state, train_x, **params)
+    return TrainedModel(kind, params, seed, scaler, estimator)

@@ -1,0 +1,34 @@
+"""Typed reads of the fields of a model file's state.
+
+Each raises ValueError naming the field when its value has the wrong type
+or is not finite, so a damaged model file is rejected where it is read.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def int_list(state: dict, key: str) -> list[int]:
+    values = state[key]
+    if type(values) is not list or not all(type(v) is int for v in values):
+        raise ValueError(f"{key} must be a list of integers")
+    return values
+
+
+def float_list(state: dict, key: str) -> list[float]:
+    values = state[key]
+    if type(values) is not list or not all(map(_is_number, values)):
+        raise ValueError(f"{key} must be a list of finite numbers")
+    return [float(v) for v in values]
+
+
+def number(state: dict, key: str) -> float:
+    value = state[key]
+    if not _is_number(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)

@@ -7,7 +7,12 @@ optimization stops when the largest KKT violation drops below ``tol``
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
+
+from metaphish.classifiers.schema import float_list, int_list, number
 
 
 def linear_kernel(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -38,12 +43,15 @@ class KernelSVM:
     def __init__(self, C=1.0, kernel="linear", gamma="scale", tol=1e-3, max_iter=10_000):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
+        if isinstance(C, bool) or not isinstance(C, numbers.Real) or not 0 < C < math.inf:
+            raise ValueError(f"C must be a positive number, got {C!r}")
         self.C = float(C)
         self.kernel = kernel
         self.gamma = gamma
         self.tol = tol
         self.max_iter = max_iter
         self.support_x_ = None
+        self.support_rows_ = None
         self.dual_coef_ = None
         self.intercept_ = 0.0
         self.gamma_value_ = None
@@ -67,6 +75,7 @@ class KernelSVM:
         if y01.min() == y01.max():
             # degenerate single-class input: constant decision
             self.support_x_ = X[:0]
+            self.support_rows_ = np.empty(0, dtype=np.intp)
             self.dual_coef_ = np.empty(0)
             self.intercept_ = 1.0 if y01[0] == 1 else -1.0
             self.n_iter_ = 0
@@ -125,7 +134,8 @@ class KernelSVM:
             self.intercept_ = float((hi + lo) / 2.0)
 
         sv = alpha > 1e-10
-        self.support_x_ = X[sv].copy()
+        self.support_rows_ = np.flatnonzero(sv)
+        self.support_x_ = X[self.support_rows_]
         self.dual_coef_ = (alpha * y)[sv]
         return self
 
@@ -142,22 +152,33 @@ class KernelSVM:
         return (self.decision_function(X) > 0).astype(np.int64)
 
     def to_dict(self) -> dict:
+        """The learned state without the support vectors themselves: their
+        positions among the fit's rows, which are rebuilt from the dataset."""
         return {
-            "kernel": self.kernel,
-            "gamma_value": self.gamma_value_,
-            "support_x": self.support_x_.tolist(),
+            "support_rows": self.support_rows_.tolist(),
             "dual_coef": self.dual_coef_.tolist(),
             "intercept": float(self.intercept_),
+            "gamma_value": self.gamma_value_,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "KernelSVM":
-        svm = cls(kernel=d["kernel"])
-        svm.gamma_value_ = d["gamma_value"]
-        if d["support_x"]:
-            svm.support_x_ = np.asarray(d["support_x"], dtype=np.float64)
-        else:
-            svm.support_x_ = np.empty((0, 0))
-        svm.dual_coef_ = np.asarray(d["dual_coef"], dtype=np.float64)
-        svm.intercept_ = float(d["intercept"])
+    def from_dict(cls, d: dict, train_x: np.ndarray, **params) -> "KernelSVM":
+        """The SVM of :meth:`to_dict`'s state whose fit saw the rows ``train_x``.
+
+        Raises ValueError unless ``support_rows`` is strictly increasing,
+        inside ``train_x`` and as long as ``dual_coef``, and every float is
+        finite."""
+        svm = cls(**params)
+        rows = int_list(d, "support_rows")
+        svm.dual_coef_ = np.array(float_list(d, "dual_coef"))
+        svm.intercept_ = number(d, "intercept")
+        svm.gamma_value_ = number(d, "gamma_value") if svm.kernel == "rbf" else None
+        if len(rows) != len(svm.dual_coef_):
+            raise ValueError(f"{len(rows)} support_rows but {len(svm.dual_coef_)} dual_coef")
+        if rows and not (0 <= rows[0] and rows[-1] < len(train_x)
+                         and all(a < b for a, b in zip(rows, rows[1:]))):
+            raise ValueError(f"support_rows must increase strictly inside the "
+                             f"{len(train_x)} training rows")
+        svm.support_rows_ = np.array(rows, dtype=np.intp)
+        svm.support_x_ = train_x[svm.support_rows_]
         return svm

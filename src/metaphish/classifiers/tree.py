@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from metaphish.classifiers.schema import float_list, int_list
+
 
 def gini(p):
     """Gini impurity 2p(1-p) for positive-class proportion p (scalar or array)."""
@@ -29,7 +31,7 @@ def entropy(p):
     return 0.0 - p * np.log2(np.where(p > 0, p, 1)) - q * np.log2(np.where(q > 0, q, 1))
 
 
-_CRITERIA = {"gini": gini, "entropy": entropy}
+CRITERIA = {"gini": gini, "entropy": entropy}
 
 
 @dataclass
@@ -43,27 +45,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.label is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"label": int(self.label)}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "label" in d:
-            return cls(label=int(d["label"]))
-        return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
 
 
 def _majority(y) -> int:
@@ -90,6 +71,14 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(X).all():
         raise ValueError("X holds NaN or infinite values; pass finite feature values")
     return X, labels.astype(np.int64)
+
+
+def _threshold(below: float, above: float) -> float:
+    """The midpoint of two distinct values, or ``below`` when the midpoint is
+    not below ``above`` (adjacent floats round it up; huge ones overflow), so
+    that ``x <= threshold`` always parts the two values."""
+    mid = (below + above) / 2.0
+    return mid if mid < above else below
 
 
 class RankTable:
@@ -128,14 +117,14 @@ class DecisionTree:
     of rows inside a run of equal values, so the integer sort needs no
     stability, and every gain is the one a stable float argsort of the node's
     column gives, bit for bit.  The threshold is the midpoint of the two
-    distinct values; the node's rows are partitioned by comparing their float
-    values with it, as ``predict`` does, never by rank, because the midpoint
-    of two adjacent floats can round to the upper one.
+    distinct values, or the lower one where the midpoint rounds up to the
+    upper; the node's rows are partitioned by comparing their float values
+    with it, as ``predict`` does.
     """
 
     def __init__(self, criterion="gini", max_depth=None, min_samples_split=2,
                  max_features=None, rng=None):
-        if criterion not in _CRITERIA:
+        if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
         if max_features is not None and max_features < 1:
             raise ValueError(f"max_features must be at least 1 or None, got {max_features!r}")
@@ -159,7 +148,7 @@ class DecisionTree:
                 and self.rng is None:
             raise ValueError(f"max_features={self.max_features} draws features at random; "
                              "pass rng=np.random.default_rng(seed)")
-        impurity = _CRITERIA[self.criterion]
+        impurity = CRITERIA[self.criterion]
 
         root = TreeNode()
         stack = [(np.arange(len(table.y)) if sample is None else sample, 0, root)]
@@ -223,7 +212,7 @@ class DecisionTree:
         if not gains[best] > 0.0:
             return None
         below, above = table.values[codes[f[best], r[best]:r[best] + 2]]
-        return int(features[f[best]]), float((below + above) / 2.0)
+        return int(features[f[best]]), _threshold(float(below), float(above))
 
     def predict(self, X) -> np.ndarray:
         """Route row-index arrays down the tree; empty partitions stop early."""
@@ -243,10 +232,65 @@ class DecisionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {"criterion": self.criterion, "root": self.root_.to_dict()}
+        """The tree as five flat arrays in pre-order (node 0 is the root, a
+        split's left child directly follows it), the layout of scikit-learn's
+        ``Tree``; a field a node does not use holds -1."""
+        flat = {"feature": [], "threshold": [], "left": [], "right": [], "label": []}
+        stack = [(self.root_, None, None)]
+        while stack:
+            node, parent, side = stack.pop()
+            i = len(flat["label"])
+            if parent is not None:
+                flat[side][parent] = i
+            leaf = node.is_leaf
+            flat["feature"].append(-1 if leaf else int(node.feature))
+            flat["threshold"].append(-1.0 if leaf else float(node.threshold))
+            flat["left"].append(-1)
+            flat["right"].append(-1)
+            flat["label"].append(int(node.label) if leaf else -1)
+            if not leaf:
+                stack += ((node.right, i, "right"), (node.left, i, "left"))
+        return flat
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        tree = cls(criterion=d.get("criterion", "gini"))
-        tree.root_ = TreeNode.from_dict(d["root"])
+    def from_dict(cls, d: dict, n_features: int, **params) -> "DecisionTree":
+        """The tree of :meth:`to_dict`'s arrays, rebuilt without recursion.
+
+        Raises ValueError unless the arrays have equal length, a walk from
+        node 0 reaches every node exactly once, every leaf (``left`` -1) has
+        label 0 or 1, and every split reads a feature below ``n_features``
+        at a finite threshold."""
+        feature, left, right, label = (int_list(d, key) for key in ("feature", "left", "right", "label"))
+        threshold = float_list(d, "threshold")
+        n = len(label)
+        if not n or any(len(a) != n for a in (feature, threshold, left, right)):
+            raise ValueError("a tree needs five non-empty arrays of equal length")
+        nodes = [TreeNode() for _ in range(n)]
+        reached = [False] * n
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if reached[i]:
+                raise ValueError(f"tree node {i} is reached twice")
+            reached[i] = True
+            node = nodes[i]
+            if left[i] == -1:
+                if label[i] not in (0, 1):
+                    raise ValueError(f"a tree leaf has class label {label[i]}, not 0 or 1")
+                node.label = label[i]
+                continue
+            if not 0 <= feature[i] < n_features:
+                raise ValueError(f"a tree splits on feature {feature[i]}, but rows have "
+                                 f"{n_features} features")
+            for child in (left[i], right[i]):
+                if not 0 <= child < n:
+                    raise ValueError(f"tree node {i} has child {child}, outside [0, {n})")
+            node.feature, node.threshold = feature[i], threshold[i]
+            node.left, node.right = nodes[left[i]], nodes[right[i]]
+            stack += (right[i], left[i])
+        if not all(reached):
+            raise ValueError(f"tree node {reached.index(False)} is not reached from node 0")
+        tree = cls(**params)
+        tree.root_ = nodes[0]
+        tree.n_features_ = n_features
         return tree

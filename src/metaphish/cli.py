@@ -168,8 +168,9 @@ def _write_manifest(split, out_dir: Path) -> None:
                 writer.writerow([rid, "train", fold_of[rid]])
 
 
-def _read_manifest(out_dir: Path, n_rows: int) -> set[int]:
-    """The test ids of the split manifest, checked against a dataset of ``n_rows`` rows."""
+def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
+    """The train and test ids of the split manifest, checked against a dataset
+    of ``n_rows`` rows."""
     path = out_dir / MANIFEST_FILE
     if not path.is_file():
         raise ConfigError(f"split manifest not found: {path} (run 'train' first)")
@@ -200,7 +201,9 @@ def _read_manifest(out_dir: Path, n_rows: int) -> set[int]:
         raise ConfigError(
             f"{path}: no test rows to revise; re-run 'train' with a larger --test-fraction"
         )
-    return ids_by_role["test"]
+    if not ids_by_role["train"]:
+        raise ConfigError(f"{path}: no train rows to rebuild the models from; re-run 'train'")
+    return ids_by_role["train"], ids_by_role["test"]
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -232,11 +235,16 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_meta_source(cfg: RunConfig, data) -> None:
+def _check_meta_source(cfg: RunConfig, data, test_ids) -> None:
     if cfg.snapshot_dir:
-        if not Path(cfg.snapshot_dir).is_dir():
+        directory = Path(cfg.snapshot_dir)
+        if not directory.is_dir():
             raise ConfigError(f"snapshot directory not found: {cfg.snapshot_dir}; "
                               f"fix --snapshot-dir or drop it to use the meta column")
+        # a missing page means no meta tag, but none at all means the wrong directory
+        if not any((directory / f"{rid}.html").is_file() for rid in test_ids):
+            raise ConfigError(f"snapshot directory {cfg.snapshot_dir} has no <id>.html page "
+                              f"for any of the {len(test_ids)} test ids; fix --snapshot-dir")
     elif data.meta is None:
         raise ConfigError(
             f"no meta information: dataset has no {CsvSchema.meta_column!r} column; "
@@ -273,19 +281,16 @@ def cmd_revise(cfg: RunConfig) -> int:
     program = _load_rules(cfg)
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
-    test_ids = _read_manifest(out_dir, len(data))
+    train_ids, test_ids = _read_manifest(out_dir, len(data))
     _check_inputs(cfg, out_dir, data)
-    _check_meta_source(cfg, data)  # before any model loads
+    _check_meta_source(cfg, data, test_ids)  # before any model loads
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
         if not path.is_file():
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
         try:
-            models[kind] = load_model(path)
-            if models[kind].scaler.width != data.X.shape[1]:
-                raise ValueError(f"the scaler is {models[kind].scaler.width} features wide "
-                                 f"but the dataset has {data.X.shape[1]}")
+            models[kind] = load_model(path, data, train_ids)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(

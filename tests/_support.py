@@ -108,7 +108,9 @@ def per_feature_best_split(X, y, impurity, max_features=None, rng=None):
         k = int(np.argmax(gains))
         if gains[k] > best_gain:
             best_gain = float(gains[k])
-            best = (j, float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0))
+            below, above = float(sv[cut[k]]), float(sv[cut[k] + 1])
+            mid = (below + above) / 2.0
+            best = (j, mid if mid < above else below)  # a midpoint rounded up parts nothing
     return best
 
 
@@ -117,7 +119,8 @@ def grow_tree(X, y, criterion="gini", max_depth=None, min_samples_split=2,
     """The tree's grower before the rank table (the oracle for
     ``DecisionTree.fit``): a depth-first stack of row-index arrays, each
     node's rows copied out of ``X`` and searched by
-    ``per_feature_best_split``.  Returns the ``to_dict()`` of the tree."""
+    ``per_feature_best_split``.  Returns the ``to_dict()`` of the tree, the
+    nested tree it grows passed through ``flatten_tree``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     impurity = {"gini": gini, "entropy": entropy}[criterion]
@@ -140,7 +143,29 @@ def grow_tree(X, y, criterion="gini", max_depth=None, min_samples_split=2,
         left_mask = X[idx, feature] <= threshold
         stack.append((idx[left_mask], depth + 1, node["left"]))
         stack.append((idx[~left_mask], depth + 1, node["right"]))
-    return {"criterion": criterion, "root": root}
+    return flatten_tree(root)
+
+
+def flatten_tree(root: dict) -> dict:
+    """A nested tree (``{"label"}`` leaves, ``{"feature", "threshold", "left",
+    "right"}`` splits) as the five pre-order arrays of
+    ``DecisionTree.to_dict()``, walked without recursion."""
+    flat = {"feature": [], "threshold": [], "left": [], "right": [], "label": []}
+    stack = [(root, None, None)]
+    while stack:
+        node, parent, side = stack.pop()
+        i = len(flat["label"])
+        if parent is not None:
+            flat[side][parent] = i
+        split = "feature" in node
+        flat["feature"].append(node["feature"] if split else -1)
+        flat["threshold"].append(node["threshold"] if split else -1.0)
+        flat["left"].append(-1)
+        flat["right"].append(-1)
+        flat["label"].append(-1 if split else node["label"])
+        if split:
+            stack += ((node["right"], i, "right"), (node["left"], i, "left"))
+    return flat
 
 
 def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None,
@@ -155,7 +180,7 @@ def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None,
         sample = rng.integers(0, n, size=n)
         trees.append(grow_tree(X[sample], y[sample], criterion, max_depth,
                                min_samples_split, max_features, rng))
-    return {"criterion": criterion, "trees": trees}
+    return {"trees": trees}
 
 
 def masked_entropy(p):

@@ -170,11 +170,13 @@ def test_c4_benchmark_accuracies(benchmark_run):
     assert train_seconds <= 900, f"training took {train_seconds:.0f}s (budget 15 min)"
     data = load_dataset(benchmark_csv())
     with open(out_dir / "split_manifest.csv", newline="") as fh:
-        test_ids = {int(r["id"]) for r in csv.DictReader(fh) if r["role"] == "test"}
+        roles = [(int(r["id"]), r["role"]) for r in csv.DictReader(fh)]
+    train_ids = {rid for rid, role in roles if role == "train"}
+    test_ids = {rid for rid, role in roles if role == "test"}
     rows = data.rows(test_ids)
     truth = data.y[rows]
     for kind in KIND_ORDER:
-        model = load_model(out_dir / f"model_{kind.value}.json")
+        model = load_model(out_dir / f"model_{kind.value}.json", data, train_ids)
         accuracy = float((predict_batch(model, data.X[rows]) == truth).mean())
         target = TABLE_I_TARGETS[kind]
         assert abs(accuracy - target) <= ACCURACY_TOLERANCE, (
@@ -293,10 +295,8 @@ def test_c9_micro_oracles():
 
     # RF even 50/50 vote goes to class 0
     forest = RandomForest(n_estimators=2)
-    forest.trees_ = [
-        DecisionTree.from_dict({"root": {"label": 0}}),
-        DecisionTree.from_dict({"root": {"label": 1}}),
-    ]
+    leaf = {"feature": [-1], "threshold": [-1.0], "left": [-1], "right": [-1]}
+    forest.trees_ = [DecisionTree.from_dict({**leaf, "label": [c]}, n_features=2) for c in (0, 1)]
     assert forest.predict(np.zeros((1, 2))).tolist() == [0]
 
     # each classifier clears 95% on a held-out slice of a separable set

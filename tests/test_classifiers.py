@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from metaphish.classifiers import (
     train,
 )
 from metaphish.classifiers.tree import RankTable
+from metaphish.dataset import Dataset
 from _support import (
     broadcast_distances,
     chunked_knn_predict,
@@ -63,6 +65,12 @@ def _split_features(root):
             out.append(node.feature)
             stack += (node.left, node.right)
     return out
+
+
+def _leaf(label):
+    """A one-node tree predicting ``label``, in the flat form of ``to_dict``."""
+    flat = {"feature": [-1], "threshold": [-1.0], "left": [-1], "right": [-1], "label": [label]}
+    return DecisionTree.from_dict(flat, n_features=2)
 
 
 def _assert_pinned(run_dir, name):
@@ -180,7 +188,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         tree = DecisionTree().fit(X, y)
-        clone = DecisionTree.from_dict(tree.to_dict())
+        clone = DecisionTree.from_dict(tree.to_dict(), n_features=1)
         assert clone.predict(X).tolist() == tree.predict(X).tolist()
 
 
@@ -266,10 +274,9 @@ class TestGrowerMatchesOracle:
     """Whole fits against the grower that copied each node's rows and sorted
     its float columns (``grow_tree``), compared as serialized model state.
 
-    A cut between ADJ_LOW and ADJ_HIGH has the threshold ADJ_HIGH, so it sends
-    every row left and the left child is the same node again; without a depth
-    limit (or another feature that wins) the grower would repeat it forever.
-    Matrices get that column only when ``max_depth`` is set."""
+    The midpoint of ADJ_LOW and ADJ_HIGH rounds up to ADJ_HIGH, so both the
+    tree and the oracle cut between them at ADJ_LOW instead; matrices get
+    that column with and without a depth limit."""
 
     @staticmethod
     def _params(gen):
@@ -285,7 +292,7 @@ class TestGrowerMatchesOracle:
         for case in range(600):
             n, d = int(gen.integers(1, 60)), int(gen.integers(1, 8))
             params = self._params(gen)
-            X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
+            X, y = _rank_matrix(gen, n, d, case % 2 == 0)
             max_features = None if case % 3 else int(gen.integers(1, d + 1))
             seed = int(gen.integers(2**32))
             tree = DecisionTree(max_features=max_features, rng=np.random.default_rng(seed),
@@ -294,7 +301,7 @@ class TestGrowerMatchesOracle:
             want = grow_tree(X, y, max_features=max_features, rng=oracle_rng, **params)
             assert json.dumps(tree.to_dict()) == json.dumps(want), case
             assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
-            splits += "feature" in want["root"]
+            splits += len(want["label"]) > 1
         assert splits > 300  # most roots split; the comparison is not vacuous
 
     def test_forest_matches_oracle_on_random_matrices(self):
@@ -302,7 +309,7 @@ class TestGrowerMatchesOracle:
         for case in range(80):
             n, d = int(gen.integers(2, 50)), int(gen.integers(1, 12))
             params = self._params(gen)
-            X, y = _rank_matrix(gen, n, d, params["max_depth"] is not None and case % 2 == 0)
+            X, y = _rank_matrix(gen, n, d, case % 2 == 0)
             forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
             want = grow_forest(X, y, 4, seed=case, **params)
             assert json.dumps(forest.to_dict()) == json.dumps(want), case
@@ -311,8 +318,25 @@ class TestGrowerMatchesOracle:
         X = np.array([[ADJ_LOW], [ADJ_HIGH]] * 3)
         y = np.array([0, 1] * 3)
         tree = DecisionTree(max_depth=2).fit(X, y)
-        assert tree.root_.threshold == ADJ_HIGH  # the midpoint rounded up
+        assert tree.root_.threshold == ADJ_LOW  # the midpoint rounded up to ADJ_HIGH
         assert tree.to_dict() == grow_tree(X, y, max_depth=2)
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_adjacent_floats_part_with_one_split(self, max_depth):
+        # a cut at the rounded-up midpoint sent every row left: a chain of
+        # splits with empty right leaves that predicted 0 for both rows, and
+        # without a depth limit a fit that never ended
+        X = np.array([[ADJ_LOW], [ADJ_HIGH]] * 2)
+        y = np.array([0, 1, 0, 1])
+        tree = DecisionTree(max_depth=max_depth).fit(X, y)
+        assert tree.predict(X).tolist() == y.tolist()
+        assert tree.to_dict()["label"] == [-1, 0, 1]
+
+    def test_overflowing_midpoint_parts_the_values(self):
+        X = np.array([[1.5e308], [1.7e308]] * 2)  # their sum overflows to inf
+        tree = DecisionTree().fit(X, np.array([0, 1, 0, 1]))
+        assert tree.root_.threshold == 1.5e308
+        assert tree.predict(X).tolist() == [0, 1, 0, 1]
 
     def test_tree_matches_oracle_hypothesis(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -329,7 +353,7 @@ class TestGrowerMatchesOracle:
             max_features = data.draw(st.one_of(st.none(), st.integers(1, d)))
             seed = data.draw(st.integers(0, 2**32 - 1))
             # eighths keep every midpoint exact, so only the pool holds adjacent floats
-            pool = [-0.0, 0.0, 1.0, 7.0] + ([ADJ_LOW, ADJ_HIGH] if max_depth else [])
+            pool = [-0.0, 0.0, 1.0, 7.0, ADJ_LOW, ADJ_HIGH]
             value = st.sampled_from(pool) | st.integers(-40, 40).map(lambda k: k / 8)
             row = st.lists(value, min_size=d, max_size=d)
             X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
@@ -541,17 +565,17 @@ class TestRandomForest:
     def test_even_tie_votes_class_zero(self):
         forest = RandomForest(n_estimators=2)
         forest.trees_ = [
-            DecisionTree.from_dict({"root": {"label": 0}}),
-            DecisionTree.from_dict({"root": {"label": 1}}),
+            _leaf(0),
+            _leaf(1),
         ]
         assert forest.predict(np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_majority_wins(self):
         forest = RandomForest(n_estimators=3)
         forest.trees_ = [
-            DecisionTree.from_dict({"root": {"label": 1}}),
-            DecisionTree.from_dict({"root": {"label": 1}}),
-            DecisionTree.from_dict({"root": {"label": 0}}),
+            _leaf(1),
+            _leaf(1),
+            _leaf(0),
         ]
         assert forest.predict(np.zeros((1, 2))).tolist() == [1]
 
@@ -621,7 +645,7 @@ class TestTrainedModelApi:
         before = predict_batch(model, records.X)
         path = tmp_path / f"{kind.value}.json"
         save_model(model, path)
-        loaded = load_model(path)
+        loaded = load_model(path, records, train_ids)
         after = predict_batch(loaded, records.X)
         assert before.tolist() == after.tolist()
         assert loaded.params == model.params
@@ -667,7 +691,7 @@ class TestTrainedModelApi:
             payload["scaler"][key] = payload["scaler"][key][:width - 1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"scaler is {width - 1} features wide"):
-            load_model(path)
+            load_model(path, records, train_ids)
 
     def test_load_rejects_scaler_halves_of_unequal_length(self, tmp_path, records, train_ids):
         path = tmp_path / "model.json"
@@ -676,7 +700,7 @@ class TestTrainedModelApi:
         payload["scaler"]["std_devs"].pop()
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="equal length"):
-            load_model(path)
+            load_model(path, records, train_ids)
 
     def test_train_empty_ids(self, records):
         with pytest.raises(ValueError, match="empty training set"):
@@ -696,6 +720,97 @@ class TestTrainedModelApi:
         )
         assert np.array_equal(model.estimator.X_, expected)
         assert model.estimator.y_.tolist() == [int(records.y[i]) for i in rows]
+
+
+class TestModelFileSchema:
+    """load_model rejects a file that breaks the metaphish.model/2 schema with
+    a ValueError (or KeyError or TypeError) that says which field is wrong."""
+
+    @staticmethod
+    def _saved(tmp_path, records, train_ids, kind, params):
+        path = tmp_path / f"{kind.value}.json"
+        save_model(train(kind, params, records, train_ids), path)
+        return path, json.loads(path.read_text())
+
+    def test_deep_tree_saves_and_loads(self, tmp_path):
+        # a 2,700-level tree: the nested format raised RecursionError on save
+        X = np.arange(4000, dtype=np.float64)[:, None]
+        y = (np.arange(4000) % 3 == 0).astype(np.int64)
+        data, ids = Dataset(X, y), set(range(4000))
+        model = train(ClassifierKind.DT, {"max_depth": None}, data, ids)
+        path = tmp_path / "deep.json"
+        save_model(model, path)
+        loaded = load_model(path, data, ids)
+        assert predict_batch(loaded, X).tolist() == predict_batch(model, X).tolist() == y.tolist()
+
+    def test_files_hold_no_rows(self, tmp_path, records, train_ids):
+        svm_path, svm = self._saved(tmp_path, records, train_ids, ClassifierKind.SVM,
+                                    {"C": 1.0, "kernel": "rbf"})
+        _, knn = self._saved(tmp_path, records, train_ids, ClassifierKind.KNN, {"k": 3})
+        assert knn["state"] == {}
+        assert set(svm["state"]) == {"support_rows", "dual_coef", "intercept", "gamma_value"}
+        model = load_model(svm_path, records, train_ids)
+        fitted = train(ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"}, records, train_ids)
+        assert model.estimator.support_x_.tobytes() == fitted.estimator.support_x_.tobytes()
+        assert model.estimator.support_rows_.tolist() == svm["state"]["support_rows"]
+
+    @pytest.mark.parametrize("kind,params,edit,message", [
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["state"]["support_rows"].reverse(), "support_rows must increase strictly"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["state"]["support_rows"].__setitem__(-1, 40), "inside the 40 training rows"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["state"]["dual_coef"].pop(), "support_rows but"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["state"].__setitem__("intercept", None), "intercept must be a finite number"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["params"].__setitem__("C", 0), "C must be a positive number"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["params"].__setitem__("kernel", "poly"), "unknown kernel"),
+        (ClassifierKind.KNN, {"k": 3},
+         lambda p: p["params"].__setitem__("metric", "cosine"), "unknown metric"),
+        (ClassifierKind.KNN, {"k": 3},
+         lambda p: p["params"].__setitem__("weights", "rank"), "unknown weights"),
+        (ClassifierKind.KNN, {"k": 3},
+         lambda p: p["scaler"]["means"].__setitem__(0, 0.5), "not the one the manifest"),
+        (ClassifierKind.KNN, {"k": 3},
+         lambda p: p["scaler"]["std_devs"].__setitem__(0, float("inf")), "std_devs must be"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["left"].pop(), "five non-empty arrays of equal length"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["right"].__setitem__(0, 1), "tree node 1 is reached twice"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["right"].__setitem__(0, 0), "tree node 0 is reached twice"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["right"].__setitem__(0, 99), "has child 99, outside"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["feature"].__setitem__(0, 9), "splits on feature 9"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["feature"].__setitem__(0, 1.0), "feature must be a list of integers"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["params"].__setitem__("criterion", "mse"), "unknown criterion"),
+        (ClassifierKind.RF, {"n_estimators": 3},
+         lambda p: p["params"].__setitem__("criterion", "mse"), "unknown criterion"),
+        (ClassifierKind.RF, {"n_estimators": 3},
+         lambda p: p["state"]["trees"].pop(), "holds 2 trees, but n_estimators is 3"),
+        (ClassifierKind.RF, {"n_estimators": 3},
+         lambda p: p.__setitem__("seed", "42"), "seed an integer"),
+    ])
+    def test_schema_violation_is_rejected(self, tmp_path, records, train_ids, kind, params,
+                                          edit, message):
+        path, payload = self._saved(tmp_path, records, train_ids, kind, params)
+        assert load_model(path, records, train_ids).kind is kind  # the untouched file loads
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path, records, train_ids)
+
+    def test_fixture_model_files_are_small(self, pipeline_run):
+        sizes = {kind: (pipeline_run / f"model_{kind.value}.json").stat().st_size
+                 for kind in ClassifierKind}
+        assert sum(sizes.values()) < 150_000, sizes  # 653 kB when KNN and SVM stored rows
+        knn = json.loads((pipeline_run / "model_knn.json").read_text())
+        assert knn["state"] == {}
 
 
 class TestGenerateInitialBeliefs:

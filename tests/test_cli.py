@@ -14,6 +14,8 @@ from _support import FIXTURE_CSV
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
 MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json")
+# the label of a tree's first leaf: split nodes come first in pre-order, with label -1
+FIRST_LEAF_LABEL = re.compile(rb'("label": \[(?:-1, )*)[01]')
 
 
 def _copy_run(run_dir, out, *extra):
@@ -141,11 +143,14 @@ class TestRevise:
         assert "train" in capsys.readouterr().err
 
     def test_all_no_meta_leaves_report_unchanged(self, pipeline_run, tmp_path, capsys):
-        # an empty snapshot directory means meta absent for every instance
-        empty = tmp_path / "snapshots"
-        empty.mkdir()
+        # a page without meta tags for every instance means meta absent everywhere
+        bare = tmp_path / "snapshots"
+        bare.mkdir()
+        with open(pipeline_run / "split_manifest.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                (bare / f"{r['id']}.html").write_text("<html><body>no meta</body></html>")
         out = _copy_run(pipeline_run, tmp_path / "out")
-        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(empty)])
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(bare)])
         assert rc == 0
         kv = parse_kv((out / "report.kv").read_text())
         assert kv["total.revised"] == "0"
@@ -250,13 +255,11 @@ class TestRevise:
         assert not (out / "final_beliefs.csv").exists()
 
     @pytest.mark.parametrize("name,edit,message", [
-        ("model_dt.json", lambda raw: re.sub(rb'"label": [01]', b'"label": 2', raw, count=1),
+        ("model_dt.json", lambda raw: FIRST_LEAF_LABEL.sub(rb"\g<1>2", raw, count=1),
          "a tree leaf has class label 2, not 0 or 1"),
-        ("model_rf.json", lambda raw: re.sub(rb'"label": [01]', b'"label": 2', raw, count=1),
+        ("model_rf.json", lambda raw: FIRST_LEAF_LABEL.sub(rb"\g<1>2", raw, count=1),
          "a tree leaf has class label 2, not 0 or 1"),
-        ("model_knn.json", lambda raw: re.sub(rb'"train_y": \[[01]', b'"train_y": [2', raw),
-         "train_y holds class label 2, not 0 or 1"),
-    ], ids=["dt-leaf", "rf-leaf", "knn-train-y"])
+    ], ids=["dt-leaf", "rf-leaf"])
     def test_class_label_other_than_0_or_1_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                           name, edit, message):
         out = _copy_run(pipeline_run, tmp_path / "out")
@@ -270,6 +273,72 @@ class TestRevise:
         assert f"{model}: not a usable model file ({message})" in err
         assert err.rstrip().endswith("re-run 'train'")
         assert not (out / "facts.lp").exists()
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("model_svm.json", lambda p: p["state"]["dual_coef"].__setitem__(0, float("nan")),
+         "dual_coef must be a list of finite numbers"),
+        ("model_dt.json", lambda p: p["state"]["threshold"].__setitem__(0, float("nan")),
+         "threshold must be a list of finite numbers"),
+        ("model_knn.json", lambda p: p["params"].__setitem__("k", 0),
+         "k must be an integer of at least 1, got 0"),
+        ("model_svm.json", lambda p: p["state"].__setitem__("gamma_value", "x"),
+         "gamma_value must be a finite number, got 'x'"),
+        ("model_knn.json", lambda p: p.__setitem__("params", {"k": "nine"}),
+         "k must be an integer of at least 1, got 'nine'"),
+        ("model_rf.json", lambda p: p["state"].__setitem__("trees", []),
+         "trees must be a non-empty list"),
+        ("model_dt.json", lambda p: p.__setitem__("format", "metaphish.model/1"),
+         "not a model file (format 'metaphish.model/1'"),
+    ], ids=["svm-dual-coef-nan", "dt-threshold-nan", "knn-k-0", "svm-gamma-value-str",
+            "knn-k-str", "rf-no-trees", "format-1"])
+    def test_model_schema_violation_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                   name, edit, message):
+        # each of these ended with exit 0 and a wrong answer, or exit 1, before
+        # load_model checked the whole schema
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        model = out / name
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model}: not a usable model file ({message}" in err
+        assert err.rstrip().endswith("re-run 'train'")
+        assert not (out / "facts.lp").exists()
+
+    def test_snapshot_dir_without_any_test_page_is_usage_error(self, pipeline_run, tmp_path,
+                                                              capsys):
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        (pages / "999.html").write_text('<meta name="description" content="x">')  # no test id
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(pages)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"snapshot directory {pages} has no <id>.html page" in err
+        assert "fix --snapshot-dir" in err
+        assert not (out / "facts.lp").exists()
+
+    def test_snapshot_dir_with_some_test_pages_is_allowed(self, pipeline_run, tmp_path):
+        with open(pipeline_run / "split_manifest.csv", newline="") as fh:
+            first = next(int(r["id"]) for r in csv.DictReader(fh) if r["role"] == "test")
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        (pages / f"{first}.html").write_text("<html></html>")
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(pages)])
+        assert rc == 0
+
+    def test_manifest_without_train_rows_is_usage_error(self, pipeline_run, tmp_path, capsys):
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        manifest = out / "split_manifest.csv"
+        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
+                                    if ",train," not in line))
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "no train rows" in err and "re-run 'train'" in err
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: [l.replace(",train,", ",trian,") for l in lines], "unknown role 'trian'"),
@@ -302,7 +371,7 @@ class TestRevise:
     def test_dataset_other_than_trained_on_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                          monkeypatch, case):
         loads = []
-        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_model", lambda path, *_: loads.append(path))
         out = _copy_run(pipeline_run, tmp_path / "out")
         dataset = FIXTURE_CSV
         if case == "flipped-label":  # same rows and features, one label flipped
@@ -368,7 +437,7 @@ class TestRevise:
     def test_meta_source_checked_before_models_load(self, pipeline_run, tmp_path, capsys,
                                                      monkeypatch, source, message):
         loads = []
-        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_model", lambda path, *_: loads.append(path))
         out = _copy_run(pipeline_run, tmp_path / "out")
         if source == "missing-snapshot-dir":
             args = [*DATASET_ARGS, "--snapshot-dir", str(tmp_path / "missing")]
