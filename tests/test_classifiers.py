@@ -43,10 +43,10 @@ from _support import (
 # --seed 42` and `revise` (run_config.kv records the output path, so it is not
 # pinned); a change that alters any model, the split or a verdict fails here
 PINNED_ARTIFACTS = {
-    "model_svm.json": "ffb3ed3fbcc6e18f39acfd50bffec454899bd831298ac365215f536e1ce5e8ef",
-    "model_knn.json": "b3b1dc078c3fa323122f0d6897e8ba87ca3d4019c51dc8d9585426aa27c020e4",
-    "model_dt.json": "0820b07d31fcc15149138938ee93ec403d6a1bf002a67493e522b80c3296aaad",
-    "model_rf.json": "295e1424b3142cebaedb1667f93e9e4d312454337de18f15c23bfb10a7ef3178",
+    "model_svm.json": "4ed13dcd301719fb9c47e4762797066d53ae152d4742e4f4aabc12a4545326ed",
+    "model_knn.json": "b598fb9c343817018ac3032c9972ce161dd493966d89ab84d23268dbb98eae9d",
+    "model_dt.json": "8911b1ec01e6949bacdbd2648b0ebcc115b097bd87f976fa7d5a5359bd2e2a6c",
+    "model_rf.json": "b749071a2b9cbd917a0c2652297435cf3ed3d6da08d5f81616ff6ed51e629689",
     "split_manifest.csv": "2959b93a3652e831d09fa7b773169dbd76df33651a85f33c232899e80030b224",
     "cv_summary.kv": "685c6712b0777eebfe3eee604a37dd832cf35e4fff5054eb60c465ecf88fb4d9",
     "facts.lp": "4f455ad1e1d28b621b8abc43e25db95344a5cecf6485b0460a608eacc8acded2",
