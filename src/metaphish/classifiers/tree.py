@@ -260,8 +260,9 @@ class DecisionTree:
         node 0 reaches every node exactly once, every leaf (``left`` -1) has
         label 0 or 1, and every split reads a feature below ``n_features``
         at a finite threshold."""
-        feature, left, right, label = (int_list(d, key) for key in ("feature", "left", "right", "label"))
-        threshold = float_list(d, "threshold")
+        tree = cls(**params)
+        feature, left, right = int_list(d, "feature"), int_list(d, "left"), int_list(d, "right")
+        label, threshold = int_list(d, "label"), float_list(d, "threshold")
         n = len(label)
         if not n or any(len(a) != n for a in (feature, threshold, left, right)):
             raise ValueError("a tree needs five non-empty arrays of equal length")
@@ -290,7 +291,6 @@ class DecisionTree:
             stack += (right[i], left[i])
         if not all(reached):
             raise ValueError(f"tree node {reached.index(False)} is not reached from node 0")
-        tree = cls(**params)
         tree.root_ = nodes[0]
         tree.n_features_ = n_features
         return tree
