@@ -275,7 +275,8 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     fmt = payload.get("format") if type(payload) is dict else None
     if fmt != MODEL_FORMAT:
-        raise ValueError(f"not a model file (format {fmt!r}; this version reads {MODEL_FORMAT!r})")
+        raise ValueError(f"not a model file: format {fmt!r}, but this version reads "
+                         f"{MODEL_FORMAT!r}")
     kind = ClassifierKind(payload["kind"])
     params, seed, state = payload["params"], payload["seed"], payload["state"]
     if type(params) is not dict or type(state) is not dict or type(seed) is not int:

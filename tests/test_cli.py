@@ -288,7 +288,7 @@ class TestRevise:
         ("model_rf.json", lambda p: p["state"].__setitem__("trees", []),
          "trees must be a non-empty list"),
         ("model_dt.json", lambda p: p.__setitem__("format", "metaphish.model/1"),
-         "not a model file (format 'metaphish.model/1'"),
+         "not a model file: format 'metaphish.model/1', but this version reads"),
     ], ids=["svm-dual-coef-nan", "dt-threshold-nan", "knn-k-0", "svm-gamma-value-str",
             "knn-k-str", "rf-no-trees", "format-1"])
     def test_model_schema_violation_is_usage_error(self, pipeline_run, tmp_path, capsys,
@@ -329,6 +329,21 @@ class TestRevise:
         out = _copy_run(pipeline_run, tmp_path / "out")
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--snapshot-dir", str(pages)])
         assert rc == 0
+
+    def test_manifest_with_other_train_rows_is_usage_error(self, pipeline_run, tmp_path, capsys):
+        # KNN and SVM rows are rebuilt from the manifest's train rows, so one
+        # train row relabelled as test must not silently give another model
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        manifest = out / "split_manifest.csv"
+        lines = manifest.read_text().splitlines()
+        moved = next(i for i, line in enumerate(lines) if ",train," in line)
+        lines[moved] = lines[moved].split(",")[0] + ",test,"
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'model_svm.json'}: not a usable model file (the scaler is not the one " \
+               f"the manifest's training rows give); re-run 'train'" in err
 
     def test_manifest_without_train_rows_is_usage_error(self, pipeline_run, tmp_path, capsys):
         out = _copy_run(pipeline_run, tmp_path / "out")
