@@ -564,19 +564,12 @@ class TestKernelSVM:
 class TestRandomForest:
     def test_even_tie_votes_class_zero(self):
         forest = RandomForest(n_estimators=2)
-        forest.trees_ = [
-            _leaf(0),
-            _leaf(1),
-        ]
+        forest.trees_ = [_leaf(0), _leaf(1)]
         assert forest.predict(np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     def test_majority_wins(self):
         forest = RandomForest(n_estimators=3)
-        forest.trees_ = [
-            _leaf(1),
-            _leaf(1),
-            _leaf(0),
-        ]
+        forest.trees_ = [_leaf(1), _leaf(1), _leaf(0)]
         assert forest.predict(np.zeros((1, 2))).tolist() == [1]
 
     def test_deterministic_given_seed(self):
