@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from metaphish.classifiers.schema import check_integer
 from metaphish.classifiers.tree import CRITERIA, DecisionTree, RankTable
 
 
@@ -23,6 +24,10 @@ class RandomForest:
                  min_samples_split=2, seed=0):
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
+        check_integer("n_estimators", n_estimators, 1)
+        check_integer("max_depth", max_depth, 0, none_ok=True)
+        check_integer("min_samples_split", min_samples_split, 2)
+        check_integer("seed", seed, 0)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from metaphish.classifiers.schema import check_integer
 
 
 class KNearestNeighbors:
@@ -16,8 +16,7 @@ class KNearestNeighbors:
     """
 
     def __init__(self, k=5, weights="uniform", metric="euclidean"):
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+        check_integer("k", k, 1)
         if weights not in ("uniform", "distance"):
             raise ValueError(f"unknown weights {weights!r}")
         if metric not in ("euclidean", "manhattan"):

@@ -1,4 +1,4 @@
-"""Typed reads of the fields of a model file's state.
+"""Typed reads of the fields of a model file's state, and of estimator arguments.
 
 Each raises ValueError naming the field when its value has the wrong type
 or is not finite, so a damaged model file is rejected where it is read.
@@ -7,6 +7,7 @@ or is not finite, so a damaged model file is rejected where it is read.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def _is_number(value) -> bool:
@@ -32,3 +33,13 @@ def number(state: dict, key: str) -> float:
     if not _is_number(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_integer(name: str, value, least: int, none_ok: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer of at
+    least ``least`` (or None, when ``none_ok``)."""
+    if value is None and none_ok:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        allowed = " or None" if none_ok else ""
+        raise ValueError(f"{name} must be an integer of at least {least}{allowed}, got {value!r}")

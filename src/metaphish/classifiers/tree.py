@@ -6,15 +6,23 @@ label packed into the low bit.  A node then finds its split by gathering the
 codes of its rows for the candidate features and running one integer sort per
 feature (the presort idea of SLIQ: Mehta, Agrawal & Rissanen, EDBT 1996);
 no float column is copied or argsorted per node.
+
+A node of at most :data:`TABLE_ROWS` rows scores its cuts by lookup in two
+tables built once per criterion, ``I[m, k] = impurity(k / m)`` and
+``W[m, k] = m * I[m, k]`` (:func:`impurity_tables`), with the elementwise
+expressions a larger node evaluates, so both give bit-identical gains.  A
+split hands each child the rows and positives of its side of the cut, so no
+node sums its labels again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from metaphish.classifiers.schema import float_list, int_list
+from metaphish.classifiers.schema import check_integer, float_list, int_list
 
 
 def gini(p):
@@ -33,6 +41,28 @@ def entropy(p):
 
 CRITERIA = {"gini": gini, "entropy": entropy}
 
+# Nodes of at most this many rows read their impurities from impurity_tables.
+# The four tables (two per criterion) take 0.5 MB here and took 2.1 MB at 256.
+TABLE_ROWS = 128
+
+
+@functools.cache
+def impurity_tables(impurity) -> tuple[np.ndarray, np.ndarray]:
+    """``(I, W)`` with ``I[m, k] = impurity(k / m)`` and ``W[m, k] = m * I[m, k]``
+    for ``0 <= k <= m <= TABLE_ROWS`` (other entries are 0), built once per
+    criterion with the expressions a larger node evaluates: int64 true
+    division, then ``impurity`` elementwise.  So a lookup is bitwise the
+    value that node computes."""
+    I = np.zeros((TABLE_ROWS + 1, TABLE_ROWS + 1))
+    for m in range(1, TABLE_ROWS + 1):  # row by row: no table-sized temporaries
+        I[m, :m + 1] = impurity(np.arange(m + 1) / m)
+    return I, np.arange(TABLE_ROWS + 1)[:, None] * I
+
+
+# position r of a feature row holds the flat table index of (r + 1, 0): the
+# rows left of cut r, with no positives
+_LEFT_ROWS = np.arange(1, TABLE_ROWS + 1) * (TABLE_ROWS + 1)
+
 
 @dataclass
 class TreeNode:
@@ -45,11 +75,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.label is not None
-
-
-def _majority(y) -> int:
-    # ties go to class 0
-    return 1 if 2 * int(y.sum()) > len(y) else 0
 
 
 def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +145,13 @@ class DecisionTree:
     distinct values, or the lower one where the midpoint rounds up to the
     upper; the node's rows are partitioned by comparing their float values
     with it, as ``predict`` does.
+
+    A node of ``n <= TABLE_ROWS`` rows with ``n_pos`` positives scores the
+    cut that leaves ``n_left`` rows and ``pos_left`` positives on the left
+    as ``I[n, n_pos] - (W[n_left, pos_left] + W[n - n_left, n_pos - pos_left]) / n``
+    from :func:`impurity_tables`; a larger node computes the same values.
+    Each child takes ``(n_left, pos_left)`` or the rest from its parent's
+    cut, and a leaf takes its label (the majority, ties to class 0) from them.
     """
 
     def __init__(self, criterion="gini", max_depth=None, min_samples_split=2,
@@ -128,6 +160,8 @@ class DecisionTree:
             raise ValueError(f"unknown criterion {criterion!r}")
         if max_features is not None and max_features < 1:
             raise ValueError(f"max_features must be at least 1 or None, got {max_features!r}")
+        check_integer("max_depth", max_depth, 0, none_ok=True)
+        check_integer("min_samples_split", min_samples_split, 2)
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -151,68 +185,80 @@ class DecisionTree:
         impurity = CRITERIA[self.criterion]
 
         root = TreeNode()
-        stack = [(np.arange(len(table.y)) if sample is None else sample, 0, root)]
+        idx = np.arange(len(table.y)) if sample is None else sample
+        stack = [(idx, int(table.y[idx].sum()), 0, root)]
         while stack:
-            idx, depth, node = stack.pop()
-            y_node = table.y[idx]
+            idx, n_pos, depth, node = stack.pop()
             n = len(idx)
-            n_pos = int(y_node.sum())
             at_depth_limit = self.max_depth is not None and depth >= self.max_depth
-            if n_pos in (0, n) or at_depth_limit or n < self.min_samples_split:
-                node.label = _majority(y_node)
-                continue
-            split = self._best_cut(table, idx, impurity)
+            split = None
+            if not (n_pos in (0, n) or at_depth_limit or n < self.min_samples_split):
+                split = self._best_cut(table, idx, impurity)
             if split is None:
-                node.label = _majority(y_node)
+                node.label = 1 if 2 * n_pos > n else 0  # ties go to class 0
                 continue
-            feature, threshold = split
-            node.feature = feature
-            node.threshold = threshold
+            node.feature, node.threshold, n_left, pos_left = split
             node.left = TreeNode()
             node.right = TreeNode()
-            left_mask = table.X[idx, feature] <= threshold
-            stack.append((idx[left_mask], depth + 1, node.left))
-            stack.append((idx[~left_mask], depth + 1, node.right))
+            left_mask = table.X[idx, node.feature] <= node.threshold
+            stack.append((idx[left_mask], pos_left, depth + 1, node.left))
+            stack.append((idx[~left_mask], n_pos - pos_left, depth + 1, node.right))
         self.root_ = root
         return self
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
             return np.arange(n_features)
-        return np.sort(self.rng.choice(n_features, size=self.max_features, replace=False))
+        features = self.rng.choice(n_features, size=self.max_features, replace=False)
+        features.sort()
+        return features
 
     def _best_cut(self, table: RankTable, rows: np.ndarray, impurity):
-        """The best ``(feature, threshold)`` for the node of ``rows``, or None
-        when no cut decreases the impurity.
+        """The best ``(feature, threshold, n_left, pos_left)`` for the node of
+        ``rows``, where the last two count the rows and the positives that
+        go left, or None when no cut decreases the impurity.
 
         Every cut of every candidate feature is scored with the same
         elementwise operations in the same order, so equal splits give
         bitwise-equal gains and the tie-break (the first maximum in feature,
         then value order) is exact; an algebraically rearranged impurity would
-        round differently and could pick another split."""
+        round differently and could pick another split.  A node of at most
+        ``TABLE_ROWS`` rows reads the results of those operations from
+        :func:`impurity_tables` instead of computing them."""
         features = self._candidate_features(table.keys.shape[0])
-        keys = table.keys[features].take(rows, axis=1)
+        keys = table.keys[features[:, None], rows]
         keys.sort(axis=1)
-        codes = keys >> 1
-        pos = np.cumsum(keys & 1, axis=1)
-        f, r = np.nonzero(codes[:, :-1] != codes[:, 1:])  # cut r: after sorted entry r
-        if len(r) == 0:
-            return None
         n = len(rows)
+        # neighbours' codes differ where their keys differ above the label bit;
+        # j = f * n + r is the cut of feature row f after sorted entry r
+        flat = keys.ravel()
+        cut = (flat[1:] ^ flat[:-1]) > 1
+        cut[n - 1::n] = False  # the last entry of one feature and the first of the next
+        j = np.flatnonzero(cut)
+        if len(j) == 0:
+            return None
+        pos = np.cumsum(keys & 1, axis=1)
         total_pos = int(pos[0, -1])
-        parent = float(impurity(total_pos / n))
-        n_left = r + 1
-        n_right = n - n_left
-        pos_left = pos[f, r]
-        p_left = pos_left / n_left
-        p_right = (total_pos - pos_left) / n_right
-        child = (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
-        gains = parent - child
-        best = int(np.argmax(gains))  # first max -> lowest feature, then threshold
+        if n <= TABLE_ROWS:
+            I, W = impurity_tables(impurity)
+            # flat table index of (n_left, pos_left); (n - n_left, total_pos - pos_left) is c - a
+            a = (pos + _LEFT_ROWS[:n]).ravel()[j]
+            c = n * (TABLE_ROWS + 1) + total_pos
+            gains = I[n, total_pos] - (W.take(a) + W.take(c - a)) / n
+        else:
+            pos_left = pos.ravel()[j]
+            n_left = j % n + 1
+            n_right = n - n_left
+            parent = float(impurity(total_pos / n))
+            p_left = pos_left / n_left
+            p_right = (total_pos - pos_left) / n_right
+            gains = parent - (n_left * impurity(p_left) + n_right * impurity(p_right)) / n
+        best = gains.argmax()  # first max -> lowest feature, then threshold
         if not gains[best] > 0.0:
             return None
-        below, above = table.values[codes[f[best], r[best]:r[best] + 2]]
-        return int(features[f[best]]), _threshold(float(below), float(above))
+        f, r = divmod(int(j[best]), n)
+        below, above = table.values[keys[f, r:r + 2] >> 1]
+        return int(features[f]), _threshold(float(below), float(above)), r + 1, int(pos[f, r])
 
     def predict(self, X) -> np.ndarray:
         """Route row-index arrays down the tree; empty partitions stop early."""

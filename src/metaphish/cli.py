@@ -96,6 +96,14 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from None
         setattr(cfg, key, raw)
+    # checked before any artifact is written; the forest's RNG rejects a negative seed only mid-run
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {cfg.seed}")
+    if not 0.0 < cfg.test_fraction < 1.0:
+        raise ConfigError(f"--test-fraction must be strictly between 0 and 1, "
+                          f"got {cfg.test_fraction}")
+    if cfg.folds < 2:
+        raise ConfigError(f"--folds must be at least 2, got {cfg.folds}")
     if cfg.params not in ("best", "grid"):
         raise ConfigError(f"params must be 'best' or 'grid', got {cfg.params!r}")
     if cfg.classifier not in ("all", *(k.value for k in KIND_ORDER)):

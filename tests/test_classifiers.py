@@ -26,7 +26,8 @@ from metaphish.classifiers import (
     save_model,
     train,
 )
-from metaphish.classifiers.tree import RankTable
+from metaphish.classifiers import tree as tree_module
+from metaphish.classifiers.tree import TABLE_ROWS, RankTable, impurity_tables
 from metaphish.dataset import Dataset
 from _support import (
     broadcast_distances,
@@ -107,6 +108,25 @@ class TestImpurity:
             got, want = np.asarray(entropy(value)), np.asarray(masked_entropy(value))
             assert got.shape == want.shape == ()
             assert got.view(np.int64) == want.view(np.int64), value
+
+
+    @pytest.mark.parametrize("impurity", [gini, entropy])
+    def test_tables_match_node_expressions(self, impurity):
+        # a node of at most TABLE_ROWS rows reads I and W where a larger node
+        # computes impurity(total_pos / n) as a scalar, and n_left *
+        # impurity(pos_left / n_left) over int64 arrays; the int64 views must
+        # match for every entry 0 <= k <= m <= TABLE_ROWS
+        I, W = impurity_tables(impurity)
+        assert I.shape == W.shape == (TABLE_ROWS + 1, TABLE_ROWS + 1)
+        m, k = np.tril_indices(TABLE_ROWS + 1)
+        m, k = m[m > 0], k[m > 0]
+        parent = np.array([float(impurity(a / b)) for a, b in zip(k.tolist(), m.tolist())])
+        assert np.array_equal(I[m, k].view(np.int64), parent.view(np.int64))
+        order = np.random.default_rng(0).permutation(len(m))  # one array of mixed node sizes
+        for rows in (order, *(np.flatnonzero(m == size) for size in range(1, TABLE_ROWS + 1))):
+            n_left, pos_left = m[rows], k[rows]
+            child = n_left * impurity(pos_left / n_left)
+            assert np.array_equal(W[n_left, pos_left].view(np.int64), child.view(np.int64))
 
 
 class TestDecisionTree:
@@ -212,6 +232,14 @@ class TestBestSplitEquivalence:
         return X
 
     def test_matches_oracle_on_random_tied_matrices(self):
+        self._compare_with_oracle()
+
+    def test_computed_gains_match_oracle_on_random_tied_matrices(self, monkeypatch):
+        # every node computes its gains, as a node above the table bound does
+        monkeypatch.setattr(tree_module, "TABLE_ROWS", 0)
+        self._compare_with_oracle()
+
+    def _compare_with_oracle(self):
         gen = np.random.default_rng(20260)
         found = 0
         for case in range(400):
@@ -232,12 +260,15 @@ class TestBestSplitEquivalence:
             # every row once, or a bootstrap of row ids as a forest's tree gets
             rows = np.arange(n) if case % 3 else np.random.default_rng(case).integers(0, n, n)
             for _ in range(2):  # two draws in a row keep the streams in step
-                got = tree._best_cut(table, rows, impurity)
+                split = tree._best_cut(table, rows, impurity)
+                got = split and split[:2]
                 want = per_feature_best_split(X[rows], y[rows], impurity, max_features, oracle_rng)
                 assert got == want, (case, got, want)
                 assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
                 if got is not None:
                     assert type(got[0]) is int and type(got[1]) is float
+                    left = X[rows, got[0]] <= got[1]  # the child counts of the cut
+                    assert split[2:] == (int(left.sum()), int(y[rows][left].sum())), case
                     found += 1
         assert found > 200  # most cases do split; the comparison is not vacuous
 
@@ -287,6 +318,14 @@ class TestGrowerMatchesOracle:
         }
 
     def test_tree_matches_oracle_on_random_matrices(self):
+        self._compare_trees_with_oracle()
+
+    def test_tree_with_computed_gains_matches_oracle(self, monkeypatch):
+        # every node computes its gains, as a node above the table bound does
+        monkeypatch.setattr(tree_module, "TABLE_ROWS", 0)
+        self._compare_trees_with_oracle()
+
+    def _compare_trees_with_oracle(self):
         gen = np.random.default_rng(20261)
         splits = 0
         for case in range(600):
@@ -303,6 +342,34 @@ class TestGrowerMatchesOracle:
             assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
             splits += len(want["label"]) > 1
         assert splits > 300  # most roots split; the comparison is not vacuous
+
+    def test_tree_matches_oracle_above_the_table_bound(self):
+        # roots of more than TABLE_ROWS rows compute their gains, and their
+        # descendants read them from the tables; every child takes its counts
+        # from its parent's cut
+        gen = np.random.default_rng(20263)
+        for case in range(60):
+            n, d = int(gen.integers(TABLE_ROWS + 1, 3 * TABLE_ROWS)), int(gen.integers(1, 4))
+            params = self._params(gen)
+            X, y = _rank_matrix(gen, n, d, case % 2 == 0)
+            max_features = None if case % 3 else int(gen.integers(1, d + 1))
+            seed = int(gen.integers(2**32))
+            tree = DecisionTree(max_features=max_features, rng=np.random.default_rng(seed),
+                                **params).fit(X, y)
+            oracle_rng = np.random.default_rng(seed)
+            want = grow_tree(X, y, max_features=max_features, rng=oracle_rng, **params)
+            assert json.dumps(tree.to_dict()) == json.dumps(want), case
+            assert tree.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_forest_matches_oracle_above_the_table_bound(self):
+        gen = np.random.default_rng(20264)
+        for case in range(16):
+            n, d = int(gen.integers(TABLE_ROWS + 1, 2 * TABLE_ROWS)), int(gen.integers(1, 5))
+            params = self._params(gen)
+            X, y = _rank_matrix(gen, n, d, case % 2 == 0)
+            forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
+            want = grow_forest(X, y, 4, seed=case, **params)
+            assert json.dumps(forest.to_dict()) == json.dumps(want), case
 
     def test_forest_matches_oracle_on_random_matrices(self):
         gen = np.random.default_rng(20262)
@@ -384,6 +451,23 @@ class TestTreeArguments:
         with pytest.raises(ValueError, match="pass rng="):
             DecisionTree(max_features=1).fit(X, y)
         DecisionTree(max_features=2).fit(X, y)  # every feature: nothing to draw
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: RandomForest(n_estimators=0), "n_estimators must be an integer of at least 1, got 0"),
+        (lambda: RandomForest(n_estimators=-1), "n_estimators must be an integer of at least 1, got -1"),
+        (lambda: RandomForest(seed=-1), "seed must be an integer of at least 0, got -1"),
+        (lambda: RandomForest(max_depth=-1), "max_depth must be an integer of at least 0 or None, got -1"),
+        (lambda: DecisionTree(max_depth=-1), "max_depth must be an integer of at least 0 or None, got -1"),
+        (lambda: DecisionTree(max_depth=1.5), "max_depth must be an integer of at least 0 or None, got 1.5"),
+        (lambda: DecisionTree(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
+        (lambda: RandomForest(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
+    ], ids=["rf-no-trees", "rf-negative-trees", "rf-negative-seed", "rf-negative-depth",
+            "dt-negative-depth", "dt-fractional-depth", "dt-split-0", "rf-split-0"])
+    def test_bad_argument_is_rejected_when_built(self, make, message):
+        # each of these built, and all but the seed also fit: a forest of no
+        # trees, or a tree whose arguments meant nothing
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_max_features_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="max_features must be at least 1"):

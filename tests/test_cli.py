@@ -289,8 +289,15 @@ class TestRevise:
          "trees must be a non-empty list"),
         ("model_dt.json", lambda p: p.__setitem__("format", "metaphish.model/1"),
          "not a model file: format 'metaphish.model/1', but this version reads"),
+        ("model_rf.json", lambda p: p.__setitem__("seed", -1),
+         "seed must be an integer of at least 0, got -1"),
+        ("model_rf.json", lambda p: p["params"].__setitem__("n_estimators", 0),
+         "n_estimators must be an integer of at least 1, got 0"),
+        ("model_dt.json", lambda p: p["params"].__setitem__("max_depth", -1),
+         "max_depth must be an integer of at least 0 or None, got -1"),
     ], ids=["svm-dual-coef-nan", "dt-threshold-nan", "knn-k-0", "svm-gamma-value-str",
-            "knn-k-str", "rf-no-trees", "format-1"])
+            "knn-k-str", "rf-no-trees", "format-1", "rf-seed-negative", "rf-n-estimators-0",
+            "dt-max-depth-negative"])
     def test_model_schema_violation_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                    name, edit, message):
         # each of these ended with exit 0 and a wrong answer, or exit 1, before
@@ -529,6 +536,30 @@ class TestConfig:
         cfg = tmp_path / "run.kv"
         cfg.write_text("wibble=1\n")
         assert main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "-1", "--seed must be a non-negative integer, got -1"),
+        ("test_fraction", "0", "--test-fraction must be strictly between 0 and 1, got 0.0"),
+        ("test_fraction", "1", "--test-fraction must be strictly between 0 and 1, got 1.0"),
+        ("test_fraction", "nan", "--test-fraction must be strictly between 0 and 1, got nan"),
+        ("folds", "1", "--folds must be at least 2, got 1"),
+    ], ids=["seed-negative", "test-fraction-0", "test-fraction-1", "test-fraction-nan", "folds-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_number_is_usage_error_before_any_write(self, tmp_path, capsys, key, value,
+                                                        message, source):
+        # each ended in exit 1 from deep inside the run; a negative seed did
+        # so after the manifest, the run inputs and three models were written
+        out = tmp_path / "out"
+        if source == "flag":
+            args = [*DATASET_ARGS, f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "run.kv"
+            config.write_text(f"dataset={FIXTURE_CSV}\n{key}={value}\n")
+            args = ["--config", str(config)]
+        rc = main(["train", *args, "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_echo_covers_all_fields(self, pipeline_run):
         echo = parse_kv((pipeline_run / "run_config.kv").read_text())
