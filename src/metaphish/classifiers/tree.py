@@ -56,7 +56,9 @@ def impurity_tables(impurity) -> tuple[np.ndarray, np.ndarray]:
     I = np.zeros((TABLE_ROWS + 1, TABLE_ROWS + 1))
     for m in range(1, TABLE_ROWS + 1):  # row by row: no table-sized temporaries
         I[m, :m + 1] = impurity(np.arange(m + 1) / m)
-    return I, np.arange(TABLE_ROWS + 1)[:, None] * I
+    W = np.arange(TABLE_ROWS + 1)[:, None] * I
+    I.flags.writeable = W.flags.writeable = False  # every caller shares them
+    return I, W
 
 
 # position r of a feature row holds the flat table index of (r + 1, 0): the

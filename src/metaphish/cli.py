@@ -96,7 +96,7 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from None
         setattr(cfg, key, raw)
-    # checked before any artifact is written; the forest's RNG rejects a negative seed only mid-run
+    # checked here, before train writes anything
     if cfg.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {cfg.seed}")
     if not 0.0 < cfg.test_fraction < 1.0:
