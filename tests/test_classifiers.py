@@ -109,7 +109,6 @@ class TestImpurity:
             assert got.shape == want.shape == ()
             assert got.view(np.int64) == want.view(np.int64), value
 
-
     @pytest.mark.parametrize("impurity", [gini, entropy])
     def test_tables_match_node_expressions(self, impurity):
         # a node of at most TABLE_ROWS rows reads I and W where a larger node
