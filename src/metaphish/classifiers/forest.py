@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer
+from metaphish.classifiers.schema import check_integer, check_query
 from metaphish.classifiers.tree import CRITERIA, DecisionTree, RankTable
 
 
@@ -68,6 +68,7 @@ class RandomForest:
     def predict(self, X) -> np.ndarray:
         if not self.trees_:
             raise ValueError("forest is not fitted")
+        X = check_query(X, self.trees_[0].n_features_)
         votes = np.zeros(len(X), dtype=np.int64)
         for tree in self.trees_:
             votes += tree.predict(X)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 def _is_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
@@ -43,3 +45,13 @@ def check_integer(name: str, value, least: int, none_ok: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         allowed = " or None" if none_ok else ""
         raise ValueError(f"{name} must be an integer of at least {least}{allowed}, got {value!r}")
+
+
+def check_query(X, n_features: int) -> np.ndarray:
+    """``X`` as a float64 matrix; ValueError naming both widths unless it is
+    2-D with the ``n_features`` columns the estimator was fit on."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"pass a 2-D X with the {n_features} feature columns the model "
+                         f"was fit on; got X of shape {X.shape}")
+    return X

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer, float_list, int_list
+from metaphish.classifiers.schema import check_integer, check_query, float_list, int_list
 
 
 def gini(p):
@@ -160,8 +160,7 @@ class DecisionTree:
                  max_features=None, rng=None):
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
-        if max_features is not None and max_features < 1:
-            raise ValueError(f"max_features must be at least 1 or None, got {max_features!r}")
+        check_integer("max_features", max_features, 1, none_ok=True)
         check_integer("max_depth", max_depth, 0, none_ok=True)
         check_integer("min_samples_split", min_samples_split, 2)
         self.criterion = criterion
@@ -264,7 +263,9 @@ class DecisionTree:
 
     def predict(self, X) -> np.ndarray:
         """Route row-index arrays down the tree; empty partitions stop early."""
-        X = np.asarray(X, dtype=np.float64)
+        if self.root_ is None:
+            raise ValueError("tree is not fitted")
+        X = check_query(X, self.n_features_)
         out = np.empty(len(X), dtype=np.int64)
         stack = [(self.root_, np.arange(len(X)))]
         while stack:

@@ -34,6 +34,7 @@ from metaphish.dataset import (
     load_dataset,
     load_meta_from_snapshots,
     make_split,
+    train_class_counts,
 )
 
 MODEL_FILES = {kind: f"model_{kind.value}.json" for kind in KIND_ORDER}
@@ -216,6 +217,13 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
 
 def cmd_train(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
+    counts = train_class_counts(data, cfg.test_fraction)
+    # a grid search scores each fold, so every fold needs a row of each class
+    limit = min(counts.values()) if cfg.params == "grid" else sum(counts.values())
+    if cfg.folds > limit:
+        rows = "of the smaller class " if cfg.params == "grid" else ""
+        raise ConfigError(f"--folds {cfg.folds} is more than the train rows {rows}allow: "
+                          f"pass --folds {limit} or fewer, or a smaller --test-fraction")
     split = make_split(data, cfg.test_fraction, cfg.folds, cfg.seed)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -225,6 +225,30 @@ def fit_scaler(data: Dataset, train_ids) -> ScalerStats:
     return ScalerStats(means, std)
 
 
+def _test_quotas(counts: dict[int, int], test_fraction: float) -> dict[int, int]:
+    """Test rows per class: ``round(test_fraction * n)`` in all, apportioned
+    by largest remainder (ties to the lower label)."""
+    total_test = int(round(test_fraction * sum(counts.values())))
+    exact = {lab: test_fraction * n for lab, n in counts.items()}
+    quota = {lab: math.floor(v) for lab, v in exact.items()}
+    leftover = total_test - sum(quota.values())
+    for lab in sorted(exact, key=lambda l: (-(exact[l] - quota[l]), l)):
+        if leftover <= 0:
+            break
+        quota[lab] += 1
+        leftover -= 1
+    return quota
+
+
+def train_class_counts(data: Dataset, test_fraction: float) -> dict[int, int]:
+    """Rows of each class that :func:`make_split` puts in the train set (the
+    same for every seed)."""
+    labels, counts = np.unique(data.y, return_counts=True)
+    counts = dict(zip(labels.tolist(), counts.tolist()))
+    quota = _test_quotas(counts, test_fraction)
+    return {lab: n - quota[lab] for lab, n in counts.items()}
+
+
 def make_split(
     data: Dataset,
     test_fraction: float = 0.2,
@@ -241,21 +265,13 @@ def make_split(
         raise ValueError("test_fraction must be strictly between 0 and 1")
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
-    if len(data) < n_folds:
-        raise ValueError(f"fewer records ({len(data)}) than folds ({n_folds})")
     by_label: dict[int, list[int]] = {}
     for rid, label in enumerate(data.y.tolist()):
         by_label.setdefault(label, []).append(rid)
-
-    total_test = int(round(test_fraction * len(data)))
-    exact = {lab: test_fraction * len(ids) for lab, ids in by_label.items()}
-    quota = {lab: math.floor(v) for lab, v in exact.items()}
-    leftover = total_test - sum(quota.values())
-    for lab in sorted(exact, key=lambda l: (-(exact[l] - quota[l]), l)):
-        if leftover <= 0:
-            break
-        quota[lab] += 1
-        leftover -= 1
+    quota = _test_quotas({lab: len(ids) for lab, ids in by_label.items()}, test_fraction)
+    n_train = len(data) - sum(quota.values())
+    if n_train < n_folds:
+        raise ValueError(f"fewer records in the train set ({n_train}) than folds ({n_folds})")
 
     rng = random.Random(seed)
     test_ids: list[int] = []

@@ -222,7 +222,7 @@ _CHUNK_ELEMENTS = 20_000_000  # cap on the broadcast buffer (rows * train * dims
 def broadcast_distances(Q, X, metric: str) -> np.ndarray:
     """Distances from every row of ``Q`` to every row of ``X`` through one 3-D
     difference reduced over its last axis (the oracle for
-    ``KNearestNeighbors._distances``, which takes one query row)."""
+    ``KNearestNeighbors._distances``, which sums eight columns per call)."""
     diff = Q[:, None, :] - X[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=2))
@@ -231,7 +231,8 @@ def broadcast_distances(Q, X, metric: str) -> np.ndarray:
 
 def chunked_knn_predict(knn, X) -> np.ndarray:
     """``KNearestNeighbors.predict`` over chunks of query rows whose 3-D
-    difference stays under ``_CHUNK_ELEMENTS`` (the oracle for the row loop)."""
+    difference stays under ``_CHUNK_ELEMENTS``, each row's neighbours from a
+    stable ``argsort`` (the oracle for the blocked selection and vote)."""
     Q = np.asarray(X, dtype=np.float64)
     n_train, d = knn.X_.shape
     k = min(knn.k, n_train)

@@ -26,6 +26,7 @@ from metaphish.classifiers import (
     save_model,
     train,
 )
+from metaphish.classifiers import knn as knn_module
 from metaphish.classifiers import tree as tree_module
 from metaphish.classifiers.tree import TABLE_ROWS, RankTable, impurity_tables
 from metaphish.dataset import Dataset
@@ -460,8 +461,15 @@ class TestTreeArguments:
         (lambda: DecisionTree(max_depth=1.5), "max_depth must be an integer of at least 0 or None, got 1.5"),
         (lambda: DecisionTree(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
         (lambda: RandomForest(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
+        (lambda: DecisionTree(max_features=1.5, rng=np.random.default_rng(0)),
+         "max_features must be an integer of at least 1 or None, got 1.5"),
+        (lambda: DecisionTree(max_features="3", rng=np.random.default_rng(0)),
+         "max_features must be an integer of at least 1 or None, got '3'"),
+        (lambda: DecisionTree(max_features=True, rng=np.random.default_rng(0)),
+         "max_features must be an integer of at least 1 or None, got True"),
     ], ids=["rf-no-trees", "rf-negative-trees", "rf-negative-seed", "rf-negative-depth",
-            "dt-negative-depth", "dt-fractional-depth", "dt-split-0", "rf-split-0"])
+            "dt-negative-depth", "dt-fractional-depth", "dt-split-0", "rf-split-0",
+            "dt-fractional-features", "dt-string-features", "dt-bool-features"])
     def test_bad_argument_is_rejected_when_built(self, make, message):
         # each of these built, and all but the seed also fit: a forest of no
         # trees, or a tree whose arguments meant nothing
@@ -469,8 +477,18 @@ class TestTreeArguments:
             make()
 
     def test_max_features_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="max_features must be at least 1"):
+        with pytest.raises(ValueError, match="max_features must be an integer of at least 1"):
             DecisionTree(max_features=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
+    @pytest.mark.parametrize("shape", [(4, 7), (4, 1), (5,)])
+    def test_query_of_another_width_is_rejected(self, make, shape):
+        # a (4, 7) matrix was predicted from its first 5 columns
+        X, y = separable_set(40, seed=5)
+        model = make().fit(np.hstack([X, X, X[:, :1]]), y)
+        with pytest.raises(ValueError, match=re.escape(f"5 feature columns the model was fit on; "
+                                                       f"got X of shape {shape}")):
+            model.predict(np.zeros(shape))
 
     @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
     def test_matrix_without_columns_is_rejected(self, make):
@@ -572,10 +590,9 @@ class TestKNN:
             y = rng.integers(0, 2, size=len(X))
             for metric in ("euclidean", "manhattan"):
                 knn = KNearestNeighbors(metric=metric).fit(X, y)
-                oracle = broadcast_distances(Q, X, metric)
-                for q, expected in zip(Q, oracle):
-                    got = knn._distances(q)
-                    assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (d, metric)
+                got = knn._distances(Q)  # one block of all four query rows
+                expected = broadcast_distances(Q, X, metric)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (d, metric)
 
     def test_predictions_match_chunked_oracle_on_ties(self):
         rng = np.random.default_rng(32)
@@ -588,6 +605,43 @@ class TestKNN:
                     knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)
                     expected = chunked_knn_predict(knn, Q)
                     assert knn.predict(Q).tolist() == expected.tolist(), (k, weights, metric)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
+    def test_predictions_match_chunked_oracle_on_edge_cases(self, monkeypatch, rows_per_block):
+        # each training row three times with its own labels, so ties straddle
+        # the k-th distance; the first queries are training rows (zero
+        # distances); k runs past the 18 training rows; 23 queries do not
+        # fill the last block
+        rng = np.random.default_rng(34)
+        base = rng.integers(0, 3, size=(6, 3)).astype(np.float64)
+        X = np.vstack([base, base, base])
+        y = rng.integers(0, 2, size=len(X))
+        Q = np.vstack([base[:4], rng.integers(0, 3, size=(19, 3)).astype(np.float64)])
+        monkeypatch.setattr(knn_module, "BLOCK_ELEMENTS", rows_per_block * len(X))
+        for k in (1, 2, 3, 5, 9, 18, 25):
+            for weights in ("uniform", "distance"):
+                for metric in ("euclidean", "manhattan"):
+                    knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)
+                    expected = chunked_knn_predict(knn, Q)
+                    assert knn.predict(Q).tolist() == expected.tolist(), (k, weights, metric)
+
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_equal_class_sums_are_class_zero(self, weights, metric):
+        # both queries have two neighbours at one distance with opposite labels
+        X = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 9.0]])
+        y = np.array([1, 0, 1])
+        Q = np.array([[0.0, 0.0], [0.0, 0.5]])
+        knn = KNearestNeighbors(k=2, weights=weights, metric=metric).fit(X, y)
+        assert knn.predict(Q).tolist() == [0, 0] == chunked_knn_predict(knn, Q).tolist()
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (5,)])
+    def test_query_of_another_width_is_rejected(self, shape):
+        # a (4, 1) matrix was broadcast against the 5 training columns
+        knn = KNearestNeighbors(k=3).fit(np.eye(5), np.array([0, 1, 0, 1, 1]))
+        with pytest.raises(ValueError, match=re.escape(f"5 feature columns the model was fit on; "
+                                                       f"got X of shape {shape}")):
+            knn.predict(np.zeros(shape))
 
     def test_predict_memory_does_not_grow_with_query_rows(self):
         # 2,000 x 87 queries against 50 training rows; a 3-D difference of

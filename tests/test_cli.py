@@ -51,6 +51,24 @@ class TestTrain:
         for name in (*MODEL_FILES, "split_manifest.csv"):
             assert (pipeline_run / name).read_bytes() == (pipeline_rerun / name).read_bytes()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--grid-search", "--folds", "150"],
+         "--folds 150 is more than the train rows of the smaller class allow: "
+         "pass --folds 80 or fewer"),
+        (["--grid-search", "--folds", "81"],
+         "--folds 81 is more than the train rows of the smaller class allow: "
+         "pass --folds 80 or fewer"),
+        (["--folds", "500"], "--folds 500 is more than the train rows allow: pass --folds 160 or fewer"),
+        (["--folds", "161"], "--folds 161 is more than the train rows allow: pass --folds 160 or fewer"),
+    ], ids=["grid-150", "grid-81", "500", "161"])
+    def test_too_many_folds_is_usage_error_before_any_write(self, tmp_path, capsys, args, message):
+        # 160 train rows, 80 of the smaller class: 150 folds wrote the manifest
+        # and run inputs, then ended in exit 1 on a fold of a single class
+        out = tmp_path / "out"
+        assert main(["train", *DATASET_ARGS, *args, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "o")])
         assert rc == 2

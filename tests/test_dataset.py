@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ class TestMakeSplit:
             st.integers(0, 2**32 - 1),
         )
         def check(labels, fraction, n_folds, seed):
-            hypothesis.assume(n_folds <= len(labels))
+            hypothesis.assume(n_folds <= len(labels) - round(fraction * len(labels)))
             data = Dataset(np.zeros((len(labels), 1)), labels)
             split = make_split(data, fraction, n_folds, seed)
             assert not split.train_ids & split.test_ids
@@ -293,6 +294,9 @@ class TestMakeSplit:
             make_split(data, 0.2, 1)
         with pytest.raises(ValueError, match="fewer records"):
             make_split(data, 0.2, 11)
+        # 8 of the 10 rows train: more folds than that leaves a fold empty
+        with pytest.raises(ValueError, match=re.escape("train set (8) than folds (9)")):
+            make_split(data, 0.2, 9)
 
 
 META_CORPUS = [
