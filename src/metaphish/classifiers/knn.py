@@ -104,9 +104,9 @@ class KNearestNeighbors:
         return np.sqrt(dist, out=dist) if square else dist
 
     def predict(self, X) -> np.ndarray:
-        """Classes of the rows of ``X``, in blocks of ``BLOCK_ELEMENTS //
-        n_train`` query rows: memory O(n_train x 64), however many rows ``X``
-        has, and O(n_train x d) for the column-major training matrix."""
+        """Classes of the rows of ``X``, taken ``BLOCK_ELEMENTS // n_train``
+        query rows (at least one) at a time: the scratch stays near 1 MiB
+        however many rows ``X`` has, beside a column-major copy of ``X_``."""
         if self.X_ is None:
             raise ValueError("classifier is not fitted")
         n, d = self.X_.shape
@@ -120,12 +120,14 @@ class KNearestNeighbors:
         return out
 
     def _vote_block(self, dist: np.ndarray) -> np.ndarray:
-        """The verdicts for a block of distance rows.  ``argpartition`` finds
-        each row's k-th distance; a row with more than k training rows at or
-        below it takes today's stable ``argsort``.  Counts (uniform) or
-        per-class sums of ``1 / d`` decide the rest, except rows with a zero
-        distance or class sums within their rounding bound of each other,
-        which ``_vote`` decides on the neighbours in (distance, index) order."""
+        """The verdicts for a block of distance rows, each the one ``_vote``
+        gives on the row's first k neighbours in stable (distance, index)
+        order.  ``argpartition`` finds each row's k-th distance; a row with
+        more than k training rows at or below it takes a stable ``argsort``
+        of the whole row.  Label counts (uniform) or per-class sums of
+        ``1 / d`` decide the rest, except rows with a zero distance or class
+        sums within their rounding bound of each other, which ``_vote``
+        decides on the neighbours sorted by ``lexsort``."""
         k = min(self.k, dist.shape[1])
         near = np.argpartition(dist, k - 1, axis=1)[:, :k]
         near_dist = np.take_along_axis(dist, near, axis=1)
@@ -140,7 +142,9 @@ class KNearestNeighbors:
                 w = 1.0 / near_dist
                 pos = np.where(labels == 1, w, 0.0).sum(axis=1)
                 neg = np.where(labels == 0, w, 0.0).sum(axis=1)
-                # each sum of k terms is within (k - 1) eps / 2 of exact in any order
+                # in any order, a sum of k terms is within (k - 1) eps / 2 of the
+                # exact one relative to pos + neg; so is _vote's: a wider margin
+                # fixes the sign of pos - neg
                 clear = np.abs(pos - neg) > 4 * k * np.finfo(np.float64).eps * (pos + neg)
             out = pos > neg
             exact = tied | ~clear | (near_dist.min(axis=1) == 0.0)

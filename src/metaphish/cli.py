@@ -212,6 +212,11 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
         )
     if not ids_by_role["train"]:
         raise ConfigError(f"{path}: no train rows to rebuild the models from; re-run 'train'")
+    # train lists every row, so a missing one is a damaged file
+    if len(ids_by_role["train"]) + len(ids_by_role["test"]) < n_rows:
+        missing = min(set(range(n_rows)) - ids_by_role["train"] - ids_by_role["test"])
+        raise ConfigError(f"{path}: id {missing} of the dataset's {n_rows} rows is not listed; "
+                          f"re-run 'train' on this dataset")
     return ids_by_role["train"], ids_by_role["test"]
 
 

@@ -480,8 +480,9 @@ class TestTreeArguments:
         with pytest.raises(ValueError, match="max_features must be an integer of at least 1"):
             DecisionTree(max_features=0, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
-    @pytest.mark.parametrize("shape", [(4, 7), (4, 1), (5,)])
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)],
+                             ids=["dt", "rf"])
+    @pytest.mark.parametrize("shape", [(4, 7), (4, 1), (5,)], ids=["4x7", "4x1", "1-D"])
     def test_query_of_another_width_is_rejected(self, make, shape):
         # a (4, 7) matrix was predicted from its first 5 columns
         X, y = separable_set(40, seed=5)
@@ -635,7 +636,7 @@ class TestKNN:
         knn = KNearestNeighbors(k=2, weights=weights, metric=metric).fit(X, y)
         assert knn.predict(Q).tolist() == [0, 0] == chunked_knn_predict(knn, Q).tolist()
 
-    @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (5,)])
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (5,)], ids=["4x1", "4x7", "1-D"])
     def test_query_of_another_width_is_rejected(self, shape):
         # a (4, 1) matrix was broadcast against the 5 training columns
         knn = KNearestNeighbors(k=3).fit(np.eye(5), np.array([0, 1, 0, 1, 1]))

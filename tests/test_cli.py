@@ -493,6 +493,86 @@ class TestRevise:
         assert not (out / "facts.lp").exists()
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _number_after(key, replacement):
+    """Replace the first number after ``key`` (the last number of the file
+    when ``key`` is None) with ``replacement``."""
+    def edit(text):
+        start = 0 if key is None else text.index(key)
+        matches = list(NUMBER.finditer(text, start))
+        m = matches[-1] if key is None else matches[0]
+        return text[:m.start()] + replacement + text[m.end():]
+    return edit
+
+
+def _drop_middle_line(text):
+    lines = text.splitlines(keepends=True)
+    del lines[len(lines) // 2]
+    return "".join(lines)
+
+
+def _empty_last_list(text):
+    end = text.rindex("]")
+    return text[:text.rindex("[", 0, end)] + "[]" + text[end + 1:]
+
+
+FAULTS = {
+    "truncate": lambda text: text[: len(text) // 2],
+    "drop-line": _drop_middle_line,
+}
+MODEL_FAULTS = {
+    **FAULTS,
+    "nan-param": _number_after('"params"', "NaN"),
+    "nan-last-number": _number_after(None, "NaN"),
+    "string-param": _number_after('"params"', '"x"'),
+    "string-last-number": _number_after(None, '"x"'),
+    "empty-last-list": _empty_last_list,
+}
+MANIFEST_FAULTS = {
+    **FAULTS,
+    "nan-id": lambda text: text.replace("\n5,", "\nNaN,", 1),
+    "nan-fold": lambda text: re.sub(r"\n(\d+),train,\d+\n", r"\n\1,train,NaN\n", text, count=1),
+    "string-id": lambda text: text.replace("\n5,", "\nx,", 1),
+    "empty-list": lambda text: text.splitlines(keepends=True)[0],
+}
+SWAPS = {name: MODEL_FILES[(i + 1) % len(MODEL_FILES)] for i, name in enumerate(MODEL_FILES)}
+SWAPS["split_manifest.csv"] = "model_svm.json"
+FAULT_CASES = [(name, fault) for name in MODEL_FILES for fault in [*MODEL_FAULTS, "swap"]] \
+    + [("split_manifest.csv", fault) for fault in [*MANIFEST_FAULTS, "swap"]]
+
+
+class TestDamagedRunFiles:
+    @pytest.mark.parametrize("name,fault", FAULT_CASES, ids=[f"{n}-{f}" for n, f in FAULT_CASES])
+    def test_revise_names_the_file_or_writes_the_same_outputs(self, pipeline_run, tmp_path,
+                                                               capsys, name, fault):
+        # a damaged file that revise reads ends in exit 2 naming it, or is
+        # harmless (exit 0, every output byte-identical); exit 1 and exit 0
+        # with other outputs are both failures
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        damaged = [name]
+        if fault == "swap":
+            other = SWAPS[name]
+            damaged.append(other)
+            first, second = (out / name).read_bytes(), (out / other).read_bytes()
+            (out / name).write_bytes(second)
+            (out / other).write_bytes(first)
+        else:
+            edit = (MANIFEST_FAULTS if name == "split_manifest.csv" else MODEL_FAULTS)[fault]
+            text = (out / name).read_text()
+            assert edit(text) != text
+            (out / name).write_text(edit(text))
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            for output in ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt"):
+                assert (out / output).read_bytes() == (pipeline_run / output).read_bytes(), output
+        else:
+            assert rc == 2, err
+            assert any(f"error: {out / n}" in err for n in damaged), err
+
+
 class TestReport:
     def test_renders_stored_report(self, pipeline_run, capsys):
         rc = main(["report", "--out", str(pipeline_run)])
