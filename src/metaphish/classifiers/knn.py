@@ -144,10 +144,11 @@ class KNearestNeighbors:
                 neg = np.where(labels == 0, w, 0.0).sum(axis=1)
                 # in any order, a sum of k terms is within (k - 1) eps / 2 of the
                 # exact one relative to pos + neg; so is _vote's: a wider margin
-                # fixes the sign of pos - neg
+                # fixes the sign of pos - neg.  A zero distance makes a weight
+                # and so the margin infinite: that row is never clear either.
                 clear = np.abs(pos - neg) > 4 * k * np.finfo(np.float64).eps * (pos + neg)
             out = pos > neg
-            exact = tied | ~clear | (near_dist.min(axis=1) == 0.0)
+            exact = tied | ~clear
         out = out.astype(np.int64)
         for row in np.flatnonzero(exact):
             if tied[row]:

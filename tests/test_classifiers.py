@@ -636,6 +636,17 @@ class TestKNN:
         knn = KNearestNeighbors(k=2, weights=weights, metric=metric).fit(X, y)
         assert knn.predict(Q).tolist() == [0, 0] == chunked_knn_predict(knn, Q).tolist()
 
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_class_sums_within_rounding_follow_the_row_order(self, metric):
+        # six far positives (1 / d = 2**-53 each) tip the exact sum past the
+        # negative's 1.0, but added after the near positive, in the order of
+        # the per-row vote, each rounds away: class 0
+        far = 2.0**53
+        X = np.array([[far], [far], [far], [-far], [far], [-far], [1.0], [-1.0]])
+        y = np.array([1, 1, 1, 1, 1, 1, 1, 0])
+        knn = KNearestNeighbors(k=8, weights="distance", metric=metric).fit(X, y)
+        assert knn.predict([[0.0]]).tolist() == [0] == chunked_knn_predict(knn, [[0.0]]).tolist()
+
     @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (5,)], ids=["4x1", "4x7", "1-D"])
     def test_query_of_another_width_is_rejected(self, shape):
         # a (4, 1) matrix was broadcast against the 5 training columns
