@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer, check_query
+from metaphish.classifiers.schema import check_integer, check_query, training_set
 
 # Query rows x training rows per block.  The eight running lanes and the
 # eight-column terms take 8 x 8 bytes per element each: 1 MiB together.
@@ -56,7 +56,8 @@ def _row_sums(term, lo: int, hi: int) -> np.ndarray:
 
 
 class KNearestNeighbors:
-    """Lazy learner: fit stores the training matrix verbatim.
+    """Lazy learner: fit checks the training set as the trees do (finite
+    values, labels 0 or 1) and stores it verbatim.
 
     Distance weighting uses 1/d; a neighbor at distance exactly 0 decides the
     query outright (majority among zero-distance neighbors, ties to class 0).
@@ -77,10 +78,7 @@ class KNearestNeighbors:
         self.y_ = None
 
     def fit(self, X, y):
-        self.X_ = np.asarray(X, dtype=np.float64)
-        self.y_ = np.asarray(y, dtype=np.int64)
-        if len(self.X_) == 0:
-            raise ValueError("empty training set")
+        self.X_, self.y_ = training_set(X, y)
         return self
 
     def _distances(self, Q: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
@@ -99,8 +97,6 @@ class KNearestNeighbors:
             return np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)
 
         dist = _row_sums(term, 0, Q.shape[1])
-        if np.ndim(dist) == 0:  # no columns: every distance is 0
-            dist = np.zeros((len(Q), len(self.X_)))
         return np.sqrt(dist, out=dist) if square else dist
 
     def predict(self, X) -> np.ndarray:
@@ -111,6 +107,8 @@ class KNearestNeighbors:
             raise ValueError("classifier is not fitted")
         n, d = self.X_.shape
         Q = check_query(X, d)
+        if not np.isfinite(Q).all():
+            raise ValueError("X holds NaN or infinite values; pass finite feature values")
         columns = np.ascontiguousarray(self.X_.T)
         out = np.empty(len(Q), dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // n)

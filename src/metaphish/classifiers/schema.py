@@ -1,4 +1,5 @@
-"""Typed reads of the fields of a model file's state, and of estimator arguments.
+"""Typed reads of the fields of a model file's state, and checks of estimator
+arguments and training sets.
 
 Each raises ValueError naming the field when its value has the wrong type
 or is not finite, so a damaged model file is rejected where it is read.
@@ -55,3 +56,24 @@ def check_query(X, n_features: int) -> np.ndarray:
         raise ValueError(f"pass a 2-D X with the {n_features} feature columns the model "
                          f"was fit on; got X of shape {X.shape}")
     return X
+
+
+def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as float64 and int64 arrays, or a ``ValueError`` that says
+    what a fit needs: a 2-D ``X`` of finite values with at least one row and
+    one column, and one label of 0 or 1 per row."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(y)
+    if X.ndim != 2 or labels.shape != (len(X),):
+        raise ValueError(f"pass a 2-D X and one label per row; got X of shape {X.shape} "
+                         f"and y of shape {labels.shape}")
+    if len(X) == 0:
+        raise ValueError("empty training set")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns; pass at least one")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if len(bad):
+        raise ValueError(f"class labels must be 0 or 1, got {bad[0].item()!r}")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds NaN or infinite values; pass finite feature values")
+    return X, labels.astype(np.int64)

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer, check_query, float_list, int_list
+from metaphish.classifiers.schema import (
+    check_integer,
+    check_query,
+    float_list,
+    int_list,
+    training_set,
+)
 
 
 def gini(p):
@@ -79,27 +85,6 @@ class TreeNode:
         return self.label is not None
 
 
-def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as float64 and int64 arrays, or a ``ValueError`` that says
-    what a fit needs: a 2-D ``X`` of finite values with at least one row and
-    one column, and one label of 0 or 1 per row."""
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(y)
-    if X.ndim != 2 or labels.shape != (len(X),):
-        raise ValueError(f"pass a 2-D X and one label per row; got X of shape {X.shape} "
-                         f"and y of shape {labels.shape}")
-    if len(X) == 0:
-        raise ValueError("empty training set")
-    if X.shape[1] == 0:
-        raise ValueError("X has no feature columns; pass at least one")
-    bad = labels[(labels != 0) & (labels != 1)]
-    if len(bad):
-        raise ValueError(f"class labels must be 0 or 1, got {bad[0].item()!r}")
-    if not np.isfinite(X).all():
-        raise ValueError("X holds NaN or infinite values; pass finite feature values")
-    return X, labels.astype(np.int64)
-
-
 def _threshold(below: float, above: float) -> float:
     """The midpoint of two distinct values, or ``below`` when the midpoint is
     not below ``above`` (adjacent floats round it up; huge ones overflow), so
@@ -119,7 +104,7 @@ class RankTable:
     """
 
     def __init__(self, X, y):
-        self.X, self.y = _training_set(X, y)
+        self.X, self.y = training_set(X, y)
         columns = np.ascontiguousarray(self.X.T)
         order = np.argsort(columns, axis=1)
         ordered = np.take_along_axis(columns, order, axis=1)

@@ -192,10 +192,15 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
                 rid = int(row.get("id") or "")
             except ValueError:
                 rid = None
+            fold = row.get("fold")
             if role not in ids_by_role:
                 problem = f"unknown role {role!r} (expected 'train' or 'test')"
             elif rid is None:
                 problem = f"id {row.get('id')!r} is not an integer"
+            elif role == "train" and not (fold and fold.isascii() and fold.isdigit()):
+                problem = f"train row {rid} has fold {fold!r}, not a non-negative integer"
+            elif role == "test" and fold != "":
+                problem = f"test row {rid} has fold {fold!r}; a test row has none"
             elif not 0 <= rid < n_rows:
                 problem = f"id {rid} is outside the dataset's rows [0, {n_rows})"
             elif rid in ids_by_role["train"] or rid in ids_by_role["test"]:

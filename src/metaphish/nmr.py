@@ -8,10 +8,13 @@ the first one in sorted order; otherwise the strata are the least predicate
 levels, found by relaxation.  Grounding runs stratum by stratum, each
 semi-naively, through join plans compiled once per rule over hash indexes
 on (predicate, bound argument positions); the atoms it derives are the
-unique stable model, returned as ``GroundProgram.model``.  :func:`solve`
-re-evaluates a ground program and :func:`check_stability` implements the
-reduct-based stable-model definition; both serve as independent oracles for
-that model.
+unique stable model, returned as ``GroundProgram.model`` with its counters.
+The ground rules themselves are enumerated only when
+``GroundProgram.rules`` is read, by running the same evaluation again and
+recording each fact and firing.  :func:`solve` re-evaluates a ground
+program and :func:`check_stability` implements the reduct-based
+stable-model definition; both read those rules and serve as independent
+oracles for the model.
 
 Ground atoms are plain ``(predicate, args)`` tuples where each argument is a
 lowercase symbol (str) or a non-negative integer.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from collections import defaultdict
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -143,11 +147,24 @@ class AnswerSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundProgram:
-    rules: tuple[GroundRule, ...]
-    stats: EvalStats = field(compare=False, default=EvalStats())
-    model: AnswerSet = field(compare=False, default=AnswerSet(frozenset()))
+    """What :func:`ground` found: the stable model and its counters.
+
+    ``rules`` (one :class:`GroundRule` per distinct fact, in input order, then
+    one per firing, in firing order) is enumerated on first read, by
+    evaluating ``source`` (the program and its fact atoms) again, and kept.
+    """
+
+    stats: EvalStats
+    model: AnswerSet
+    source: tuple[Program, tuple[GroundAtom, ...]] = field(repr=False)
+
+    @cached_property
+    def rules(self) -> tuple[GroundRule, ...]:
+        rules: dict[GroundRule, None] = {}
+        _evaluate(*self.source, rules)
+        return tuple(rules)
 
 
 def _atom_sort_key(atom: GroundAtom):
@@ -488,13 +505,13 @@ def _compile(rule: Rule, delta_at: int | None = None, derived=frozenset()) -> _P
     return _Plan(tuple(steps), env, head, tuple(neg))
 
 
-def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict, new: dict) -> int:
+def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict | None, new: dict) -> int:
     """Run ``plan`` against ``rel`` and the last pass's new atoms ``fresh``;
     return its firings.
 
     Each instantiation of the positive body becomes a ground rule in
-    ``rules``; its head goes to ``new`` unless it is already derived or a
-    negative literal holds.
+    ``rules``, unless that is None; its head goes to ``new`` unless it is
+    already derived or a negative literal holds.
     """
     steps, env, (head_pred, head_args), negs = plan
     env = list(env)
@@ -518,7 +535,8 @@ def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict, new: dict) -> 
             firings += 1
             head = (head_pred, head_args(env))
             neg = tuple([(pred, args(env)) for pred, args in negs])
-            rules[GroundRule(head, tuple(matched), neg)] = None
+            if rules is not None:
+                rules[GroundRule(head, tuple(matched), neg)] = None
             if head not in atoms:
                 for atom in neg:
                     if atom in atoms:
@@ -542,7 +560,7 @@ def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict, new: dict) -> 
     return firings
 
 
-def check_arities(program: Program, fact_atoms: list[GroundAtom]) -> None:
+def check_arities(program: Program, fact_atoms: Iterable[GroundAtom]) -> None:
     """Raise :class:`ArityError` if a predicate of the program or the facts
     is used with two different arities."""
     arity: dict[str, int] = {}
@@ -573,15 +591,25 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     compiled once into join plans over hash indexes on (predicate, bound
     argument positions), so the ground program for the revision rules stays
     linear in the fact count, and every instantiation fires exactly once.
-    Of the result, only the order of ``rules`` follows the order of ``facts``.
+    The evaluation keeps only the atoms and counters; the ground rules are
+    enumerated when ``rules`` is first read.  Of the result, only the order
+    of ``rules`` follows the order of ``facts``.
     """
-    fact_atoms = [(pred, tuple(args)) for pred, args in facts]
+    fact_atoms = tuple((pred, tuple(args)) for pred, args in facts)
     check_arities(program, fact_atoms)
+    firings, atoms = _evaluate(program, fact_atoms, None)
+    stats = EvalStats(firings, len(atoms))
+    return GroundProgram(stats, AnswerSet(frozenset(atoms), stats), (program, fact_atoms))
 
-    # an insertion-ordered set: program facts and rules may repeat the facts
-    rules = {GroundRule(atom, (), ()): None for atom in fact_atoms}
+
+def _evaluate(program: Program, fact_atoms: tuple[GroundAtom, ...],
+              rules: dict | None) -> tuple[int, set[GroundAtom]]:
+    """The firings and derived atoms of :func:`ground`; with a dict ``rules``,
+    each distinct fact and each firing also becomes a ground rule in it."""
+    if rules is not None:  # an insertion-ordered set: the facts may repeat
+        rules.update(dict.fromkeys(GroundRule(atom, (), ()) for atom in fact_atoms))
     rel = _Relations()
-    rel.extend(rule.head for rule in rules)
+    rel.extend(dict.fromkeys(fact_atoms))
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
@@ -604,9 +632,7 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
             for plan in delta_plans:
                 firings += _fire(plan, rel, fresh, rules, new)
             rel.extend(new)
-
-    stats = EvalStats(firings, len(rel.atoms))
-    return GroundProgram(tuple(rules), stats, AnswerSet(frozenset(rel.atoms), stats))
+    return firings, rel.atoms
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 from typing import Iterable, Iterator
 from html.parser import HTMLParser
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from metaphish.nmr import (
     Atom,
     EvalStats,
     GroundAtom,
-    GroundProgram,
     GroundRule,
     Program,
     Rule,
@@ -529,7 +529,7 @@ def _join(body: tuple[Atom, ...], store: _AtomStore) -> Iterator[dict]:
     return expand(0, {})
 
 
-def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
+def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> SimpleNamespace:
     """``nmr.ground`` as a fixpoint that re-joins every rule of a stratum until
     a pass adds nothing, one tuple at a time through a first-argument index
     (the oracle for its semi-naive, compiled joins).  It returns the same
@@ -579,7 +579,8 @@ def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundPr
                 store.add(atom)
 
     stats = EvalStats(firings, len(store.all))
-    return GroundProgram(tuple(ground_rules), stats, AnswerSet(frozenset(store.all), stats))
+    return SimpleNamespace(rules=tuple(ground_rules), stats=stats,
+                           model=AnswerSet(frozenset(store.all), stats))
 
 
 

@@ -655,6 +655,32 @@ class TestKNN:
                                                        f"got X of shape {shape}")):
             knn.predict(np.zeros(shape))
 
+    def test_labels_other_than_0_or_1_are_rejected(self):
+        # the vote sums labels: fit on [2, 2, 0, 0] predicted class 1, which
+        # no neighbour had
+        X = np.array([[0.0], [0.1], [5.0], [5.1]])
+        with pytest.raises(ValueError, match="class labels must be 0 or 1, got 2"):
+            KNearestNeighbors(k=3).fit(X, np.array([2, 2, 0, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_values_are_rejected(self, bad):
+        X = np.array([[0.0], [bad], [1.0]])
+        with pytest.raises(ValueError, match="pass finite feature values"):
+            KNearestNeighbors(k=1).fit(X, np.array([0, 1, 1]))
+
+    def test_matrix_without_columns_is_rejected(self):
+        with pytest.raises(ValueError, match="no feature columns; pass at least one"):
+            KNearestNeighbors(k=1).fit(np.empty((4, 0)), np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_row_is_rejected(self, bad):
+        # a NaN row had NaN distances to every training row, and predicted 1
+        knn = KNearestNeighbors(k=3).fit(np.eye(5), np.array([0, 1, 0, 1, 1]))
+        Q = np.zeros((3, 5))
+        Q[1, 2] = bad
+        with pytest.raises(ValueError, match="pass finite feature values"):
+            knn.predict(Q)
+
     def test_predict_memory_does_not_grow_with_query_rows(self):
         # 2,000 x 87 queries against 50 training rows; a 3-D difference of
         # all of them would take 70 MB

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 
@@ -11,6 +12,7 @@ from metaphish.cli import main
 from metaphish.revision import parse_kv
 
 from _support import FIXTURE_CSV
+from test_classifiers import PINNED_ARTIFACTS
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
 MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json")
@@ -131,6 +133,24 @@ class TestRevise:
         kv = parse_kv((pipeline_run / "report.kv").read_text())
         for cl in ("svm", "knn", "dt", "rf"):
             assert int(kv[f"{cl}.revised"]) == expected.get(cl, 0)
+
+    def test_revise_builds_no_ground_rule(self, pipeline_run, tmp_path, monkeypatch):
+        # revise reads only the model of the ground program; its rules are
+        # enumerated when read, so none is built here
+        made = []
+
+        class CountedGroundRule(nmr.GroundRule):
+            def __new__(cls, *args):
+                made.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(nmr, "GroundRule", CountedGroundRule)
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
+        assert made == []
+        for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == PINNED_ARTIFACTS[name], name
 
     def test_fact_counts(self, pipeline_run):
         facts = kb.load_facts(pipeline_run / "facts.lp")
@@ -396,6 +416,31 @@ class TestRevise:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and "line " in err and "re-run 'train'" in err
+        assert not (out / "final_beliefs.csv").exists()
+
+    @pytest.mark.parametrize("role,fold,message", [
+        ("train", "NaN", "train row {id} has fold 'NaN', not a non-negative integer"),
+        ("train", "-1", "train row {id} has fold '-1', not a non-negative integer"),
+        ("train", "1.0", "train row {id} has fold '1.0', not a non-negative integer"),
+        ("train", "", "train row {id} has fold '', not a non-negative integer"),
+        ("test", "0", "test row {id} has fold '0'; a test row has none"),
+    ], ids=["nan-train-fold", "negative-train-fold", "float-train-fold", "empty-train-fold",
+            "test-row-fold"])
+    def test_bad_manifest_fold_is_usage_error(self, pipeline_run, tmp_path, capsys, role, fold,
+                                              message):
+        # train writes a train row's fold as a non-negative integer and leaves
+        # a test row's empty; any other value marks a damaged manifest
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        manifest = out / "split_manifest.csv"
+        lines = manifest.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if f",{role}," in line)
+        rid = lines[at].split(",")[0]
+        lines[at] = f"{rid},{role},{fold}"
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {manifest}, line {at + 1}: {message.format(id=rid)}" in err, err
         assert not (out / "final_beliefs.csv").exists()
 
     def test_shorter_dataset_than_trained_on_is_usage_error(self, pipeline_run, tmp_path, capsys):

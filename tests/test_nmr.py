@@ -177,6 +177,39 @@ class TestGround:
         gp = ground(parse_program("a."), [("a", ())])
         assert len(gp.rules) == 1
 
+    def test_rules_are_enumerated_once_when_read(self):
+        gp = ground(parse_program(REVISION_TEXT), [("pred", ("svm", 7, "phishing"))])
+        assert gp.rules is gp.rules
+
+    def test_rules_keep_the_eager_order(self):
+        # distinct facts in input order, then the firings in evaluation order:
+        # stratum by stratum, and within one, pass by pass
+        program = parse_program("""
+            path(X,Y) :- edge(X,Y).
+            path(X,Z) :- path(X,Y), edge(Y,Z).
+            blocked(X) :- node(X), not path(a,X).
+        """)
+        edge = lambda x, y: ("edge", (x, y))
+        path = lambda x, y: ("path", (x, y))
+        node = lambda x: ("node", (x,))
+        facts = [edge("a", "b"), node("c"), edge("b", "c"), edge("a", "b"), node("a"),
+                 node("c"), edge("c", "d")]
+        assert ground(program, facts).rules == (
+            GroundRule(edge("a", "b"), (), ()),
+            GroundRule(node("c"), (), ()),
+            GroundRule(edge("b", "c"), (), ()),
+            GroundRule(node("a"), (), ()),
+            GroundRule(edge("c", "d"), (), ()),
+            GroundRule(path("a", "b"), (edge("a", "b"),), ()),
+            GroundRule(path("b", "c"), (edge("b", "c"),), ()),
+            GroundRule(path("c", "d"), (edge("c", "d"),), ()),
+            GroundRule(path("a", "c"), (path("a", "b"), edge("b", "c")), ()),
+            GroundRule(path("b", "d"), (path("b", "c"), edge("c", "d")), ()),
+            GroundRule(path("a", "d"), (path("a", "c"), edge("c", "d")), ()),
+            GroundRule(("blocked", ("c",)), (node("c"),), (path("a", "c"),)),
+            GroundRule(("blocked", ("a",)), (node("a"),), (path("a", "a"),)),
+        )
+
     def test_repeated_variable_must_unify(self):
         program = parse_program("q(X) :- p(X, X).")
         answer = solve(ground(program, [("p", (1, 2)), ("p", (3, 3))]))
