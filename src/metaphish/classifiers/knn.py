@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer, check_query, training_set
+from metaphish.classifiers.schema import check_integer, finite_query, training_set
 
 # Query rows x training rows per block.  The eight running lanes and the
 # eight-column terms take 8 x 8 bytes per element each: 1 MiB together.
@@ -106,9 +106,7 @@ class KNearestNeighbors:
         if self.X_ is None:
             raise ValueError("classifier is not fitted")
         n, d = self.X_.shape
-        Q = check_query(X, d)
-        if not np.isfinite(Q).all():
-            raise ValueError("X holds NaN or infinite values; pass finite feature values")
+        Q = finite_query(X, d)
         columns = np.ascontiguousarray(self.X_.T)
         out = np.empty(len(Q), dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // n)

@@ -153,10 +153,7 @@ def train(kind: ClassifierKind, params: dict, data: Dataset,
 
 def predict_batch(model: TrainedModel, X) -> np.ndarray:
     """Deterministic class predictions for the raw rows of ``X``, in order."""
-    X = model.scaler.scale(X)
-    if not len(X):
-        return np.empty(0, dtype=np.int64)
-    return model.estimator.predict(X)
+    return model.estimator.predict(model.scaler.scale(X))
 
 
 def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],

@@ -58,6 +58,14 @@ def check_query(X, n_features: int) -> np.ndarray:
     return X
 
 
+def finite_query(X, n_features: int) -> np.ndarray:
+    """:func:`check_query`, and a ValueError on a value that is not finite."""
+    X = check_query(X, n_features)
+    if not np.isfinite(X).all():
+        raise ValueError("X holds NaN or infinite values; pass finite feature values")
+    return X
+
+
 def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``(X, y)`` as float64 and int64 arrays, or a ``ValueError`` that says
     what a fit needs: a 2-D ``X`` of finite values with at least one row and

@@ -12,7 +12,13 @@ import numbers
 
 import numpy as np
 
-from metaphish.classifiers.schema import float_list, int_list, number
+from metaphish.classifiers.schema import (
+    finite_query,
+    float_list,
+    int_list,
+    number,
+    training_set,
+)
 
 
 def linear_kernel(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -63,12 +69,9 @@ class KernelSVM:
         return rbf_kernel(X, Z, self.gamma_value_)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y01 = np.asarray(y, dtype=np.int64)
+        X, y01 = training_set(X, y)
         y = 2.0 * y01 - 1.0
         n = len(X)
-        if n == 0:
-            raise ValueError("empty training set")
         self.gamma_value_ = resolve_gamma(self.gamma, X) if self.kernel == "rbf" else None
         C = self.C
 
@@ -140,9 +143,9 @@ class KernelSVM:
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         if self.support_x_ is None:
             raise ValueError("classifier is not fitted")
+        X = finite_query(X, self.support_x_.shape[1])
         if len(self.support_x_) == 0:
             return np.full(len(X), self.intercept_)
         K = self._kernel_matrix(X, self.support_x_)

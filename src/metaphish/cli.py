@@ -1,8 +1,10 @@
 """Command-line pipeline: train models, revise beliefs, render reports.
 
-Configuration comes from a flat key=value file (``--config``) overridden by
-command-line flags; the effective configuration is echoed verbatim into the
-output directory so every run is reproducible from its artifacts.
+Each setting is declared once, as a flag of ``_build_parser``. A flat
+key=value file (``--config``) sets the flags' defaults, so argparse types a
+file value as it types the flag, and a flag still wins. The effective
+settings are echoed into ``run_config.kv``, which, passed back as
+``--config``, reproduces the run's models, split and CV summary.
 
 Exit codes: 0 success, 1 pipeline failure, 2 usage or configuration error.
 """
@@ -13,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from metaphish import kb, nmr, revision
@@ -46,58 +47,36 @@ class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    dataset: str | None = None
-    meta_column: str | None = None  # None -> CsvSchema's column, when the header has it
-    snapshot_dir: str | None = None
-    seed: int = 42
-    test_fraction: float = 0.2
-    folds: int = 5
-    params: str = "best"  # best | grid
-    rules: str | None = None  # None -> bundled revision rules
-    out: str = "out"
-    classifier: str = "all"
+# the values of the params setting, each with its flag and that flag's help
+PARAMS = {
+    "best": ("--best-config", "use the stored winning configurations (the default)"),
+    "grid": ("--grid-search", "run full cross-validated grid search"),
+}
+CLASSIFIERS = ("all", *(k.value for k in KIND_ORDER))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"seed", "folds"}
-_FLOAT_FIELDS = {"test_fraction"}
+def _settings(args: argparse.Namespace) -> dict:
+    """The run's settings: every parsed value but the command and the config path."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "config")}
 
 
-def _config_from_sources(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, object] = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            file_kv = revision.parse_kv(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        for key, raw in file_kv.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            values[key] = raw
-    for name in _FIELD_TYPES:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
+def _read_config(args: argparse.Namespace) -> dict[str, str]:
+    """The ``key=value`` pairs of the ``--config`` file, each naming a setting."""
+    path = Path(args.config)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        values = revision.parse_kv(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for key in values:
+        if key not in _settings(args):
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+    return values
 
-    cfg = RunConfig()
-    for key, raw in values.items():
-        if key in _INT_FIELDS:
-            try:
-                raw = int(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} must be an integer, got {raw!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                raw = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from None
-        setattr(cfg, key, raw)
-    # checked here, before train writes anything
+
+def _check_settings(cfg: argparse.Namespace) -> None:
+    """The range checks argparse does not make, before anything is written."""
     if cfg.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {cfg.seed}")
     if not 0.0 < cfg.test_fraction < 1.0:
@@ -105,26 +84,20 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
                           f"got {cfg.test_fraction}")
     if cfg.folds < 2:
         raise ConfigError(f"--folds must be at least 2, got {cfg.folds}")
-    if cfg.params not in ("best", "grid"):
-        raise ConfigError(f"params must be 'best' or 'grid', got {cfg.params!r}")
-    if cfg.classifier not in ("all", *(k.value for k in KIND_ORDER)):
-        raise ConfigError(f"classifier must be one of all/svm/knn/dt/rf, got {cfg.classifier!r}")
-    return cfg
+    # a config file's value skips the flags' own checks
+    if cfg.params not in PARAMS:
+        raise ConfigError(f"params must be {' or '.join(map(repr, PARAMS))}, got {cfg.params!r}")
+    if cfg.classifier not in CLASSIFIERS:
+        raise ConfigError(f"classifier must be one of {'/'.join(CLASSIFIERS)}, "
+                          f"got {cfg.classifier!r}")
 
 
-def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
-    kv = {f.name: "" if getattr(cfg, f.name) is None else str(getattr(cfg, f.name))
-          for f in fields(RunConfig)}
+def _echo_config(cfg: argparse.Namespace, out_dir: Path) -> None:
+    kv = {key: "" if value is None else str(value) for key, value in _settings(cfg).items()}
     (out_dir / "run_config.kv").write_text(revision.format_kv(kv), encoding="utf-8")
 
 
-def _selected_kinds(cfg: RunConfig) -> tuple[ClassifierKind, ...]:
-    if cfg.classifier == "all":
-        return KIND_ORDER
-    return (ClassifierKind(cfg.classifier),)
-
-
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: argparse.Namespace):
     if not cfg.dataset:
         raise ConfigError("no dataset path given (use --dataset or the config file)")
     path = Path(cfg.dataset)
@@ -146,7 +119,7 @@ def _fingerprint(data) -> dict[str, str]:
             "y_sha256": hashlib.sha256(data.y).hexdigest()}
 
 
-def _check_inputs(cfg: RunConfig, out_dir: Path, data) -> None:
+def _check_inputs(cfg: argparse.Namespace, out_dir: Path, data) -> None:
     """Raise ConfigError unless ``data`` is the dataset that 'train' recorded."""
     path = out_dir / INPUTS_FILE
     fix = "pass the dataset 'train' used or re-run 'train'"
@@ -225,7 +198,7 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
     return ids_by_role["train"], ids_by_role["test"]
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     data = _load_dataset(cfg)
     counts = train_class_counts(data, cfg.test_fraction)
     # a grid search scores each fold, so every fold needs a row of each class
@@ -241,7 +214,8 @@ def cmd_train(cfg: RunConfig) -> int:
     (out_dir / INPUTS_FILE).write_text(revision.format_kv(_fingerprint(data)), encoding="utf-8")
 
     summary: dict[str, str] = {}
-    for kind in _selected_kinds(cfg):
+    kinds = KIND_ORDER if cfg.classifier == "all" else (ClassifierKind(cfg.classifier),)
+    for kind in kinds:
         if cfg.params == "grid":
             result = grid_search(kind, DEFAULT_GRIDS[kind], data, split.folds, cfg.seed)
             params = result.params
@@ -261,7 +235,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_meta_source(cfg: RunConfig, data, test_ids) -> None:
+def _check_meta_source(cfg: argparse.Namespace, data, test_ids) -> None:
     if cfg.snapshot_dir:
         directory = Path(cfg.snapshot_dir)
         if not directory.is_dir():
@@ -278,14 +252,14 @@ def _check_meta_source(cfg: RunConfig, data, test_ids) -> None:
         )
 
 
-def _meta_flags_for(cfg: RunConfig, data, test_ids) -> dict[int, bool]:
+def _meta_flags_for(cfg: argparse.Namespace, data, test_ids) -> dict[int, bool]:
     if cfg.snapshot_dir:
         return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
     rows = data.rows(test_ids)
     return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
 
-def _load_rules(cfg: RunConfig) -> nmr.Program:
+def _load_rules(cfg: argparse.Namespace) -> nmr.Program:
     """The bundled revision program, or the ``--rules`` file, checked before any work."""
     if not cfg.rules:
         return revision.revision_program()
@@ -303,7 +277,7 @@ def _load_rules(cfg: RunConfig) -> nmr.Program:
     return program
 
 
-def cmd_revise(cfg: RunConfig) -> int:
+def cmd_revise(cfg: argparse.Namespace) -> int:
     program = _load_rules(cfg)
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
@@ -361,7 +335,7 @@ def cmd_revise(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: argparse.Namespace) -> int:
     path = Path(cfg.out) / "report.kv"
     if not path.is_file():
         raise ConfigError(f"report not found: {path} (run 'revise' first)")
@@ -377,7 +351,9 @@ def cmd_report(cfg: RunConfig) -> int:
 _COMMANDS = {"train": cmd_train, "revise": cmd_revise, "report": cmd_report}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The one declaration of every setting: its flag, type and default.
+    ``config``, a ``--config`` file's values, replaces the defaults it names."""
     parser = argparse.ArgumentParser(
         prog="metaphish",
         description="Phishing classification with post-hoc rule-based belief revision.",
@@ -389,25 +365,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", "render the comparison tables from a stored report.kv"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value config file (flags win)")
+        p.add_argument("--config", help="flat key=value file of settings (flags win)")
         p.add_argument("--dataset", help="path to the dataset CSV")
-        p.add_argument("--meta-column", dest="meta_column", help="meta column name, which must then be in the header "
-                            "(default: meta_present, if the header has it)")
-        p.add_argument("--snapshot-dir", dest="snapshot_dir",
+        p.add_argument("--meta-column", help="meta column name, which must then be in the header "
+                                             "(default: meta_present, if the header has it)")
+        p.add_argument("--snapshot-dir",
                        help="directory of <id>.html snapshots (overrides the meta column)")
-        p.add_argument("--seed", type=int, help="global seed (default 42)")
-        p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                       help="held-out fraction (default 0.2)")
-        p.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
+        p.add_argument("--seed", type=int, default=42, help="global seed (default %(default)s)")
+        p.add_argument("--test-fraction", type=float, default=0.2,
+                       help="held-out fraction (default %(default)s)")
+        p.add_argument("--folds", type=int, default=5,
+                       help="cross-validation folds (default %(default)s)")
         p.add_argument("--rules", help="rule file (default: bundled revision rules)")
-        p.add_argument("--out", help="output directory (default ./out)")
+        p.add_argument("--out", default="out", help="output directory (default %(default)s)")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--best-config", dest="params", action="store_const",
-                           const="best", help="use the stored winning configurations")
-        group.add_argument("--grid-search", dest="params", action="store_const",
-                           const="grid", help="run full cross-validated grid search")
-        p.add_argument("--classifier", choices=["all", *(k.value for k in KIND_ORDER)],
-                       help="train only one classifier (train command)")
+        for value, (flag, flag_help) in PARAMS.items():
+            group.add_argument(flag, dest="params", action="store_const", const=value,
+                               help=flag_help)
+        p.add_argument("--classifier", choices=CLASSIFIERS, default="all",
+                       help="train only one classifier (train command; default %(default)s)")
+        p.set_defaults(**{"params": "best", **(config or {})})
     return parser
 
 
@@ -415,11 +392,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config:  # a fresh parser, so no call shares another's file values
+            args = _build_parser(_read_config(args)).parse_args(argv)
+        _check_settings(args)
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        cfg = _config_from_sources(args)
-        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"error: {exc}\n")

@@ -9,6 +9,7 @@ withdrawn, so false positives can only fall and false negatives only rise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -81,7 +82,6 @@ class ClassifierOutcome:
     before: Confusion
     after: Confusion
     revised_count: int
-    revised_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def build_report(initial: list[InitialBelief], final: list[FinalBelief],
     if len(initial) != len(final):
         raise ValueError(f"{len(initial)} initial beliefs vs {len(final)} final beliefs")
     counts: dict[ClassifierKind, dict[str, dict[str, int]]] = {}
-    revised_ids: dict[ClassifierKind, list[int]] = {}
+    revised: Counter[ClassifierKind] = Counter()
     for b, f in zip(initial, final):
         if (b.classifier, b.instance_id) != (f.classifier, f.instance_id):
             raise ValueError(
@@ -173,22 +173,15 @@ def build_report(initial: list[InitialBelief], final: list[FinalBelief],
             else:
                 slot[stage]["fp" if predicted == 1 else "tn"] += 1
         if f.revised:
-            revised_ids.setdefault(b.classifier, []).append(b.instance_id)
+            revised[b.classifier] += 1
 
-    per_classifier = {}
-    revised_total = 0
-    for kind in KIND_ORDER:
-        if kind not in counts:
-            continue
-        ids = tuple(sorted(revised_ids.get(kind, [])))
-        revised_total += len(ids)
-        per_classifier[kind] = ClassifierOutcome(
-            before=Confusion(**counts[kind]["before"]),
-            after=Confusion(**counts[kind]["after"]),
-            revised_count=len(ids),
-            revised_ids=ids,
-        )
-    return RevisionReport(per_classifier, revised_total, len(initial))
+    per_classifier = {
+        kind: ClassifierOutcome(before=Confusion(**counts[kind]["before"]),
+                                after=Confusion(**counts[kind]["after"]),
+                                revised_count=revised[kind])
+        for kind in KIND_ORDER if kind in counts
+    }
+    return RevisionReport(per_classifier, sum(revised.values()), len(initial))
 
 
 # ---------------------------------------------------------------------------

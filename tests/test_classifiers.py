@@ -438,7 +438,8 @@ class TestTreeArguments:
     """Bad labels, arguments and matrices end in a ValueError that says what
     to pass, never in a wrong fit or a numpy traceback."""
 
-    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2),
+                                      KernelSVM])
     def test_non_binary_labels_are_rejected(self, make):
         X, y = separable_set(40, seed=5)
         with pytest.raises(ValueError, match="0 or 1, got 2"):
@@ -480,8 +481,8 @@ class TestTreeArguments:
         with pytest.raises(ValueError, match="max_features must be an integer of at least 1"):
             DecisionTree(max_features=0, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)],
-                             ids=["dt", "rf"])
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2),
+                                      KernelSVM], ids=["dt", "rf", "svm"])
     @pytest.mark.parametrize("shape", [(4, 7), (4, 1), (5,)], ids=["4x7", "4x1", "1-D"])
     def test_query_of_another_width_is_rejected(self, make, shape):
         # a (4, 7) matrix was predicted from its first 5 columns
@@ -491,7 +492,8 @@ class TestTreeArguments:
                                                        f"got X of shape {shape}")):
             model.predict(np.zeros(shape))
 
-    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2)])
+    @pytest.mark.parametrize("make", [DecisionTree, lambda: RandomForest(n_estimators=2),
+                                      KernelSVM])
     def test_matrix_without_columns_is_rejected(self, make):
         with pytest.raises(ValueError, match="no feature columns; pass at least one"):
             make().fit(np.empty((4, 0)), np.array([0, 1, 0, 1]))
@@ -507,8 +509,9 @@ class TestTreeArguments:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_rejected(self, bad):
         X = np.array([[0.0], [bad], [1.0]])
-        with pytest.raises(ValueError, match="pass finite feature values"):
-            DecisionTree().fit(X, np.array([0, 1, 1]))
+        for make in (DecisionTree, KernelSVM):
+            with pytest.raises(ValueError, match="pass finite feature values"):
+                make().fit(X, np.array([0, 1, 1]))
 
 
 class TestTreeModelParity:
@@ -674,12 +677,14 @@ class TestKNN:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_row_is_rejected(self, bad):
-        # a NaN row had NaN distances to every training row, and predicted 1
-        knn = KNearestNeighbors(k=3).fit(np.eye(5), np.array([0, 1, 0, 1, 1]))
+        # a NaN row had NaN distances to every training row, and predicted 1;
+        # the SVM's decision value was NaN, and it predicted 0
         Q = np.zeros((3, 5))
         Q[1, 2] = bad
-        with pytest.raises(ValueError, match="pass finite feature values"):
-            knn.predict(Q)
+        for model in (KNearestNeighbors(k=3), KernelSVM()):
+            model.fit(np.eye(5), np.array([0, 1, 0, 1, 1]))
+            with pytest.raises(ValueError, match="pass finite feature values"):
+                model.predict(Q)
 
     def test_predict_memory_does_not_grow_with_query_rows(self):
         # 2,000 x 87 queries against 50 training rows; a 3-D difference of
@@ -734,6 +739,10 @@ class TestKernelSVM:
         assert svm.predict([[5.0]]).tolist() == [1]
         svm0 = KernelSVM().fit(X, np.array([0, 0]))
         assert svm0.predict([[5.0]]).tolist() == [0]
+        # it has no support vectors, but still knows the fit's width
+        with pytest.raises(ValueError, match=re.escape("1 feature columns the model was fit on; "
+                                                       "got X of shape (1, 9)")):
+            svm.predict(np.zeros((1, 9)))
 
 
 class TestRandomForest:
@@ -1007,6 +1016,9 @@ class TestGenerateInitialBeliefs:
     def test_empty_test_set(self, records, train_ids):
         models = self._models(records, train_ids)
         assert generate_initial_beliefs(models, records, set()) == []
+        for model in models.values():
+            classes = predict_batch(model, records.X[:0])
+            assert classes.dtype == np.int64 and classes.shape == (0,)
 
     def test_single_instance_gets_one_belief_per_classifier(self, records, train_ids):
         models = self._models(records, train_ids)

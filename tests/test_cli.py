@@ -728,3 +728,68 @@ class TestConfig:
         assert f"{FIXTURE_CSV}: meta column 'no_such_column' is not in the header" in err
         assert "fix --meta-column" in err
         assert not (out / "facts.lp").exists()
+
+    @pytest.mark.parametrize("key,value,flags", [
+        ("dataset", str(FIXTURE_CSV), ["--dataset", str(FIXTURE_CSV)]),
+        ("meta_column", "meta_present", ["--meta-column", "meta_present"]),
+        ("snapshot_dir", "pages", ["--snapshot-dir", "pages"]),
+        ("seed", "7", ["--seed", "7"]),
+        ("test_fraction", "0.25", ["--test-fraction", "0.25"]),
+        ("folds", "3", ["--folds", "3"]),
+        ("params", "grid", ["--grid-search"]),
+        ("rules", "rules.lp", ["--rules", "rules.lp"]),
+        ("out", "out", ["--out", "out"]),
+        ("classifier", "knn", ["--classifier", "knn"]),
+    ], ids=["dataset", "meta_column", "snapshot_dir", "seed", "test_fraction", "folds",
+            "params", "rules", "out", "classifier"])
+    def test_config_key_echoes_like_its_flag(self, tmp_path, monkeypatch, key, value, flags):
+        monkeypatch.chdir(tmp_path)
+        base = [] if key == "out" else ["--out", "out"]
+        base += [] if key == "dataset" else DATASET_ARGS
+        base += [] if key == "classifier" else ["--classifier", "dt"]
+        (tmp_path / "run.kv").write_text(f"{key}={value}\n")
+        echoes = []
+        for args in (flags, ["--config", "run.kv"]):
+            assert main(["train", *base, *args]) == 0
+            echoes.append((tmp_path / "out" / "run_config.kv").read_text())
+            for path in (tmp_path / "out").iterdir():
+                path.unlink()
+        assert parse_kv(echoes[0])[key] == value
+        assert echoes[1] == echoes[0]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "x", "argument --seed: invalid int value: 'x'"),
+        ("folds", "1.5", "argument --folds: invalid int value: '1.5'"),
+        ("test_fraction", "abc", "argument --test-fraction: invalid float value: 'abc'"),
+    ], ids=["seed", "folds", "test-fraction"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_value_of_the_wrong_type_is_usage_error_before_any_write(
+            self, tmp_path, capsys, key, value, message, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            args = [*DATASET_ARGS, f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "run.kv"
+            config.write_text(f"dataset={FIXTURE_CSV}\n{key}={value}\n")
+            args = ["--config", str(config)]
+        assert main(["train", *args, "--out", str(out)]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echoed_config_reproduces_the_run(self, pipeline_run, tmp_path):
+        out = tmp_path / "again"
+        assert main(["train", "--config", str(pipeline_run / "run_config.kv"),
+                     "--out", str(out)]) == 0
+        for name in (*MODEL_FILES, "split_manifest.csv", "cv_summary.kv"):
+            assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
+        echo, first = (parse_kv((d / "run_config.kv").read_text()) for d in (out, pipeline_run))
+        assert echo == {**first, "out": str(out)}
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path):
+        config = tmp_path / "run.kv"
+        config.write_text(f"dataset={FIXTURE_CSV}\nseed=7\nfolds=3\n")
+        common = ["--classifier", "dt", "--out", str(tmp_path / "out")]
+        assert main(["train", "--config", str(config), *common]) == 0
+        assert main(["train", *DATASET_ARGS, *common]) == 0
+        echo = parse_kv((tmp_path / "out" / "run_config.kv").read_text())
+        assert (echo["seed"], echo["folds"]) == ("42", "5")

@@ -1,8 +1,13 @@
-"""The README's documented library use runs against the shipped fixture."""
+"""The README's documented library use runs against the shipped fixture, and its
+flag table lists the command line's options."""
 
 from __future__ import annotations
 
+import argparse
+import re
 from pathlib import Path
+
+from metaphish import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,3 +19,14 @@ def test_readme_library_use_snippet_runs(monkeypatch, capsys):
     exec(compile(code, "README.md#library-use", "exec"), {})
     # the same split and configurations as the CLI's fixture run: 7 of 160 revised
     assert capsys.readouterr().out == "7 of 160 verdicts revised\n"
+
+
+def test_readme_flag_table_lists_the_parser_options():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for command in commands.choices.values()
+               for action in command._actions for option in action.option_strings}
+    table = (ROOT / "README.md").read_text(encoding="utf-8").split("| flag | meaning |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    documented = {flag for row in rows for flag in re.findall(r"`(--[a-z-]+)", row.split("|")[1])}
+    assert documented == options - {"-h", "--help", "--config"}

@@ -108,7 +108,7 @@ class TestBuildReport:
             assert outcome.after.fp == 0
             assert outcome.after.tn == 1
             assert outcome.revised_count == 1
-            assert outcome.revised_ids == (178,)
+        assert [(f.instance_id, f.revised) for f in finals] == [(178, True)] * 4
         assert report.revised_total == 4
 
     def test_no_meta_means_no_change(self):
