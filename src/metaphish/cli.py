@@ -1,10 +1,11 @@
 """Command-line pipeline: train models, revise beliefs, render reports.
 
-Each setting is declared once, as a flag of ``_build_parser``. A flat
-key=value file (``--config``) sets the flags' defaults, so argparse types a
-file value as it types the flag, and a flag still wins. The effective
-settings are echoed into ``run_config.kv``, which, passed back as
-``--config``, reproduces the run's models, split and CV summary.
+Each setting is declared once, as a flag of ``_build_parser`` on the commands
+that read it. A flat key=value file (``--config``) sets the flags' defaults,
+so argparse types a file value as it types the flag, a flag still wins, and a
+key the command does not read is an error. ``train`` echoes its settings into
+``run_config.kv``, which, passed back as ``--config``, reproduces the run's
+models, split and CV summary; ``revise`` echoes its own into ``revise_config.kv``.
 
 Exit codes: 0 success, 1 pipeline failure, 2 usage or configuration error.
 """
@@ -71,7 +72,7 @@ def _read_config(args: argparse.Namespace) -> dict[str, str]:
         raise ConfigError(f"{path}: {exc}") from None
     for key in values:
         if key not in _settings(args):
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+            raise ConfigError(f"{path}: config key {key!r} is not a setting of '{args.command}'")
     return values
 
 
@@ -92,9 +93,9 @@ def _check_settings(cfg: argparse.Namespace) -> None:
                           f"got {cfg.classifier!r}")
 
 
-def _echo_config(cfg: argparse.Namespace, out_dir: Path) -> None:
+def _echo_config(cfg: argparse.Namespace, path: Path) -> None:
     kv = {key: "" if value is None else str(value) for key, value in _settings(cfg).items()}
-    (out_dir / "run_config.kv").write_text(revision.format_kv(kv), encoding="utf-8")
+    path.write_text(revision.format_kv(kv), encoding="utf-8")
 
 
 def _load_dataset(cfg: argparse.Namespace):
@@ -199,6 +200,7 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
 
 
 def cmd_train(cfg: argparse.Namespace) -> int:
+    _check_settings(cfg)
     data = _load_dataset(cfg)
     counts = train_class_counts(data, cfg.test_fraction)
     # a grid search scores each fold, so every fold needs a row of each class
@@ -230,12 +232,13 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         save_model(model, out_dir / MODEL_FILES[kind])
         print(f"trained {kind.value} ({summary[f'{kind.value}.source']})")
     (out_dir / "cv_summary.kv").write_text(revision.format_kv(summary), encoding="utf-8")
-    _echo_config(cfg, out_dir)
+    _echo_config(cfg, out_dir / "run_config.kv")
     print(f"artifacts written to {out_dir}")
     return 0
 
 
-def _check_meta_source(cfg: argparse.Namespace, data, test_ids) -> None:
+def _meta_flags(cfg: argparse.Namespace, data, test_ids) -> dict[int, bool]:
+    """Check the meta source (snapshot pages or meta column), then read each test id's flag."""
     if cfg.snapshot_dir:
         directory = Path(cfg.snapshot_dir)
         if not directory.is_dir():
@@ -245,16 +248,12 @@ def _check_meta_source(cfg: argparse.Namespace, data, test_ids) -> None:
         if not any((directory / f"{rid}.html").is_file() for rid in test_ids):
             raise ConfigError(f"snapshot directory {cfg.snapshot_dir} has no <id>.html page "
                               f"for any of the {len(test_ids)} test ids; fix --snapshot-dir")
-    elif data.meta is None:
+        return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
+    if data.meta is None:
         raise ConfigError(
             f"no meta information: dataset has no {CsvSchema.meta_column!r} column; "
             f"pass --meta-column or --snapshot-dir"
         )
-
-
-def _meta_flags_for(cfg: argparse.Namespace, data, test_ids) -> dict[int, bool]:
-    if cfg.snapshot_dir:
-        return load_meta_from_snapshots(cfg.snapshot_dir, sorted(test_ids))
     rows = data.rows(test_ids)
     return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
@@ -283,7 +282,7 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     train_ids, test_ids = _read_manifest(out_dir, len(data))
     _check_inputs(cfg, out_dir, data)
-    _check_meta_source(cfg, data, test_ids)  # before any model loads
+    meta_flags = _meta_flags(cfg, data, test_ids)  # before any model loads
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
@@ -303,9 +302,14 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
             )
 
     beliefs = generate_initial_beliefs(models, data, test_ids)
-    fact_base = kb.encode(beliefs, _meta_flags_for(cfg, data, test_ids))
+    fact_base = kb.encode(beliefs, meta_flags)
+    try:  # before facts.lp, so a rule file that derives wrong final atoms writes nothing
+        finals = revision.apply_revision(beliefs, fact_base, program)
+    except ValueError as exc:
+        if not cfg.rules:  # the bundled rules: a fault of the program, not of its input
+            raise
+        raise ConfigError(f"{cfg.rules}: {exc}; fix the rule file") from None
     n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
-    finals = revision.apply_revision(beliefs, fact_base, program)
 
     with open(out_dir / "final_beliefs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -325,7 +329,7 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
     kv = revision.report_to_kv(report)
     (out_dir / "report.kv").write_text(revision.format_kv(kv), encoding="utf-8")
     (out_dir / "report.txt").write_text(revision.render_report_text(kv), encoding="utf-8")
-    _echo_config(cfg, out_dir)
+    _echo_config(cfg, out_dir / "revise_config.kv")
 
     print(f"wrote facts.lp ({n_bytes} bytes), final_beliefs.csv, report.kv, report.txt")
     print(
@@ -352,39 +356,41 @@ _COMMANDS = {"train": cmd_train, "revise": cmd_revise, "report": cmd_report}
 
 
 def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
-    """The one declaration of every setting: its flag, type and default.
-    ``config``, a ``--config`` file's values, replaces the defaults it names."""
+    """The one declaration of every setting: the commands that read it, its
+    flag, type and default. ``config``, a ``--config`` file's values,
+    replaces the defaults it names."""
     parser = argparse.ArgumentParser(
         prog="metaphish",
         description="Phishing classification with post-hoc rule-based belief revision.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
+    train, revise, report = commands = [sub.add_parser(name, help=text) for name, text in (
         ("train", "fit the four classifiers on a deterministic split"),
         ("revise", "encode beliefs as facts, apply the revision rules, report"),
         ("report", "render the comparison tables from a stored report.kv"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value file of settings (flags win)")
+    )]
+    for p in (train, revise):
         p.add_argument("--dataset", help="path to the dataset CSV")
         p.add_argument("--meta-column", help="meta column name, which must then be in the header "
                                              "(default: meta_present, if the header has it)")
-        p.add_argument("--snapshot-dir",
-                       help="directory of <id>.html snapshots (overrides the meta column)")
-        p.add_argument("--seed", type=int, default=42, help="global seed (default %(default)s)")
-        p.add_argument("--test-fraction", type=float, default=0.2,
+    revise.add_argument("--snapshot-dir",
+                        help="directory of <id>.html snapshots (overrides the meta column)")
+    train.add_argument("--seed", type=int, default=42, help="global seed (default %(default)s)")
+    train.add_argument("--test-fraction", type=float, default=0.2,
                        help="held-out fraction (default %(default)s)")
-        p.add_argument("--folds", type=int, default=5,
+    train.add_argument("--folds", type=int, default=5,
                        help="cross-validation folds (default %(default)s)")
-        p.add_argument("--rules", help="rule file (default: bundled revision rules)")
+    revise.add_argument("--rules", help="rule file (default: bundled revision rules)")
+    group = train.add_mutually_exclusive_group()
+    for value, (flag, flag_help) in PARAMS.items():
+        group.add_argument(flag, dest="params", action="store_const", const=value, help=flag_help)
+    train.add_argument("--classifier", choices=CLASSIFIERS, default="all",
+                       help="train only one classifier (default %(default)s)")
+    train.set_defaults(params="best")
+    for p in commands:  # last, so a file value replaces the default of every flag
+        p.add_argument("--config", help="key=value file of this command's settings (flags win)")
         p.add_argument("--out", default="out", help="output directory (default %(default)s)")
-        group = p.add_mutually_exclusive_group()
-        for value, (flag, flag_help) in PARAMS.items():
-            group.add_argument(flag, dest="params", action="store_const", const=value,
-                               help=flag_help)
-        p.add_argument("--classifier", choices=CLASSIFIERS, default="all",
-                       help="train only one classifier (train command; default %(default)s)")
-        p.set_defaults(**{"params": "best", **(config or {})})
+        p.set_defaults(**(config or {}))
     return parser
 
 
@@ -394,7 +400,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:  # a fresh parser, so no call shares another's file values
             args = _build_parser(_read_config(args)).parse_args(argv)
-        _check_settings(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2

@@ -4,10 +4,11 @@ import csv
 import hashlib
 import json
 import re
+import shutil
 
 import pytest
 
-from metaphish import cli, kb, nmr
+from metaphish import cli, kb, nmr, revision
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
@@ -26,6 +27,11 @@ def _copy_run(run_dir, out, *extra):
     for name in (*MODEL_FILES, "split_manifest.csv", "run_inputs.kv", *extra):
         (out / name).write_bytes((run_dir / name).read_bytes())
     return out
+
+
+def _files(directory):
+    """The name and bytes of each file in ``directory``."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 class TestTrain:
@@ -214,14 +220,6 @@ class TestRevise:
             assert kv[f"{cl}.fp_after"] == "0"
             assert kv[f"{cl}.tp_after"] == "0"
 
-    def test_empty_rules_program_is_pipeline_error(self, pipeline_run, tmp_path, capsys):
-        rules = tmp_path / "empty.lp"
-        rules.write_text("% no rules\n")
-        out = _copy_run(pipeline_run, tmp_path / "out")
-        rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--rules", str(rules)])
-        assert rc == 1
-        assert "final" in capsys.readouterr().err
-
     def test_revise_encodes_once_and_never_solves(self, pipeline_run, tmp_path, monkeypatch):
         # the verdicts come from the model ground() builds over the facts.lp fact base
         calls = {"encode": 0, "solve": 0}
@@ -247,7 +245,17 @@ class TestRevise:
         ("final(CL,ID,C) :- pred(CL,ID,C), not final(CL,ID,C).\n", "rules.lp: program is not stratified"),
         ("revise(CL,ID) :- pred(CL,ID), meta(ID,yes).\n",
          "rules.lp: predicate 'pred' used with arity 2"),
-    ], ids=["missing", "parse-error", "unsafe", "not-stratified", "arity-clash"])
+        # these parse and ground, but derive no usable final/3 atom per belief
+        ("% no rules\n", "rules.lp: rule program derived no final belief"),
+        ("revise(C,I) :- pred(C,I,phishing), meta(I,yes).\n",
+         "rules.lp: rule program derived no final belief"),
+        ("final(C,I) :- pred(C,I,X).\n", "rules.lp: unexpected arity for final atom final("),
+        ("final(C,I,maybe) :- pred(C,I,X).\n",
+         "rules.lp: unknown class symbol 'maybe' in final atom"),
+        ("final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n",
+         "rules.lp: conflicting final beliefs derived for"),
+    ], ids=["missing", "parse-error", "unsafe", "not-stratified", "arity-clash", "empty",
+            "no-final", "final-arity-2", "unknown-class-symbol", "conflicting-finals"])
     def test_bad_rule_file_is_usage_error(self, pipeline_run, tmp_path, capsys, text, message):
         rules = tmp_path / "rules.lp"
         if text is not None:
@@ -705,11 +713,60 @@ class TestConfig:
         assert not out.exists()
 
     def test_config_echo_covers_all_fields(self, pipeline_run):
-        echo = parse_kv((pipeline_run / "run_config.kv").read_text())
-        assert set(echo) == {
-            "dataset", "meta_column", "snapshot_dir", "seed", "test_fraction",
-            "folds", "params", "rules", "out", "classifier",
+        # each command echoes the settings it reads, so revise leaves train's echo alone
+        echoes = {name: set(parse_kv((pipeline_run / name).read_text()))
+                  for name in ("run_config.kv", "revise_config.kv")}
+        assert echoes == {
+            "run_config.kv": {"dataset", "meta_column", "seed", "test_fraction", "folds",
+                              "params", "out", "classifier"},
+            "revise_config.kv": {"dataset", "meta_column", "snapshot_dir", "rules", "out"},
         }
+
+    @pytest.mark.parametrize("command,flags", [
+        ("revise", ["--seed", "9"]),
+        ("revise", ["--classifier", "dt"]),
+        ("revise", ["--grid-search"]),
+        ("revise", ["--folds", "3"]),
+        ("report", ["--dataset", "x.csv"]),
+        ("report", ["--rules", "r.lp"]),
+        ("train", ["--rules", "r.lp"]),
+        ("train", ["--snapshot-dir", "d"]),
+    ], ids=["revise-seed", "revise-classifier", "revise-grid-search", "revise-folds",
+            "report-dataset", "report-rules", "train-rules", "train-snapshot-dir"])
+    def test_flag_of_another_command_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                    command, flags):
+        # each was accepted and ignored, and revise echoed it as if it had applied
+        out = _copy_run(pipeline_run, tmp_path / "out", "report.kv")
+        before = _files(out)
+        dataset = [] if command == "report" else DATASET_ARGS
+        assert main([command, *dataset, *flags, "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
+        assert _files(out) == before
+
+    @pytest.mark.parametrize("command,key", [
+        ("revise", "seed"), ("train", "rules"), ("report", "dataset"),
+    ], ids=["revise-seed", "train-rules", "report-dataset"])
+    def test_config_key_of_another_command_is_usage_error(self, pipeline_run, tmp_path, capsys,
+                                                          command, key):
+        # skipping the key would ignore it as silently as the flag once was
+        out = _copy_run(pipeline_run, tmp_path / "out", "report.kv")
+        before = _files(out)
+        config = tmp_path / "run.kv"
+        config.write_text(f"{key}=7\n")
+        dataset = [] if command == "report" else DATASET_ARGS
+        assert main([command, "--config", str(config), *dataset, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: config key {key!r} is not a setting of '{command}'\n" in err
+        assert _files(out) == before
+
+    def test_revise_keeps_the_echo_that_reproduces_train(self, tmp_path):
+        # revise once rewrote run_config.kv with train's defaults (seed=42 here)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["train", *DATASET_ARGS, "--seed", "7", "--out", str(first)]) == 0
+        assert main(["revise", *DATASET_ARGS, "--out", str(first)]) == 0
+        assert main(["train", "--config", str(first / "run_config.kv"), "--out", str(again)]) == 0
+        for name in (*MODEL_FILES, "split_manifest.csv", "cv_summary.kv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["train", "revise"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -729,31 +786,42 @@ class TestConfig:
         assert "fix --meta-column" in err
         assert not (out / "facts.lp").exists()
 
-    @pytest.mark.parametrize("key,value,flags", [
-        ("dataset", str(FIXTURE_CSV), ["--dataset", str(FIXTURE_CSV)]),
-        ("meta_column", "meta_present", ["--meta-column", "meta_present"]),
-        ("snapshot_dir", "pages", ["--snapshot-dir", "pages"]),
-        ("seed", "7", ["--seed", "7"]),
-        ("test_fraction", "0.25", ["--test-fraction", "0.25"]),
-        ("folds", "3", ["--folds", "3"]),
-        ("params", "grid", ["--grid-search"]),
-        ("rules", "rules.lp", ["--rules", "rules.lp"]),
-        ("out", "out", ["--out", "out"]),
-        ("classifier", "knn", ["--classifier", "knn"]),
+    @pytest.mark.parametrize("command,key,value,flags", [
+        ("train", "dataset", str(FIXTURE_CSV), ["--dataset", str(FIXTURE_CSV)]),
+        ("train", "meta_column", "meta_present", ["--meta-column", "meta_present"]),
+        ("revise", "snapshot_dir", "pages", ["--snapshot-dir", "pages"]),
+        ("train", "seed", "7", ["--seed", "7"]),
+        ("train", "test_fraction", "0.25", ["--test-fraction", "0.25"]),
+        ("train", "folds", "3", ["--folds", "3"]),
+        ("train", "params", "grid", ["--grid-search"]),
+        ("revise", "rules", "rules.lp", ["--rules", "rules.lp"]),
+        ("train", "out", "out", ["--out", "out"]),
+        ("train", "classifier", "knn", ["--classifier", "knn"]),
     ], ids=["dataset", "meta_column", "snapshot_dir", "seed", "test_fraction", "folds",
             "params", "rules", "out", "classifier"])
-    def test_config_key_echoes_like_its_flag(self, tmp_path, monkeypatch, key, value, flags):
+    def test_config_key_echoes_like_its_flag(self, pipeline_run, tmp_path, monkeypatch, command,
+                                             key, value, flags):
         monkeypatch.chdir(tmp_path)
         base = [] if key == "out" else ["--out", "out"]
         base += [] if key == "dataset" else DATASET_ARGS
-        base += [] if key == "classifier" else ["--classifier", "dt"]
+        if command == "train":
+            base += [] if key == "classifier" else ["--classifier", "dt"]
+        else:  # revise reads a trained run, a snapshot page and a rule file
+            with open(pipeline_run / "split_manifest.csv", newline="") as fh:
+                test_id = next(r["id"] for r in csv.DictReader(fh) if r["role"] == "test")
+            (tmp_path / "pages").mkdir()
+            (tmp_path / "pages" / f"{test_id}.html").write_text(
+                '<meta name="description" content="present">')
+            (tmp_path / "rules.lp").write_text(revision.default_rules_text())
+        echo = tmp_path / "out" / ("run_config.kv" if command == "train" else "revise_config.kv")
         (tmp_path / "run.kv").write_text(f"{key}={value}\n")
         echoes = []
         for args in (flags, ["--config", "run.kv"]):
-            assert main(["train", *base, *args]) == 0
-            echoes.append((tmp_path / "out" / "run_config.kv").read_text())
-            for path in (tmp_path / "out").iterdir():
-                path.unlink()
+            if command == "revise":
+                _copy_run(pipeline_run, tmp_path / "out")
+            assert main([command, *base, *args]) == 0
+            echoes.append(echo.read_text())
+            shutil.rmtree(tmp_path / "out")
         assert parse_kv(echoes[0])[key] == value
         assert echoes[1] == echoes[0]
 

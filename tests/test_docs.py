@@ -1,5 +1,5 @@
 """The README's documented library use runs against the shipped fixture, and its
-flag table lists the command line's options."""
+flag table lists each command's options."""
 
 from __future__ import annotations
 
@@ -24,9 +24,11 @@ def test_readme_library_use_snippet_runs(monkeypatch, capsys):
 def test_readme_flag_table_lists_the_parser_options():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {option for command in commands.choices.values()
-               for action in command._actions for option in action.option_strings}
-    table = (ROOT / "README.md").read_text(encoding="utf-8").split("| flag | meaning |", 1)[1]
-    rows = table.split("\n\n", 1)[0].splitlines()[2:]
-    documented = {flag for row in rows for flag in re.findall(r"`(--[a-z-]+)", row.split("|")[1])}
-    assert documented == options - {"-h", "--help", "--config"}
+    options = {name: {option for action in command._actions for option in action.option_strings}
+               - {"-h", "--help", "--config"} for name, command in commands.choices.items()}
+    table = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "| flag | commands | meaning |", 1)[1]
+    rows = [row.split("|") for row in table.split("\n\n", 1)[0].splitlines()[2:]]
+    documented = {name: {flag for cells in rows if f"`{name}`" in cells[2]
+                         for flag in re.findall(r"`(--[a-z-]+)", cells[1])} for name in options}
+    assert documented == options
