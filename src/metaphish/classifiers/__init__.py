@@ -6,10 +6,10 @@ from metaphish.classifiers.models import (
     BEST_CONFIGS,
     DEFAULT_GRIDS,
     KIND_ORDER,
+    Beliefs,
     ClassifierKind,
     GridSearchResult,
     HyperGrid,
-    InitialBelief,
     TrainedModel,
     effective_candidates,
     generate_initial_beliefs,
@@ -24,13 +24,13 @@ from metaphish.classifiers.tree import DecisionTree, TreeNode, entropy, gini
 
 __all__ = [
     "BEST_CONFIGS",
+    "Beliefs",
     "DEFAULT_GRIDS",
     "KIND_ORDER",
     "ClassifierKind",
     "DecisionTree",
     "GridSearchResult",
     "HyperGrid",
-    "InitialBelief",
     "KNearestNeighbors",
     "KernelSVM",
     "RandomForest",

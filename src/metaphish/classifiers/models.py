@@ -103,13 +103,37 @@ def effective_candidates(grid: HyperGrid) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class InitialBelief:
-    """A classifier's pre-revision verdict on one test instance."""
+@dataclass(frozen=True, eq=False)
+class Beliefs:
+    """The classifiers' pre-revision verdicts on a set of instances, as columns.
 
-    classifier: ClassifierKind
-    instance_id: int
-    predicted_class: int
+    ``ids`` holds the instance ids in increasing order, and ``classes`` one
+    column of verdicts (0 or 1) per classifier, aligned with ``ids``, keyed in
+    :data:`KIND_ORDER`; all are read-only int64 copies.  ``len()`` counts the
+    decisions: one per (instance, classifier).
+    """
+
+    ids: np.ndarray
+    classes: Mapping[ClassifierKind, np.ndarray]
+
+    def __post_init__(self):
+        ids = np.array(self.ids, dtype=np.int64)
+        classes = {ClassifierKind(k): np.array(c, dtype=np.int64) for k, c in self.classes.items()}
+        if ids.ndim != 1 or (ids.size and (ids[0] < 0 or np.any(ids[1:] <= ids[:-1]))):
+            raise ValueError("ids must be a flat vector of increasing non-negative integers")
+        if not classes or list(classes) != [kind for kind in KIND_ORDER if kind in classes]:
+            raise ValueError(f"classes must name one or more classifiers, in the order "
+                             f"{', '.join(k.value for k in KIND_ORDER)}")
+        for kind, column in classes.items():
+            if column.shape != ids.shape or np.any((column != 0) & (column != 1)):
+                raise ValueError(f"the {kind.value} verdicts must be one 0 or 1 per id")
+        for array in (ids, *classes.values()):
+            array.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "classes", classes)
+
+    def __len__(self) -> int:
+        return self.ids.size * len(self.classes)
 
 
 @dataclass(frozen=True)
@@ -157,18 +181,15 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
 
 
 def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],
-                             data: Dataset, test_ids) -> list[InitialBelief]:
-    """One belief per (classifier, test instance), ordered by instance id, then by
-    :data:`KIND_ORDER` (the row order of ``final_beliefs.csv``); requires all four models."""
+                             data: Dataset, test_ids) -> Beliefs:
+    """Every classifier's verdict on the sorted test ids, one column per
+    classifier; requires all four models."""
     missing = [k.value for k in KIND_ORDER if k not in models]
     if missing:
         raise ValueError(f"missing model for classifier(s): {', '.join(missing)}")
     rows = data.rows(test_ids)
     X = data.X[rows]
-    classes = [predict_batch(models[kind], X).tolist() for kind in KIND_ORDER]  # Python ints
-    return [InitialBelief(kind, i, c)
-            for i, *verdicts in zip(rows.tolist(), *classes)
-            for kind, c in zip(KIND_ORDER, verdicts)]
+    return Beliefs(rows, {kind: predict_batch(models[kind], X) for kind in KIND_ORDER})
 
 
 def _shared_fits(kind: ClassifierKind, candidates: list[dict]) -> list[tuple[dict, list[int]]]:

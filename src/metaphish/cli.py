@@ -104,13 +104,17 @@ def _load_dataset(cfg: argparse.Namespace):
     path = Path(cfg.dataset)
     if not path.is_file():
         raise ConfigError(f"dataset not found: {path}")
-    if cfg.meta_column:  # named explicitly, so it must be there
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = [h.strip() for h in next(csv.reader(fh), [])]
-        if cfg.meta_column not in header:
-            raise ConfigError(f"{path}: meta column {cfg.meta_column!r} is not in the header; "
-                              f"fix --meta-column")
-    return load_dataset(path, CsvSchema(meta_column=cfg.meta_column or CsvSchema.meta_column))
+    try:
+        if cfg.meta_column:  # named explicitly, so it must be there
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                header = [h.strip() for h in next(csv.reader(fh), [])]
+            if cfg.meta_column not in header:
+                raise ConfigError(f"{path}: meta column {cfg.meta_column!r} is not in the "
+                                  f"header; fix --meta-column")
+        return load_dataset(path, CsvSchema(meta_column=cfg.meta_column or CsvSchema.meta_column))
+    except (ValueError, csv.Error) as exc:  # a damaged file: name it (the loader names the row)
+        detail = str(exc) if str(exc).startswith(f"{path}: ") else f"{path}: {exc}"
+        raise ConfigError(f"{detail}; fix the dataset") from None
 
 
 def _fingerprint(data) -> dict[str, str]:
@@ -310,22 +314,9 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
             raise
         raise ConfigError(f"{cfg.rules}: {exc}; fix the rule file") from None
     n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
+    (out_dir / "final_beliefs.csv").write_text(finals.csv_text(), encoding="utf-8")
 
-    with open(out_dir / "final_beliefs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "classifier", "initial", "final", "revised"])
-        for belief, final in zip(beliefs, finals):  # already in (id, KIND_ORDER) order
-            writer.writerow(
-                [
-                    belief.instance_id,
-                    belief.classifier.value,
-                    kb.CLASS_TO_SYMBOL[belief.predicted_class],
-                    kb.CLASS_TO_SYMBOL[final.final_class],
-                    int(final.revised),
-                ]
-            )
-
-    report = revision.build_report(beliefs, finals, dict(enumerate(data.y.tolist())))
+    report = revision.build_report(finals, data.y)
     kv = revision.report_to_kv(report)
     (out_dir / "report.kv").write_text(revision.format_kv(kv), encoding="utf-8")
     (out_dir / "report.txt").write_text(revision.render_report_text(kv), encoding="utf-8")

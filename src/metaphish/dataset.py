@@ -12,13 +12,14 @@ by :func:`extract_meta_presence`.
 
 from __future__ import annotations
 
-import array
 import csv
 import math
 import random
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -143,15 +144,17 @@ class CsvSchema:
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read the CSV at ``path`` into one :class:`Dataset`.
+    """Read the CSV at ``path`` into one :class:`Dataset`, in one streaming pass.
 
     Data row ``k`` (1-based) becomes instance id ``k - 1``.  Any malformed
-    cell aborts with the offending 1-based data row number.
+    cell aborts with the offending 1-based data row number: a row's width and
+    label are checked as it is read, then its features are converted by
+    ``float``, then its meta cell is checked.  A UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -173,35 +176,45 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
                 f"{path}: expected {schema.feature_count} feature columns, "
                 f"found {len(feature_idx)}"
             )
-
-        values = array.array("d")
+        pick = itemgetter(*feature_idx) if len(feature_idx) > 1 else (
+            lambda row: [row[i] for i in feature_idx])
         labels: list[int] = []
         meta: list[bool] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: data row {row_num}: expected {len(header)} columns, got {len(row)}"
-                )
-            raw_label = row[label_idx].strip().lower()
-            if raw_label not in _LABEL_ALIASES:
-                raise ValueError(f"{path}: data row {row_num}: unknown label value {row[label_idx]!r}")
-            labels.append(_LABEL_ALIASES[raw_label])
-            for i in feature_idx:
-                try:
-                    values.append(float(row[i]))
-                except ValueError:
+        converting = [0, None]  # the data row number and row whose features are being converted
+
+        def feature_cells():
+            for row_num, row in enumerate(reader, start=1):
+                if len(row) != len(header):
                     raise ValueError(
-                        f"{path}: data row {row_num}: non-numeric feature value "
-                        f"{row[i]!r} in column {header[i]!r}"
-                    ) from None
-            if meta_idx is not None:
-                raw_meta = row[meta_idx].strip()
-                if raw_meta not in ("0", "1"):
-                    raise ValueError(
-                        f"{path}: data row {row_num}: meta column must be 0 or 1, got {row[meta_idx]!r}"
+                        f"{path}: data row {row_num}: expected {len(header)} columns, got {len(row)}"
                     )
-                meta.append(raw_meta == "1")
-    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(feature_idx))
+                raw_label = row[label_idx].strip().lower()
+                if raw_label not in _LABEL_ALIASES:
+                    raise ValueError(f"{path}: data row {row_num}: unknown label value {row[label_idx]!r}")
+                labels.append(_LABEL_ALIASES[raw_label])
+                converting[:] = row_num, row
+                yield pick(row)  # resumed once all of them are converted
+                converting[1] = None
+                if meta_idx is not None:
+                    raw_meta = row[meta_idx].strip()
+                    if raw_meta not in ("0", "1"):
+                        raise ValueError(
+                            f"{path}: data row {row_num}: meta column must be 0 or 1, got {row[meta_idx]!r}"
+                        )
+                    meta.append(raw_meta == "1")
+
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(feature_cells())), np.float64)
+        except ValueError:
+            row_num, row = converting
+            for i in feature_idx if row is not None else ():  # else a row check failed
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise ValueError(f"{path}: data row {row_num}: non-numeric feature value "
+                                     f"{row[i]!r} in column {header[i]!r}") from None
+            raise
+    X = values.reshape(len(labels), len(feature_idx))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1}: non-finite feature value")

@@ -5,14 +5,15 @@ Class labels cross into the symbolic layer as named constants
 :func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
 facts one per line in solver-compatible syntax so the file can also be fed
 to external ASP tooling for cross-validation.  A fact is a plain ground atom
-(a named tuple); :class:`FactBase` checks its constants when it is built.
+(a named tuple).  :func:`encode` writes the facts of the belief columns
+straight in ``facts.lp`` order; a :class:`FactBase` built from other facts
+(:func:`load_facts`) checks its constants and sorts them.
 """
 
 from __future__ import annotations
 
 import logging
-from enum import Enum
-from operator import itemgetter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -26,15 +27,6 @@ META = "meta"
 CLASS_TO_SYMBOL = {0: "benign", 1: "phishing"}
 SYMBOL_TO_CLASS = {"benign": 0, "phishing": 1}
 META_TO_SYMBOL = {False: "no", True: "yes"}
-CLASSIFIER_SYMBOLS = ("svm", "knn", "dt", "rf")
-
-
-def classifier_symbol(classifier) -> str:
-    """Lowercase constant for a classifier kind (enum member or plain string)."""
-    name = classifier.value if isinstance(classifier, Enum) else str(classifier)
-    if name not in CLASSIFIER_SYMBOLS:
-        raise ValueError(f"unknown classifier symbol {name!r}")
-    return name
 
 
 class Fact(NamedTuple):
@@ -50,12 +42,8 @@ class Fact(NamedTuple):
 # the position of the instance id in the pipeline's facts
 _ID_POSITION = {(PRED, 3): 1, (META, 2): 0}
 
-# the argument types of a pipeline predicate's plain facts, and a key that
-# sorts them in _fact_sort_key's order: (id, classifier, class), (id, flag)
-_PLAIN_ORDER = {
-    PRED: ((str, int, str), lambda fact: (fact[1][1], fact[1][0], fact[1][2])),
-    META: ((int, str), itemgetter(1)),
-}
+# the argument types of the pipeline's plain facts: pred(cl,id,class), meta(id,flag)
+_PLAIN_TYPES = {PRED: (str, int, str), META: (int, str)}
 
 
 def _fact_sort_key(fact: Fact):
@@ -69,32 +57,10 @@ def _fact_sort_key(fact: Fact):
     return (pred, (2,), "", typed)
 
 
-def _sorted_facts(facts: Iterable[Fact]) -> list[Fact]:
-    """The distinct facts in _fact_sort_key's order.
-
-    That key compares the predicate first, so each predicate's facts are
-    sorted apart, and those of a pipeline predicate that are all plain by
-    the cheaper key of :data:`_PLAIN_ORDER`.
-    """
-    groups: dict[str, list[Fact]] = {}
-    for fact in set(facts):
-        groups.setdefault(fact[0], []).append(fact)
-    ordered = []
-    for pred in sorted(groups):
-        group = groups[pred]
-        plain = _PLAIN_ORDER.get(pred)
-        group.sort(key=plain[1] if plain and _typed_as(group, plain[0]) else _fact_sort_key)
-        ordered += group
-    return ordered
-
-
-def _typed_as(facts: list[Fact], types: tuple[type, ...]) -> bool:
-    """Whether the arguments of every fact have exactly ``types``, checked
-    one argument position at a time."""
-    args = [fact[1] for fact in facts]
-    return set(map(len, args)) == {len(types)} and all(
-        set(map(type, map(itemgetter(p), args))) == {t} for p, t in enumerate(types)
-    )
+def _plain_sort_key(fact: Fact):
+    """_fact_sort_key's order for plain facts (of :data:`_PLAIN_TYPES`), built more cheaply."""
+    pred, args = fact
+    return (pred, args[1], args[0], args[2]) if pred == PRED else (pred, *args)
 
 
 def _check_constant(a) -> None:
@@ -117,7 +83,9 @@ class FactBase:
     """
 
     def __init__(self, facts: Iterable[Fact]):
-        ordered = _sorted_facts(facts)
+        distinct = set(facts)
+        plain = all(tuple(map(type, args)) == _PLAIN_TYPES.get(pred) for pred, args in distinct)
+        ordered = sorted(distinct, key=_plain_sort_key if plain else _fact_sort_key)
         pred_keys = set()
         meta_ids = set()
         pred_ids = set()
@@ -168,26 +136,24 @@ class FactBase:
 
 
 def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
-    """One ``pred(cl,id,class)`` fact per belief plus one ``meta(id,m)`` per instance.
-
-    Runs in a single pass over the beliefs; ``meta_flags`` must cover every
-    belief's instance id (extra ids are ignored).
+    """One ``meta(id,m)`` fact per instance of the :class:`~metaphish.classifiers.Beliefs`
+    ``beliefs``, then one ``pred(cl,id,class)`` fact per decision, built from the
+    columns in ``facts.lp`` order, so they need neither the checks nor the sort of
+    :class:`FactBase`.  ``meta_flags`` must cover every instance id (extra ids are ignored).
     """
-    facts = []
-    instance_ids = set()
-    symbols = {}  # classifier -> its symbol, looked up once per kind
-    for belief in beliefs:
-        iid = belief.instance_id
-        if iid not in meta_flags:
-            raise ValueError(f"belief references instance {iid} absent from meta flags")
-        cl = belief.classifier
-        if cl not in symbols:
-            symbols[cl] = classifier_symbol(cl)
-        facts.append(Fact(PRED, (symbols[cl], iid, CLASS_TO_SYMBOL[belief.predicted_class])))
-        if iid not in instance_ids:
-            instance_ids.add(iid)
-            facts.append(Fact(META, (iid, META_TO_SYMBOL[bool(meta_flags[iid])])))
-    return FactBase(facts)
+    ids = beliefs.ids.tolist()
+    absent = next((iid for iid in ids if iid not in meta_flags), None)
+    if absent is not None:
+        raise ValueError(f"belief references instance {absent} absent from meta flags")
+    meta = list(zip(ids, [META_TO_SYMBOL[bool(meta_flags[iid])] for iid in ids]))
+    columns = sorted((kind.value, column.tolist()) for kind, column in beliefs.classes.items())
+    # pred facts by (id, classifier symbol): the columns' arguments, interleaved
+    preds = list(chain.from_iterable(zip(*(
+        zip(repeat(symbol), ids, map(CLASS_TO_SYMBOL.__getitem__, column))
+        for symbol, column in columns))))
+    fact_base = object.__new__(FactBase)  # the facts keep its constraints, in its order
+    fact_base._facts = tuple(map(Fact._make, chain(zip(repeat(META), meta), zip(repeat(PRED), preds))))
+    return fact_base
 
 
 def serialize(fact_base: FactBase, path: str | Path) -> int:

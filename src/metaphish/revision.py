@@ -2,23 +2,25 @@
 
 :func:`apply_revision` routes every belief through the symbolic layer: the
 rule program is grounded over the beliefs' fact base (``kb.encode``) and the
-final verdicts are read from the stable model that grounding computes.
-Revision is one-directional: only phishing verdicts with meta evidence are
-withdrawn, so false positives can only fall and false negatives only rise.
+final verdicts are read from the stable model that grounding computes, into
+one final-class column per classifier (:class:`FinalBeliefs`), from which
+``final_beliefs.csv`` and the confusion counts are made.  Revision is
+one-directional: only phishing verdicts with meta evidence are withdrawn, so
+false positives can only fall and false negatives only rise.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from metaphish import kb, nmr
-from metaphish.classifiers import ClassifierKind, InitialBelief, KIND_ORDER
-
-_FINAL = "final"
+from metaphish.classifiers import KIND_ORDER, Beliefs, ClassifierKind
 
 
 def default_rules_text() -> str:
@@ -32,16 +34,6 @@ def revision_program() -> nmr.Program:
 
 def load_rules(path: str | Path) -> nmr.Program:
     return nmr.parse_program(Path(path).read_text(encoding="utf-8"))
-
-
-@dataclass(frozen=True)
-class FinalBelief:
-    """A classifier's verdict after revision; ``revised`` marks a withdrawal."""
-
-    classifier: ClassifierKind
-    instance_id: int
-    final_class: int
-    revised: bool
 
 
 @dataclass(frozen=True)
@@ -95,93 +87,108 @@ class RevisionReport:
         return self.revised_total / self.decisions_total if self.decisions_total else 0.0
 
 
-def apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
-                   program: nmr.Program | None = None) -> list[FinalBelief]:
-    """Revise beliefs by grounding the rule program over ``fact_base``; one output per input.
+class Decision(NamedTuple):
+    """One classifier's verdict on one instance, before and after revision."""
+
+    instance_id: int
+    classifier: ClassifierKind
+    initial_class: int
+    final_class: int
+    revised: bool
+
+
+@dataclass(frozen=True, eq=False)
+class FinalBeliefs(Beliefs):
+    """The verdicts after revision on the ids of ``initial``, the beliefs they revise.
+
+    Iterating makes the :class:`Decision` rows in ``final_beliefs.csv`` order
+    (instance id, then :data:`KIND_ORDER`).
+    """
+
+    initial: Beliefs
+
+    def __iter__(self):
+        columns = [zip(repeat(kind), self.initial.classes[kind].tolist(), final.tolist())
+                   for kind, final in self.classes.items()]
+        for iid, *verdicts in zip(self.ids.tolist(), *columns):
+            for kind, before, after in verdicts:
+                yield Decision(iid, kind, before, after, before != after)
+
+    def csv_text(self) -> str:
+        """``final_beliefs.csv``: a header, then one row per decision."""
+        ids = list(map(str, self.ids.tolist()))
+        rows = []
+        for kind, final in self.classes.items():
+            # the rest of a row, after its id, by the code 2 * initial + final
+            rest = [f",{kind.value},{kb.CLASS_TO_SYMBOL[code >> 1]},"
+                    f"{kb.CLASS_TO_SYMBOL[code & 1]},{int(code in (1, 2))}\n" for code in range(4)]
+            codes = (2 * self.initial.classes[kind] + final).tolist()
+            rows.append(map(str.__add__, ids, map(rest.__getitem__, codes)))
+        return "".join(["id,classifier,initial,final,revised\n", *chain.from_iterable(zip(*rows))])
+
+
+def apply_revision(beliefs: Beliefs, fact_base: kb.FactBase,
+                   program: nmr.Program | None = None) -> FinalBeliefs:
+    """Revise beliefs by grounding the rule program over ``fact_base``.
 
     ``fact_base`` is ``kb.encode(beliefs, meta_flags)``.  The verdicts are read
     from the model that :func:`nmr.ground` computes, which must carry exactly
-    one ``final(cl,id,class)`` atom per belief; anything else means the rule
+    one ``final(cl,id,class)`` atom per decision; anything else means the rule
     program is broken and raises.
     """
     if program is None:
         program = revision_program()
-    final_by_key: dict[tuple[str, int], int] = {}
+    finals: dict[object, dict[object, int]] = {}  # classifier -> instance -> class
     for pred, args in nmr.ground(program, fact_base).model.atoms:
-        if pred != _FINAL:
+        if pred != "final":
             continue
         if len(args) != 3:
             raise ValueError(f"unexpected arity for final atom {nmr.format_ground_atom((pred, args))}")
         cl, iid, symbol = args
         if symbol not in kb.SYMBOL_TO_CLASS:
             raise ValueError(f"unknown class symbol {symbol!r} in final atom")
-        key = (cl, iid)
         cls = kb.SYMBOL_TO_CLASS[symbol]
-        if key in final_by_key and final_by_key[key] != cls:
-            raise ValueError(f"conflicting final beliefs derived for {key}")
-        final_by_key[key] = cls
+        if finals.setdefault(cl, {}).setdefault(iid, cls) != cls:
+            raise ValueError(f"conflicting final beliefs derived for {(cl, iid)}")
 
-    finals = []
-    symbols = {}  # classifier -> its symbol, looked up once per kind
-    for belief in beliefs:
-        cl = belief.classifier
-        if cl not in symbols:
-            symbols[cl] = kb.classifier_symbol(cl)
-        key = (symbols[cl], belief.instance_id)
-        if key not in final_by_key:
-            raise ValueError(
-                f"rule program derived no final belief for classifier {key[0]!r}, "
-                f"instance {key[1]}; the rule set must derive final/3 atoms "
-                "(including a pass-through rule for unrevised predictions)"
-            )
-        cls = final_by_key[key]
-        finals.append(
-            FinalBelief(cl, belief.instance_id, cls,
-                        revised=cls != belief.predicted_class)
-        )
-    return finals
+    ids = beliefs.ids.tolist()
+    kinds = list(beliefs.classes)
+    table = np.array([list(map(finals.get(kind.value, {}).get, ids, repeat(-1)))
+                      for kind in kinds], dtype=np.int64).reshape(len(kinds), len(ids))
+    missing = np.argwhere(table.T < 0)  # (row, classifier) pairs, in (id, classifier) order
+    if missing.size:
+        row, k = missing[0]
+        raise ValueError(
+            f"rule program derived no final belief for classifier {kinds[k].value!r}, "
+            f"instance {ids[row]}; the rule set must derive final/3 atoms "
+            "(including a pass-through rule for unrevised predictions)")
+    return FinalBeliefs(beliefs.ids, dict(zip(kinds, table)), beliefs)
 
 
-def build_report(initial: list[InitialBelief], final: list[FinalBelief],
-                 ground_truth: Mapping[int, int]) -> RevisionReport:
+def build_report(final: FinalBeliefs, ground_truth) -> RevisionReport:
     """Per-classifier before/after confusion counts and revision tallies.
 
-    Ground truth never crosses into the revision layer; it is consulted only
-    here, after the final beliefs are fixed.
+    ``ground_truth`` holds the labels by instance id (``Dataset.y``).  It
+    never crosses into the revision layer; it is consulted only here, after
+    the final beliefs are fixed.
     """
-    if len(initial) != len(final):
-        raise ValueError(f"{len(initial)} initial beliefs vs {len(final)} final beliefs")
-    counts: dict[ClassifierKind, dict[str, dict[str, int]]] = {}
-    revised: Counter[ClassifierKind] = Counter()
-    for b, f in zip(initial, final):
-        if (b.classifier, b.instance_id) != (f.classifier, f.instance_id):
-            raise ValueError(
-                f"misaligned beliefs: initial ({b.classifier.value},{b.instance_id}) "
-                f"vs final ({f.classifier.value},{f.instance_id})"
-            )
-        if b.instance_id not in ground_truth:
-            raise ValueError(f"no ground truth for instance {b.instance_id}")
-        truth = ground_truth[b.instance_id]
-        slot = counts.setdefault(
-            b.classifier,
-            {"before": {"tp": 0, "fp": 0, "tn": 0, "fn": 0},
-             "after": {"tp": 0, "fp": 0, "tn": 0, "fn": 0}},
-        )
-        for stage, predicted in (("before", b.predicted_class), ("after", f.final_class)):
-            if truth == 1:
-                slot[stage]["tp" if predicted == 1 else "fn"] += 1
-            else:
-                slot[stage]["fp" if predicted == 1 else "tn"] += 1
-        if f.revised:
-            revised[b.classifier] += 1
+    ids = final.ids
+    truth = np.asarray(ground_truth)
+    beyond = ids[ids >= len(truth)]
+    if beyond.size:
+        raise ValueError(f"no ground truth for instance {beyond[0]}")
+    truth_code = 2 * (truth[ids] == 1)
 
-    per_classifier = {
-        kind: ClassifierOutcome(before=Confusion(**counts[kind]["before"]),
-                                after=Confusion(**counts[kind]["after"]),
-                                revised_count=revised[kind])
-        for kind in KIND_ORDER if kind in counts
-    }
-    return RevisionReport(per_classifier, sum(revised.values()), len(initial))
+    def confusion(said: np.ndarray) -> Confusion:  # cells by 2 * truth + verdict
+        tn, fp, fn, tp = np.bincount(truth_code + said, minlength=4).tolist()
+        return Confusion(tp, fp, tn, fn)
+
+    per_classifier = {kind: ClassifierOutcome(confusion(final.initial.classes[kind]),
+                                              confusion(after),
+                                              int(np.sum(final.initial.classes[kind] != after)))
+                      for kind, after in final.classes.items()}
+    revised_total = sum(outcome.revised_count for outcome in per_classifier.values())
+    return RevisionReport(per_classifier, revised_total, len(final))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import random
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 from html.parser import HTMLParser
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from metaphish import kb
+from metaphish import kb, nmr, revision
 from metaphish.classifiers import (
     KIND_ORDER,
-    InitialBelief,
+    Beliefs,
+    ClassifierKind,
     RandomForest,
     effective_candidates,
     entropy,
@@ -288,16 +292,133 @@ def full_parse_meta_presence(html: str) -> bool:
 
 
 def random_scenario(rng: random.Random, n_instances: int):
-    """Random (beliefs, meta flags, ground truth) triple over the four classifiers."""
-    beliefs = []
-    meta = {}
-    truth = {}
-    for iid in range(n_instances):
-        meta[iid] = rng.random() < 0.5
-        truth[iid] = rng.randrange(2)
-        for kind in KIND_ORDER:
-            beliefs.append(InitialBelief(kind, iid, rng.randrange(2)))
-    return beliefs, meta, truth
+    """Random (beliefs, meta flags, ground truth) triple over the four
+    classifiers, for the instance ids ``0 .. n_instances - 1``; the ground
+    truth is a list indexed by id."""
+    meta = {iid: rng.random() < 0.5 for iid in range(n_instances)}
+    truth = [rng.randrange(2) for _ in range(n_instances)]
+    classes = {kind: [rng.randrange(2) for _ in range(n_instances)] for kind in KIND_ORDER}
+    return Beliefs(np.arange(n_instances), classes), meta, truth
+
+
+# ---------------------------------------------------------------------------
+# The revision layer one decision at a time, as it was before it became
+# columnar: the oracle for kb.encode, apply_revision, FinalBeliefs.csv_text
+# and build_report.
+
+@dataclass(frozen=True)
+class InitialBelief:
+    """A classifier's pre-revision verdict on one test instance."""
+
+    classifier: ClassifierKind
+    instance_id: int
+    predicted_class: int
+
+
+@dataclass(frozen=True)
+class FinalBelief:
+    """A classifier's verdict after revision; ``revised`` marks a withdrawal."""
+
+    classifier: ClassifierKind
+    instance_id: int
+    final_class: int
+    revised: bool
+
+
+def belief_rows(beliefs: Beliefs) -> list[InitialBelief]:
+    """One belief per decision, ordered by instance id, then classifier."""
+    return [InitialBelief(kind, iid, int(beliefs.classes[kind][row]))
+            for row, iid in enumerate(beliefs.ids.tolist()) for kind in beliefs.classes]
+
+
+def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> kb.FactBase:
+    """One ``pred`` fact per belief plus one ``meta`` fact per instance, checked
+    and sorted by ``FactBase``."""
+    facts = []
+    instance_ids = set()
+    for belief in beliefs:
+        iid = belief.instance_id
+        if iid not in meta_flags:
+            raise ValueError(f"belief references instance {iid} absent from meta flags")
+        facts.append(kb.Fact(kb.PRED, (belief.classifier.value, iid,
+                                       kb.CLASS_TO_SYMBOL[belief.predicted_class])))
+        if iid not in instance_ids:
+            instance_ids.add(iid)
+            facts.append(kb.Fact(kb.META, (iid, kb.META_TO_SYMBOL[bool(meta_flags[iid])])))
+    return kb.FactBase(facts)
+
+
+def row_apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
+                       program: Program | None = None) -> list[FinalBelief]:
+    """One final belief per belief, read from the ground model's ``final`` atoms."""
+    if program is None:
+        program = revision.revision_program()
+    final_by_key: dict[tuple, int] = {}
+    for pred, args in nmr.ground(program, fact_base).model.atoms:
+        if pred != "final":
+            continue
+        if len(args) != 3:
+            raise ValueError(f"unexpected arity for final atom {nmr.format_ground_atom((pred, args))}")
+        cl, iid, symbol = args
+        if symbol not in kb.SYMBOL_TO_CLASS:
+            raise ValueError(f"unknown class symbol {symbol!r} in final atom")
+        key = (cl, iid)
+        cls = kb.SYMBOL_TO_CLASS[symbol]
+        if key in final_by_key and final_by_key[key] != cls:
+            raise ValueError(f"conflicting final beliefs derived for {key}")
+        final_by_key[key] = cls
+    finals = []
+    for belief in beliefs:
+        key = (belief.classifier.value, belief.instance_id)
+        if key not in final_by_key:
+            raise ValueError(
+                f"rule program derived no final belief for classifier {key[0]!r}, "
+                f"instance {key[1]}; the rule set must derive final/3 atoms "
+                "(including a pass-through rule for unrevised predictions)"
+            )
+        cls = final_by_key[key]
+        finals.append(FinalBelief(belief.classifier, belief.instance_id, cls,
+                                  revised=cls != belief.predicted_class))
+    return finals
+
+
+def row_final_beliefs_csv(beliefs: list[InitialBelief], finals: list[FinalBelief]) -> str:
+    """``final_beliefs.csv`` through ``csv.writer``, one row per belief."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "classifier", "initial", "final", "revised"])
+    for belief, final in zip(beliefs, finals):
+        writer.writerow([belief.instance_id, belief.classifier.value,
+                         kb.CLASS_TO_SYMBOL[belief.predicted_class],
+                         kb.CLASS_TO_SYMBOL[final.final_class], int(final.revised)])
+    return buf.getvalue()
+
+
+def row_build_report(initial: list[InitialBelief], final: list[FinalBelief],
+                     ground_truth: Mapping[int, int]) -> revision.RevisionReport:
+    """Confusion counts and revision tallies, one belief at a time."""
+    counts: dict = {}
+    revised: dict = {}
+    for b, f in zip(initial, final, strict=True):
+        assert (b.classifier, b.instance_id) == (f.classifier, f.instance_id)
+        if b.instance_id not in ground_truth:
+            raise ValueError(f"no ground truth for instance {b.instance_id}")
+        truth = ground_truth[b.instance_id]
+        slot = counts.setdefault(b.classifier, {stage: dict.fromkeys(("tp", "fp", "tn", "fn"), 0)
+                                                for stage in ("before", "after")})
+        for stage, predicted in (("before", b.predicted_class), ("after", f.final_class)):
+            if truth == 1:
+                slot[stage]["tp" if predicted == 1 else "fn"] += 1
+            else:
+                slot[stage]["fp" if predicted == 1 else "tn"] += 1
+        revised[b.classifier] = revised.get(b.classifier, 0) + f.revised
+    per_classifier = {
+        kind: revision.ClassifierOutcome(revision.Confusion(**counts[kind]["before"]),
+                                         revision.Confusion(**counts[kind]["after"]),
+                                         revised[kind])
+        for kind in KIND_ORDER if kind in counts
+    }
+    return revision.RevisionReport(per_classifier, sum(revised.values()), len(initial))
 
 
 def random_stratified_program(rng: random.Random, max_atoms: int = 11) -> str:
@@ -658,8 +779,7 @@ def positive_instantiations(program: Program, model: Iterable[GroundAtom]) -> in
 def reference_fact_base(facts) -> tuple:
     """``kb.FactBase``'s facts and errors from one sort of all facts by
     ``kb._fact_sort_key`` and one loop that checks every argument of every
-    fact (the oracle for ``FactBase``, which sorts a predicate of plain
-    pipeline facts by their arguments and checks each symbol once)."""
+    fact (the oracle for ``FactBase``, which checks each symbol once)."""
     ordered = sorted(set(facts), key=kb._fact_sort_key)
     pred_keys, meta_ids = set(), set()
     for fact in ordered:

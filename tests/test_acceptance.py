@@ -20,8 +20,8 @@ from metaphish import kb, nmr
 from metaphish.classifiers import (
     KIND_ORDER,
     ClassifierKind,
+    Beliefs,
     DecisionTree,
-    InitialBelief,
     KNearestNeighbors,
     KernelSVM,
     RandomForest,
@@ -78,8 +78,8 @@ def test_c1_asp_path_equals_functional_oracle():
     finals = apply_revision(beliefs, kb.encode(beliefs, meta))
     mismatches = sum(
         1
-        for b, f in zip(beliefs, finals)
-        if f.final_class != direct_revision(b.predicted_class, meta[b.instance_id])
+        for f in finals
+        if f.final_class != direct_revision(f.initial_class, meta[f.instance_id])
     )
     elapsed = time.perf_counter() - start
     assert mismatches == 0
@@ -127,7 +127,7 @@ def test_c3_fp_monotone_over_random_runs():
     rng = random.Random(31)
     for _ in range(1000):
         beliefs, meta, truth = random_scenario(rng, rng.randint(1, 12))
-        report = build_report(beliefs, apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
+        report = build_report(apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
         for outcome in report.per_classifier.values():
             assert outcome.after.fp <= outcome.before.fp
             assert outcome.after.fn >= outcome.before.fn
@@ -152,11 +152,11 @@ def test_c3_fp_monotone_hypothesis():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.lists(instance, min_size=1, max_size=12))
     def check(instances):
-        beliefs = [InitialBelief(kind, iid, c) for iid, (classes, _, _) in enumerate(instances)
-                   for kind, c in zip(KIND_ORDER, classes)]
+        beliefs = Beliefs(range(len(instances)),
+                          dict(zip(KIND_ORDER, zip(*(classes for classes, _, _ in instances)))))
         meta = {iid: flag for iid, (_, flag, _) in enumerate(instances)}
-        truth = {iid: t for iid, (_, _, t) in enumerate(instances)}
-        report = build_report(beliefs, apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
+        truth = [t for _, _, t in instances]
+        report = build_report(apply_revision(beliefs, kb.encode(beliefs, meta)), truth)
         for outcome in report.per_classifier.values():
             assert outcome.after.fp <= outcome.before.fp
             assert outcome.after.fn >= outcome.before.fn
@@ -249,11 +249,8 @@ def test_c7_firings_linear_in_instances():
     sizes = (100, 1000, 10_000)
     firings = []
     for n in sizes:
-        beliefs = [
-            InitialBelief(kind, i, (i + j) % 2)
-            for i in range(n)
-            for j, kind in enumerate(KIND_ORDER)
-        ]
+        beliefs = Beliefs(range(n), {kind: [(i + j) % 2 for i in range(n)]
+                                     for j, kind in enumerate(KIND_ORDER)})
         meta = {i: i % 2 == 0 for i in range(n)}
         gp = nmr.ground(program, kb.encode(beliefs, meta))
         answer = nmr.solve(gp)

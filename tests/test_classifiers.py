@@ -1005,17 +1005,19 @@ class TestGenerateInitialBeliefs:
         test_ids = set(range(len(records))) - train_ids
         beliefs = generate_initial_beliefs(models, records, test_ids)
         assert len(beliefs) == 4 * len(test_ids)
-        per_pair = {(b.classifier, b.instance_id) for b in beliefs}
-        assert len(per_pair) == len(beliefs)
-        # the row order of final_beliefs.csv: instance id, then classifier kind
         assert len(test_ids) > 1
-        assert [(b.instance_id, b.classifier) for b in beliefs] == [
-            (i, kind) for i in sorted(test_ids) for kind in ClassifierKind
-        ]
+        assert beliefs.ids.tolist() == sorted(test_ids)
+        # the column order of final_beliefs.csv's rows: classifier kind
+        assert list(beliefs.classes) == list(ClassifierKind)
+        X = records.X[beliefs.ids]
+        for kind, column in beliefs.classes.items():
+            assert column.dtype == np.int64
+            assert np.array_equal(column, predict_batch(models[kind], X))
 
     def test_empty_test_set(self, records, train_ids):
         models = self._models(records, train_ids)
-        assert generate_initial_beliefs(models, records, set()) == []
+        beliefs = generate_initial_beliefs(models, records, set())
+        assert len(beliefs) == 0 and beliefs.ids.shape == (0,)
         for model in models.values():
             classes = predict_batch(model, records.X[:0])
             assert classes.dtype == np.int64 and classes.shape == (0,)
@@ -1023,8 +1025,8 @@ class TestGenerateInitialBeliefs:
     def test_single_instance_gets_one_belief_per_classifier(self, records, train_ids):
         models = self._models(records, train_ids)
         beliefs = generate_initial_beliefs(models, records, {41})
-        assert [b.classifier for b in beliefs] == list(ClassifierKind)
-        assert all(type(b.instance_id) is int and b.instance_id == 41 for b in beliefs)
+        assert beliefs.ids.tolist() == [41]
+        assert [column.shape for column in beliefs.classes.values()] == [(1,)] * 4
 
     def test_missing_model_rejected(self, records, train_ids):
         models = self._models(records, train_ids)

@@ -9,6 +9,7 @@ import shutil
 import pytest
 
 from metaphish import cli, kb, nmr, revision
+from metaphish.classifiers import Beliefs, ClassifierKind
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
@@ -88,14 +89,14 @@ class TestTrain:
         rc = main(["train", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_corrupt_dataset_is_pipeline_error(self, tmp_path, capsys):
+    def test_corrupt_dataset_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         header, first_row = FIXTURE_CSV.read_text().splitlines()[:2]
         cells = first_row.split(",")
         cells[3] = "oops"
         bad.write_text(header + "\n" + ",".join(cells) + "\n")
         rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
-        assert rc == 1
+        assert rc == 2
         assert "non-numeric" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -157,6 +158,28 @@ class TestRevise:
         for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == PINNED_ARTIFACTS[name], name
+
+    def test_revise_builds_no_decision_row(self, pipeline_run, tmp_path, monkeypatch):
+        # revise keeps its beliefs in columns from prediction to report; a
+        # Decision row is made only when a caller iterates the final beliefs
+        made = []
+
+        class CountedDecision(revision.Decision):
+            def __new__(cls, *args):
+                made.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(revision, "Decision", CountedDecision)
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
+        assert made == []
+        for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == PINNED_ARTIFACTS[name], name
+        beliefs = Beliefs([7], {ClassifierKind.SVM: [1]})
+        finals = revision.apply_revision(beliefs, kb.encode(beliefs, {7: True}))
+        assert [f.revised for f in finals] == [True]
+        assert made == [(7, ClassifierKind.SVM, 1, 0, True)]  # rows made on demand are counted
 
     def test_fact_counts(self, pipeline_run):
         facts = kb.load_facts(pipeline_run / "facts.lp")
@@ -624,6 +647,68 @@ class TestDamagedRunFiles:
         else:
             assert rc == 2, err
             assert any(f"error: {out / n}" in err for n in damaged), err
+
+
+def _edit_row(edit, row=5):
+    """A dataset fault: ``edit`` applied to the list of cells of data row ``row``."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        return "\n".join(lines)
+    return apply
+
+
+def _set_cell(column, value):
+    def edit(cells):
+        cells[column] = value if not callable(value) else value(cells[column])
+        return cells
+    return edit
+
+
+# the fixture's 90 columns: url, 87 features, status, meta_present
+DATASET_FAULTS = {
+    "drop-cell": _edit_row(lambda cells: cells[:10] + cells[11:]),
+    "non-numeric": _edit_row(_set_cell(10, "x")),
+    "nan": _edit_row(_set_cell(10, "nan")),
+    "unknown-label": _edit_row(_set_cell(88, "maybe")),
+    "meta-2": _edit_row(_set_cell(89, "2")),
+    "blank-line": _edit_row(lambda cells: ["\n" + cells[0], *cells[1:]]),
+    "bom": lambda text: "\ufeff" + text,
+    "flip-digit": _edit_row(_set_cell(10, lambda cell: cell[:-1] + str((int(cell[-1]) + 1) % 10))),
+}
+TRAIN_OUTPUTS = (*MODEL_FILES, "split_manifest.csv", "run_inputs.kv", "cv_summary.kv")
+REVISE_OUTPUTS = ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt")
+
+
+class TestDamagedDataset:
+    @pytest.mark.parametrize("fault", DATASET_FAULTS)
+    @pytest.mark.parametrize("command", ["train", "revise"])
+    def test_names_the_file_or_writes_the_same_outputs(self, pipeline_run, tmp_path, capsys,
+                                                       command, fault):
+        # as TestDamagedRunFiles: exit 2 naming the dataset, or exit 0 with
+        # every output byte-identical to the undamaged run's
+        text = FIXTURE_CSV.read_text(encoding="utf-8")
+        damaged = tmp_path / "data.csv"
+        assert DATASET_FAULTS[fault](text) != text
+        damaged.write_text(DATASET_FAULTS[fault](text), encoding="utf-8")
+        if command == "train":
+            out, outputs = tmp_path / "out", TRAIN_OUTPUTS
+        else:
+            out, outputs = _copy_run(pipeline_run, tmp_path / "out"), REVISE_OUTPUTS
+        rc = main([command, "--dataset", str(damaged), "--out", str(out)])
+        err = capsys.readouterr().err
+        if (command, fault) == ("train", "flip-digit"):
+            # another valid dataset: train fits it and records its fingerprint,
+            # which revise then checks (the revise case of this fault)
+            assert rc == 0, err
+            assert (out / "run_inputs.kv").read_bytes() != (pipeline_run / "run_inputs.kv").read_bytes()
+        elif rc == 0:
+            for output in outputs:
+                assert (out / output).read_bytes() == (pipeline_run / output).read_bytes(), output
+        else:
+            assert rc == 2, err
+            assert f"{damaged}" in err, err
+            assert fault == "flip-digit" or err.endswith("; fix the dataset\n"), err
 
 
 class TestReport:

@@ -121,6 +121,29 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="expected 4 feature columns"):
             load_dataset(_write(tmp_path, TINY_CSV), CsvSchema(feature_count=4))
 
+    def test_bad_feature_reported_before_bad_meta_of_its_row(self, tmp_path):
+        text = "f1,status,meta_present\n1.0,0,1\noops,1,2\n"
+        with pytest.raises(ValueError, match=r"data row 2: non-numeric feature value 'oops'"):
+            load_dataset(_write(tmp_path, text), CsvSchema(feature_count=1))
+
+    def test_first_bad_row_reported_first(self, tmp_path):
+        bad = TINY_CSV.replace("1.5,2.25", "1.5,oops").replace(
+            "2.0,0.25,legitimate", "2.0,0.25,maybe")
+        with pytest.raises(ValueError, match=r"data row 2: non-numeric feature value 'oops' "
+                                             r"in column 'f2'"):
+            load_dataset(_write(tmp_path, bad), TINY_SCHEMA)
+
+    def test_blank_line_is_a_row_without_columns(self, tmp_path):
+        lines = FIXTURE_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+        path = _write(tmp_path, "".join([*lines[:3], "\n", *lines[3:]]))
+        with pytest.raises(ValueError, match=r"data row 3: expected 90 columns, got 0$"):
+            load_dataset(path)
+
+    def test_quoted_cell_with_comma_parses(self, tmp_path):
+        bad = TINY_CSV.replace("http://c.example/", '"http://c.example/?a=1,b=2"')
+        data = load_dataset(_write(tmp_path, bad), TINY_SCHEMA)
+        assert data.X.tolist() == TINY_EXPECTED
+
     def test_fixture_dataset_shape(self):
         data = load_dataset(FIXTURE_CSV)
         assert data.X.shape == (200, 87)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from metaphish import kb
-from metaphish.classifiers import ClassifierKind, InitialBelief
+from metaphish.classifiers import Beliefs, ClassifierKind
 from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, FactBase, encode, serialize
 
 from _support import random_facts, reference_fact_base
@@ -28,20 +28,16 @@ class TestFact:
 
 class TestEncode:
     def test_single_belief(self):
-        beliefs = [InitialBelief(ClassifierKind.RF, 19, 1)]
+        beliefs = Beliefs([19], {ClassifierKind.RF: [1]})
         fb = encode(beliefs, {19: True})
         assert {str(f) for f in fb} == {"pred(rf,19,phishing)", "meta(19,yes)"}
 
     def test_empty_beliefs(self):
-        assert len(encode([], {})) == 0
+        assert len(encode(Beliefs([], {ClassifierKind.SVM: []}), {})) == 0
 
     @pytest.mark.parametrize("n", [10, 100, 2286])
     def test_cardinality_4n_plus_n(self, n):
-        beliefs = [
-            InitialBelief(kind, i, i % 2)
-            for i in range(n)
-            for kind in ClassifierKind
-        ]
+        beliefs = Beliefs(range(n), {kind: [i % 2 for i in range(n)] for kind in ClassifierKind})
         fb = encode(beliefs, {i: i % 3 == 0 for i in range(n)})
         assert len(fb) == 5 * n
         preds = [f for f in fb if f.predicate == "pred"]
@@ -53,10 +49,7 @@ class TestEncode:
             assert len(fb) == 11430
 
     def test_class_symbol_mapping(self):
-        beliefs = [
-            InitialBelief(ClassifierKind.SVM, 0, 0),
-            InitialBelief(ClassifierKind.KNN, 0, 1),
-        ]
+        beliefs = Beliefs([0], {ClassifierKind.SVM: [0], ClassifierKind.KNN: [1]})
         fb = encode(beliefs, {0: False})
         strings = {str(f) for f in fb}
         assert "pred(svm,0,benign)" in strings
@@ -65,7 +58,7 @@ class TestEncode:
 
     def test_missing_meta_flag(self):
         with pytest.raises(ValueError, match="absent from meta flags"):
-            encode([InitialBelief(ClassifierKind.DT, 5, 1)], {4: True})
+            encode(Beliefs([5], {ClassifierKind.DT: [1]}), {4: True})
 
     def test_symbol_round_trip(self):
         for cls, symbol in CLASS_TO_SYMBOL.items():
@@ -151,27 +144,21 @@ class TestSerialize:
         assert path.read_bytes() == b""
 
     def test_sorted_by_predicate_id_classifier(self, tmp_path):
-        beliefs = [
-            InitialBelief(ClassifierKind.SVM, 1, 1),
-            InitialBelief(ClassifierKind.DT, 1, 0),
-            InitialBelief(ClassifierKind.SVM, 0, 0),
-        ]
+        beliefs = Beliefs([0, 1], {ClassifierKind.SVM: [0, 1], ClassifierKind.DT: [1, 0]})
         path = tmp_path / "facts.lp"
         serialize(encode(beliefs, {0: False, 1: True}), path)
         assert path.read_text() == (
             "meta(0,no).\n"
             "meta(1,yes).\n"
+            "pred(dt,0,phishing).\n"
             "pred(svm,0,benign).\n"
             "pred(dt,1,benign).\n"
             "pred(svm,1,phishing).\n"
         )
 
     def test_round_trip_through_parser(self, tmp_path):
-        beliefs = [
-            InitialBelief(kind, i, (i + j) % 2)
-            for j, kind in enumerate(ClassifierKind)
-            for i in range(7)
-        ]
+        beliefs = Beliefs(range(7), {kind: [(i + j) % 2 for i in range(7)]
+                                     for j, kind in enumerate(ClassifierKind)})
         meta = {i: i % 2 == 0 for i in range(7)}
         fb = encode(beliefs, meta)
         path = tmp_path / "facts.lp"
@@ -185,7 +172,7 @@ class TestSerialize:
             if f.predicate == "pred"
         }
         assert beliefs_back == {
-            (b.classifier, b.instance_id, b.predicted_class) for b in beliefs
+            (kind, i, (i + j) % 2) for j, kind in enumerate(ClassifierKind) for i in range(7)
         }
         meta_back = {
             f.arguments[0]: f.arguments[1] == "yes"
@@ -195,7 +182,7 @@ class TestSerialize:
         assert meta_back == meta
 
     def test_byte_stable(self, tmp_path):
-        beliefs = [InitialBelief(ClassifierKind.KNN, i, i % 2) for i in range(20)]
+        beliefs = Beliefs(range(20), {ClassifierKind.KNN: [i % 2 for i in range(20)]})
         fb = encode(beliefs, {i: True for i in range(20)})
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
         serialize(fb, a)
