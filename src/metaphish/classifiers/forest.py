@@ -10,6 +10,11 @@ from metaphish.classifiers.schema import check_integer, check_query
 from metaphish.classifiers.tree import CRITERIA, DecisionTree, RankTable
 
 
+def majority(votes: np.ndarray, n_trees: int) -> np.ndarray:
+    """Class 1 where most of ``n_trees`` trees vote 1 (``votes``); a tie is class 0."""
+    return (2 * votes > n_trees).astype(np.int64)
+
+
 class RandomForest:
     """Majority vote over trees; an exact tie predicts class 0.
 
@@ -37,22 +42,17 @@ class RandomForest:
 
     def fit(self, X, y):
         table = RankTable(X, y)  # one rank table for every tree
-        n, d = table.X.shape
-        max_features = min(d, math.ceil(math.sqrt(d)))
-        self.trees_ = []
-        for t in range(self.n_estimators):
-            rng = np.random.default_rng([self.seed, t])
-            sample = rng.integers(0, n, size=n)
-            tree = DecisionTree(
-                criterion=self.criterion,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=max_features,
-                rng=rng,
-            )
-            tree.fit(table.X, table.y, sample, table)
-            self.trees_.append(tree)
+        self.trees_ = [self._grow(table, t) for t in range(self.n_estimators)]
         return self
+
+    def _grow(self, table: RankTable, t: int) -> DecisionTree:
+        """Tree ``t`` of this forest, fit on the rows of ``table``."""
+        rng = np.random.default_rng([self.seed, t])
+        n, d = table.X.shape
+        tree = DecisionTree(criterion=self.criterion, max_depth=self.max_depth,
+                            min_samples_split=self.min_samples_split,
+                            max_features=min(d, math.ceil(math.sqrt(d))), rng=rng)
+        return tree.fit(table.X, table.y, rng.integers(0, n, size=n), table)
 
     def head(self, n: int) -> "RandomForest":
         """The forest of this one's first ``n`` trees.
@@ -65,6 +65,25 @@ class RandomForest:
         forest.trees_ = self.trees_[:n]
         return forest
 
+    def shallower(self, max_depth, X, y) -> "RandomForest":
+        """The forest that ``fit`` grows on ``(X, y)``, the data this one was
+        fit on, with the limit ``max_depth`` in place of this forest's deeper
+        one: each tree that never searched for a split at depth ``max_depth``
+        or deeper is kept, and the others are regrown (see ``grid_search``).
+        """
+        if any(tree.search_depth_ is None for tree in self.trees_):
+            raise ValueError("a tree of the forest has no record of its split searches")
+        forest = RandomForest(n_estimators=len(self.trees_), criterion=self.criterion,
+                              max_depth=max_depth, min_samples_split=self.min_samples_split,
+                              seed=self.seed)
+        limit = math.inf if max_depth is None else max_depth
+        if self.max_depth is not None and limit > self.max_depth:
+            raise ValueError(f"max_depth {max_depth} is deeper than the forest's {self.max_depth}")
+        table = RankTable(X, y) if any(t.search_depth_ >= limit for t in self.trees_) else None
+        forest.trees_ = [tree if tree.search_depth_ < limit else forest._grow(table, t)
+                         for t, tree in enumerate(self.trees_)]
+        return forest
+
     def predict(self, X) -> np.ndarray:
         if not self.trees_:
             raise ValueError("forest is not fitted")
@@ -72,7 +91,7 @@ class RandomForest:
         votes = np.zeros(len(X), dtype=np.int64)
         for tree in self.trees_:
             votes += tree.predict(X)
-        return (2 * votes > len(self.trees_)).astype(np.int64)
+        return majority(votes, len(self.trees_))
 
     def to_dict(self) -> dict:
         return {"trees": [tree.to_dict() for tree in self.trees_]}

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from metaphish.dataset import Dataset, ScalerStats, fit_scaler
-from metaphish.classifiers.forest import RandomForest
+from metaphish.classifiers.forest import RandomForest, majority
 from metaphish.classifiers.knn import KNearestNeighbors
 from metaphish.classifiers.schema import float_list
 from metaphish.classifiers.svm import KernelSVM
@@ -192,22 +192,26 @@ def generate_initial_beliefs(models: Mapping[ClassifierKind, TrainedModel],
     return Beliefs(rows, {kind: predict_batch(models[kind], X) for kind in KIND_ORDER})
 
 
-def _shared_fits(kind: ClassifierKind, candidates: list[dict]) -> list[tuple[dict, list[int]]]:
-    """Candidate indices grouped so that one fit per fold scores a group, in
-    order of first appearance, as ``(parameters to fit, member indices)``.
-
-    RF candidates that differ only in ``n_estimators`` share the fit of the
-    group's largest forest; every other candidate is a group of one.
-    """
-    groups: dict[tuple, tuple[dict, list[int]]] = {}
-    for i, params in enumerate(candidates):
-        shares = kind is ClassifierKind.RF and "n_estimators" in params
-        key = tuple(kv for kv in params.items() if not (shares and kv[0] == "n_estimators"))
-        fit_params, members = groups.setdefault(key, (dict(params), []))
-        if shares:
-            fit_params["n_estimators"] = max(fit_params["n_estimators"], params["n_estimators"])
-        members.append(i)
-    return list(groups.values())
+def _score_forests(group: list[dict], seed: int, X_fit, y_fit, X_val, y_val) -> list[float]:
+    """The fold accuracy of each RF candidate in ``group``, which differ only
+    in ``n_estimators`` and ``max_depth`` (see :func:`grid_search`)."""
+    shapes = [RandomForest(seed=seed, **params) for params in group]
+    depths = list(dict.fromkeys(f.max_depth for f in shapes))
+    grown = RandomForest(seed=seed, **{
+        **group[0], "n_estimators": max(f.n_estimators for f in shapes),
+        "max_depth": None if None in depths else max(depths)}).fit(X_fit, y_fit)
+    verdicts = [tree.predict(X_val) for tree in grown.trees_]
+    accs = [0.0] * len(group)
+    for depth in depths:
+        members = [i for i, f in enumerate(shapes) if f.max_depth == depth]
+        n_most = max(shapes[i].n_estimators for i in members)
+        # the verdicts of this limit's trees; its forest is gone before the next is derived
+        own = np.array([v if new is old else new.predict(X_val) for v, old, new in zip(
+            verdicts, grown.trees_, grown.head(n_most).shallower(depth, X_fit, y_fit).trees_)])
+        for i in members:
+            n = shapes[i].n_estimators
+            accs[i] = float((majority(own[:n].sum(axis=0), n) == y_val).mean())
+    return accs
 
 
 def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
@@ -218,13 +222,18 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
     once per fold, and every candidate is scored on the same scaled folds;
     ties are broken by grid enumeration order (first listed wins).
 
-    RF candidates that differ only in ``n_estimators`` are scored off one
-    forest per fold, grown to the largest of their sizes: tree ``t`` draws
-    its bootstrap sample and feature subsets only from ``(seed, t)``, and
-    every candidate sees the same fold data, so a forest of ``n`` trees is
-    exactly the first ``n`` trees of a larger one (the prefix property
-    behind scikit-learn's ``warm_start``).  A group is scored before the next
-    is grown, so at most one grown forest is alive at a time.
+    RF candidates that differ only in ``n_estimators`` and ``max_depth`` are
+    scored off one forest per fold, grown with the largest of their sizes and
+    the deepest of their limits (None is deepest).  Tree ``t`` draws its
+    bootstrap sample, then each searched node's features in depth-first
+    order, from its own generator seeded by ``(seed, t)``; a search draws even
+    when it finds no cut.  So a forest of ``n`` trees is the first ``n`` trees
+    of a larger one (the prefix property behind scikit-learn's
+    ``warm_start``), and under a shallower limit ``D`` a tree makes the same
+    draws and splits up to its first search at depth ``D`` or more.  A tree
+    with no such search is kept node for node: its nodes at depth ``D`` are
+    leaves with the same majority label either way.  The others are regrown,
+    one limit's forest at a time, and each distinct tree predicts once.
     """
     folds = [frozenset(f) for f in folds]
     if not folds:
@@ -244,16 +253,22 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
         scaled_folds.append((stats.scale(data.X[fit_rows]), data.y[fit_rows],
                              stats.scale(data.X[val_rows]), data.y[val_rows]))
 
+    # RF candidates that differ only in n_estimators and max_depth share fits
+    shared = ("n_estimators", "max_depth") if kind is ClassifierKind.RF else ()
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(candidates):
+        groups.setdefault(tuple(kv for kv in params.items() if kv[0] not in shared), []).append(i)
     fold_accs: list[list[float]] = [[] for _ in candidates]
-    for fit_params, members in _shared_fits(kind, candidates):
+    for members in groups.values():
         for X_fit, y_fit, X_val, y_val in scaled_folds:
-            estimator = _build_estimator(kind, fit_params, seed)
-            estimator.fit(X_fit, y_fit)
-            for i in members:
-                scorer = (estimator.head(candidates[i]["n_estimators"])
-                          if len(members) > 1 else estimator)
-                fold_accs[i].append(float((scorer.predict(X_val) == y_val).mean()))
-            del scorer  # it holds the trees, which must not outlive this fold's fit
+            if kind is ClassifierKind.RF:
+                accs = _score_forests([candidates[i] for i in members], seed,
+                                      X_fit, y_fit, X_val, y_val)
+            else:
+                estimator = _build_estimator(kind, candidates[members[0]], seed)
+                accs = [float((estimator.fit(X_fit, y_fit).predict(X_val) == y_val).mean())]
+            for i, acc in zip(members, accs):
+                fold_accs[i].append(acc)
 
     scores = []
     best = None

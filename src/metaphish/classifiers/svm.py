@@ -96,12 +96,15 @@ class KernelSVM:
 
         alpha = np.zeros(n)
         g = np.ones(n)  # g_i = 1 - y_i * sum_j alpha_j y_j K_ij
+        def working_sets(rows):  # the masks I_up and I_low of these rows
+            below, above = alpha[rows] < C - 1e-12, alpha[rows] > 1e-12
+            return ((y[rows] > 0) & below) | ((y[rows] < 0) & above), \
+                ((y[rows] < 0) & below) | ((y[rows] > 0) & above)
+        up, low = working_sets(slice(None))  # then kept current, as only two alphas move
         neg_inf = -np.inf
         iters = 0
         while iters < self.max_iter:
             yg = y * g
-            up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-            low = ((y < 0) & (alpha < C - 1e-12)) | ((y > 0) & (alpha > 1e-12))
             if not up.any() or not low.any():
                 break
             i = int(np.argmax(np.where(up, yg, neg_inf)))
@@ -122,6 +125,7 @@ class KernelSVM:
             g += lam * y * (Kj - Ki)
             alpha[i] = min(max(alpha[i] + y[i] * lam, 0.0), C)
             alpha[j] = min(max(alpha[j] - y[j] * lam, 0.0), C)
+            (up[i], low[i]), (up[j], low[j]) = working_sets(i), working_sets(j)
             iters += 1
         self.n_iter_ = iters
 
@@ -130,8 +134,6 @@ class KernelSVM:
         if free.any():
             self.intercept_ = float(yg[free].mean())
         else:
-            up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-            low = ((y < 0) & (alpha < C - 1e-12)) | ((y > 0) & (alpha > 1e-12))
             hi = yg[up].max() if up.any() else 0.0
             lo = yg[low].min() if low.any() else 0.0
             self.intercept_ = float((hi + lo) / 2.0)

@@ -155,6 +155,7 @@ class DecisionTree:
         self.rng = rng
         self.root_ = None
         self.n_features_ = None
+        self.search_depth_ = None  # set by fit; a tree from_dict has no record
 
     def fit(self, X, y, sample=None, table=None):
         """Grow the tree on the rows ``sample`` of ``(X, y)`` (every row when
@@ -173,12 +174,14 @@ class DecisionTree:
         root = TreeNode()
         idx = np.arange(len(table.y)) if sample is None else sample
         stack = [(idx, int(table.y[idx].sum()), 0, root)]
+        searched = -1  # depth of the deepest node that searched for a split
         while stack:
             idx, n_pos, depth, node = stack.pop()
             n = len(idx)
             at_depth_limit = self.max_depth is not None and depth >= self.max_depth
             split = None
             if not (n_pos in (0, n) or at_depth_limit or n < self.min_samples_split):
+                searched = max(searched, depth)
                 split = self._best_cut(table, idx, impurity)
             if split is None:
                 node.label = 1 if 2 * n_pos > n else 0  # ties go to class 0
@@ -189,7 +192,7 @@ class DecisionTree:
             left_mask = table.X[idx, node.feature] <= node.threshold
             stack.append((idx[left_mask], pos_left, depth + 1, node.left))
             stack.append((idx[~left_mask], n_pos - pos_left, depth + 1, node.right))
-        self.root_ = root
+        self.root_, self.search_depth_ = root, searched
         return self
 
     def _candidate_features(self, n_features: int) -> np.ndarray:

@@ -32,7 +32,7 @@ _LABEL_ALIASES = {"legitimate": 0, "phishing": 1, "0": 0, "1": 1}
 _META_TAG_NAMES = {"description", "keywords", "keyword", "author"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """All instances as columns; row ``i`` is the instance with id ``i``.
 
@@ -74,7 +74,7 @@ class Dataset:
         return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalerStats:
     """Per-column means and strictly positive standard deviations."""
 

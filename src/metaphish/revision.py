@@ -240,9 +240,30 @@ def _kv_confusion(kv: Mapping[str, str], kind: str, stage: str) -> Confusion:
     return Confusion(**{cell: int(kv[f"{kind}.{cell}_{stage}"]) for cell in _CELLS})
 
 
+def _check_counts(kv: Mapping[str, str], kinds: list[str]) -> None:
+    """Raise ValueError unless every count is a non-negative integer, each
+    classifier's counts before and after revision have one sum, no smaller
+    than its revisions, and the totals are the sums as revise writes them."""
+    for key, value in kv.items():
+        if key != "total.fraction" and not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{key} is {value!r}, not a non-negative integer")
+    decisions = revised = 0
+    for kind in kinds:
+        before, after = (_kv_confusion(kv, kind, stage).total for stage in _STAGES)
+        n_revised = int(kv[f"{kind}.revised"])
+        if after != before or n_revised > before:
+            raise ValueError(f"{kind} counts {before} decisions before revision, "
+                             f"{after} after and {n_revised} revised")
+        decisions, revised = decisions + before, revised + n_revised
+    for key, value in report_to_kv(RevisionReport({}, revised, decisions)).items():
+        if kv[key] != value:
+            raise ValueError(f"{key} is {kv[key]!r}, but the classifiers' counts give {value!r}")
+
+
 def render_report_text(kv: Mapping[str, str]) -> str:
     """Side-by-side false-positive table plus per-classifier metric rows."""
     kinds = _kv_kinds(kv)
+    _check_counts(kv, kinds)
     lines = []
     header = "".join(f"{k:>8}" for k in kinds)
     lines.append("False positives (legitimate URLs flagged phishing)")

@@ -731,10 +731,28 @@ class TestReport:
     def test_empty_results_dir(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
 
+    @staticmethod
+    def _set(key, value):
+        """An edit that sets ``key``'s value, or changes its last digit (``value``
+        None) as a flipped digit would."""
+        def edit(text):
+            old = re.search(rf"^{re.escape(key)}=(.*)$", text, flags=re.M).group(1)
+            new = old[:-1] + str((int(old[-1]) + 1) % 10) if value is None else value
+            return text.replace(f"{key}={old}\n", f"{key}={new}\n")
+        return edit
+
     @pytest.mark.parametrize("edit,message", [
         (lambda text: text[: text.index("dt.tp_before")], "missing key 'dt.tp_before'"),
         (lambda text: text + "garbage line\n", "expected key=value"),
-    ], ids=["truncated", "garbage-line"])
+        (_set("dt.tp_after", "-5"), "dt.tp_after is '-5', not a non-negative integer"),
+        (_set("dt.tp_after", "999999"), "decisions before revision, 1000"),
+        (_set("dt.revised", "300"), "after and 300 revised"),
+        (_set("total.decisions", "0"), "total.decisions is '0', but the classifiers' counts give"),
+        (_set("total.decisions", "7"), "total.decisions is '7'"),
+        (_set("total.fraction", None), "total.fraction is '0.0"),
+        (_set("svm.tn_before", None), "svm counts"),
+    ], ids=["truncated", "garbage-line", "negative", "too-many-after", "revised-too-many",
+            "no-decisions", "decisions-mismatch", "fraction-digit", "count-digit"])
     def test_bad_report_kv_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
         path = tmp_path / "report.kv"
         path.write_text(edit((pipeline_run / "report.kv").read_text()))

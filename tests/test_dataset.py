@@ -188,6 +188,17 @@ class TestDataset:
                 data.rows(bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], meta=[True, False]),
+    lambda: ScalerStats([0.5], [2.0]),  # width 1 compared by value before
+    lambda: ScalerStats([0.5, 1.0], [2.0, 3.0]),  # wider raised "ambiguous"
+], ids=["dataset", "scaler-width-1", "scaler-width-2"])
+def test_equality_is_identity(make):
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b}) == 2
+
+
 class TestScaler:
     def test_constant_column_centering(self):
         data = Dataset([[5.0]] * 3, [0] * 3)

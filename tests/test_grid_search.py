@@ -6,6 +6,7 @@ import pytest
 from metaphish.classifiers import (
     DEFAULT_GRIDS,
     ClassifierKind,
+    DecisionTree,
     HyperGrid,
     KNearestNeighbors,
     RandomForest,
@@ -13,9 +14,9 @@ from metaphish.classifiers import (
     grid_search,
 )
 from metaphish.classifiers import models as models_module
-from metaphish.dataset import Dataset, fit_scaler, make_split
+from metaphish.dataset import Dataset, fit_scaler, load_dataset, make_split
 
-from _support import fit_every_forest, make_records
+from _support import FIXTURE_CSV, fit_every_forest, make_records
 
 
 class TestGridDefinitions:
@@ -152,7 +153,22 @@ RF_GRIDS = {
                    "criterion": ("gini", "entropy")},
     "three-sizes": {"criterion": ("entropy",), "max_depth": (None,), "n_estimators": (1, 5, 3)},
     "single-size": {"n_estimators": (3,), "criterion": ("gini",), "max_depth": (2, None)},
+    "mixed-depths": {"max_depth": (2, 3, None), "n_estimators": (3, 5), "criterion": ("gini",)},
 }
+
+
+def _fixture_folds(folds=2, seed=42):
+    """The scaled ``(X_fit, y_fit, X_val, y_val)`` of each fold of the fixture's
+    split, as ``train --grid-search`` makes them."""
+    data = load_dataset(FIXTURE_CSV)
+    split = make_split(data, 0.2, folds, seed)
+    out = []
+    for holdout in split.folds:
+        stats = fit_scaler(data, split.train_ids - holdout)
+        fit_rows, val_rows = data.rows(split.train_ids - holdout), data.rows(holdout)
+        out.append((stats.scale(data.X[fit_rows]), data.y[fit_rows],
+                    stats.scale(data.X[val_rows]), data.y[val_rows]))
+    return data, split, out
 
 
 class TestSharedForests:
@@ -167,12 +183,14 @@ class TestSharedForests:
         assert result.params == best
         assert result.cv_accuracy == max(acc for _, acc in scores)
 
+    # one group per criterion: n_estimators and max_depth share the fit
     @pytest.mark.parametrize("fields,groups,size", [
-        (RF_GRIDS["decreasing"], 4, 4),
+        (RF_GRIDS["decreasing"], 2, 4),
         (RF_GRIDS["three-sizes"], 1, 5),
-        (RF_GRIDS["single-size"], 2, 3),
-        (DEFAULT_GRIDS[ClassifierKind.RF].parameter_lists, 6, 200),  # 12 candidates
-    ], ids=["decreasing", "three-sizes", "single-size", "default"])
+        (RF_GRIDS["single-size"], 1, 3),
+        (RF_GRIDS["mixed-depths"], 1, 5),
+        (DEFAULT_GRIDS[ClassifierKind.RF].parameter_lists, 2, 200),  # 12 candidates
+    ], ids=["decreasing", "three-sizes", "single-size", "mixed-depths", "default"])
     def test_one_forest_fit_per_group_and_fold(self, monkeypatch, fields, groups, size):
         grown = []
         real = RandomForest.fit
@@ -186,3 +204,67 @@ class TestSharedForests:
         split = make_split(data, 0.2, 3, seed=2)
         grid_search(ClassifierKind.RF, HyperGrid(ClassifierKind.RF, fields), data, split.folds)
         assert grown == [size] * (groups * len(split.folds))
+
+    def test_default_grid_fits_and_predicts_each_distinct_tree_once(self, monkeypatch):
+        # a 200-tree forest per criterion and fold, plus the 59 trees that depth 5
+        # regrows; each of them predicts the holdout once
+        calls = {"fit": 0, "predict": 0}
+        for name in calls:
+            real = getattr(DecisionTree, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(DecisionTree, name, counted)
+        data, split, _ = _fixture_folds()
+        grid_search(ClassifierKind.RF, DEFAULT_GRIDS[ClassifierKind.RF], data, split.folds, 42)
+        assert calls == {"fit": 859, "predict": 859}
+
+
+class TestShallowerForest:
+    @staticmethod
+    def assert_fresh_fit(deep, X, y, depth):
+        derived = deep.shallower(depth, X, y)
+        fresh = RandomForest(n_estimators=deep.n_estimators, criterion=deep.criterion,
+                             max_depth=depth, seed=deep.seed).fit(X, y)
+        assert derived.max_depth == depth
+        assert derived.to_dict() == fresh.to_dict()
+        kept = [new is old for new, old in zip(derived.trees_, deep.trees_)]
+        assert kept == [old.search_depth_ < depth for old in deep.trees_]
+        return sum(kept)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_fixture_folds_equal_fresh_fits(self, criterion):
+        for X_fit, y_fit, _, _ in _fixture_folds()[2]:
+            deep = RandomForest(n_estimators=200, criterion=criterion, seed=42).fit(X_fit, y_fit)
+            assert self.assert_fresh_fit(deep, X_fit, y_fit, 10) == 200
+            assert 0 < self.assert_fresh_fit(deep, X_fit, y_fit, 5) < 200  # some regrown
+            ten = deep.shallower(10, X_fit, y_fit)
+            assert 0 < self.assert_fresh_fit(ten, X_fit, y_fit, 3) < 200
+
+    def test_standin_fold_regrows_every_tree(self):
+        data = make_records(800, seed=3, shift=0.8)  # noisy: every tree splits deep
+        deep = RandomForest(n_estimators=8, max_depth=30, seed=7).fit(data.X, data.y)
+        assert self.assert_fresh_fit(deep, data.X, data.y, 5) == 0
+        assert self.assert_fresh_fit(deep, data.X, data.y, 0) == 0
+
+    def test_no_search_keeps_the_tree(self):
+        data = make_records(40, d=3, seed=1, shift=5.0)
+        stump = RandomForest(n_estimators=3, max_depth=1, seed=0).fit(data.X, data.y)
+        assert [t.search_depth_ for t in stump.trees_] == [0, 0, 0]
+        assert self.assert_fresh_fit(stump, data.X, data.y, 0) == 0
+        no_phishing = np.zeros(40, dtype=np.int64)
+        one_class = RandomForest(n_estimators=2, seed=0).fit(data.X, no_phishing)
+        assert [t.search_depth_ for t in one_class.trees_] == [-1, -1]
+        assert self.assert_fresh_fit(one_class, data.X, no_phishing, 0) == 2
+
+    def test_refuses_a_deeper_limit_or_a_loaded_forest(self):
+        data = make_records(40, d=3, seed=1, shift=1.0)
+        forest = RandomForest(n_estimators=2, max_depth=3, seed=0).fit(data.X, data.y)
+        for deeper in (4, None):
+            with pytest.raises(ValueError, match="deeper than the forest's 3"):
+                forest.shallower(deeper, data.X, data.y)
+        loaded = RandomForest.from_dict(forest.to_dict(), 3, n_estimators=2, max_depth=3)
+        with pytest.raises(ValueError, match="no record of its split searches"):
+            loaded.shallower(2, data.X, data.y)
