@@ -275,7 +275,7 @@ def _load_rules(cfg: argparse.Namespace) -> nmr.Program:
         nmr.check_arities(program, [(kb.PRED, ("svm", 0, "phishing")), (kb.META, (0, "yes"))])
     except nmr.ParseError as exc:  # its message starts with line:column
         raise ConfigError(f"{path}:{exc}; fix the rule file") from None
-    except nmr.ProgramError as exc:
+    except (nmr.ProgramError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}; fix the rule file") from None
     return program
 
@@ -306,14 +306,14 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
             )
 
     beliefs = generate_initial_beliefs(models, data, test_ids)
-    fact_base = kb.encode(beliefs, meta_flags)
+    facts = kb.encode(beliefs, meta_flags)
     try:  # before facts.lp, so a rule file that derives wrong final atoms writes nothing
-        finals = revision.apply_revision(beliefs, fact_base, program)
+        finals = revision.apply_revision(beliefs, facts, program)
     except ValueError as exc:
         if not cfg.rules:  # the bundled rules: a fault of the program, not of its input
             raise
         raise ConfigError(f"{cfg.rules}: {exc}; fix the rule file") from None
-    n_bytes = kb.serialize(fact_base, out_dir / "facts.lp")
+    n_bytes = kb.serialize(facts, out_dir / "facts.lp")
     (out_dir / "final_beliefs.csv").write_text(finals.csv_text(), encoding="utf-8")
 
     report = revision.build_report(finals, data.y)

@@ -5,21 +5,23 @@ Class labels cross into the symbolic layer as named constants
 :func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
 facts one per line in solver-compatible syntax so the file can also be fed
 to external ASP tooling for cross-validation.  A fact is a plain ground atom
-(a named tuple).  :func:`encode` writes the facts of the belief columns
-straight in ``facts.lp`` order; a :class:`FactBase` built from other facts
-(:func:`load_facts`) checks its constants and sorts them.
+(a named tuple), and a fact base is the tuple of facts in ``facts.lp``
+order: every ``meta`` fact by instance id, then every ``pred`` fact by
+(instance id, classifier).  :func:`encode` builds it from the belief
+columns, :func:`serialize` writes it, and :func:`load_facts` reads it back,
+accepting only the lines :func:`serialize` writes, in that order.
 """
 
 from __future__ import annotations
 
-import logging
+import re
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from sys import intern
+from typing import Mapping, NamedTuple
 
 from metaphish import nmr
-
-logger = logging.getLogger(__name__)
+from metaphish.classifiers import KIND_ORDER
 
 PRED = "pred"
 META = "meta"
@@ -39,107 +41,11 @@ class Fact(NamedTuple):
         return nmr.format_ground_atom(self)
 
 
-# the position of the instance id in the pipeline's facts
-_ID_POSITION = {(PRED, 3): 1, (META, 2): 0}
-
-# the argument types of the pipeline's plain facts: pred(cl,id,class), meta(id,flag)
-_PLAIN_TYPES = {PRED: (str, int, str), META: (int, str)}
-
-
-def _fact_sort_key(fact: Fact):
-    """(predicate, id, classifier) for pipeline facts; stable fallback otherwise."""
-    pred, args = fact
-    typed = tuple((0, a) if isinstance(a, int) else (1, str(a)) for a in args)
-    if pred == PRED and len(args) == 3:
-        return (pred, typed[1], str(args[0]), typed)
-    if pred == META and len(args) == 2:
-        return (pred, typed[0], "", typed)
-    return (pred, (2,), "", typed)
-
-
-def _plain_sort_key(fact: Fact):
-    """_fact_sort_key's order for plain facts (of :data:`_PLAIN_TYPES`), built more cheaply."""
-    pred, args = fact
-    return (pred, args[1], args[0], args[2]) if pred == PRED else (pred, *args)
-
-
-def _check_constant(a) -> None:
-    if isinstance(a, bool) or not isinstance(a, (str, int)):
-        raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
-    if isinstance(a, int) and a < 0:
-        raise ValueError(f"integer constants must be non-negative, got {a}")
-    if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
-        raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
-
-
-class FactBase:
-    """An immutable set of facts with the pipeline's functional constraints.
-
-    Every constant is a lowercase symbol or a non-negative integer, and every
-    instance id an integer.  At most one ``pred`` fact per (classifier,
-    instance) and one ``meta`` fact per instance; a ``pred`` instance without
-    a matching ``meta`` fact is tolerated but logged at warning level.
-    Iterating yields the facts in ``facts.lp`` order.
-    """
-
-    def __init__(self, facts: Iterable[Fact]):
-        distinct = set(facts)
-        plain = all(tuple(map(type, args)) == _PLAIN_TYPES.get(pred) for pred, args in distinct)
-        ordered = sorted(distinct, key=_plain_sort_key if plain else _fact_sort_key)
-        pred_keys = set()
-        meta_ids = set()
-        pred_ids = set()
-        symbols = set()  # the symbol constants checked so far
-        for fact in ordered:
-            pred, args = fact
-            pos = _ID_POSITION.get((pred, len(args)))
-            if pos is not None and (type(args[pos]) is not int or args[pos] < 0):
-                raise ValueError(f"instance id must be a non-negative integer in {fact}")
-            for a in args:
-                if type(a) is int and a >= 0 or type(a) is str and a in symbols:
-                    continue
-                _check_constant(a)
-                if type(a) is str:
-                    symbols.add(a)
-            if pred == PRED and len(args) == 3:
-                key = (args[0], args[1])
-                if key in pred_keys:
-                    raise ValueError(f"duplicate pred fact for classifier/instance {key}")
-                pred_keys.add(key)
-                pred_ids.add(args[1])
-            elif pred == META and len(args) == 2:
-                iid = args[0]
-                if iid in meta_ids:
-                    raise ValueError(f"duplicate meta fact for instance {iid}")
-                meta_ids.add(iid)
-        missing = pred_ids - meta_ids
-        if missing:
-            shown = sorted(missing)[:5]
-            logger.warning(
-                "fact base has %d pred instance(s) without a meta fact (e.g. %s)",
-                len(missing),
-                shown,
-            )
-        self._facts = tuple(ordered)
-
-    def __len__(self):
-        return len(self._facts)
-
-    def __iter__(self):
-        return iter(self._facts)
-
-    def __eq__(self, other):
-        return isinstance(other, FactBase) and self._facts == other._facts
-
-    def __hash__(self):
-        return hash(self._facts)
-
-
-def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
+def encode(beliefs, meta_flags: Mapping[int, bool]) -> tuple[Fact, ...]:
     """One ``meta(id,m)`` fact per instance of the :class:`~metaphish.classifiers.Beliefs`
     ``beliefs``, then one ``pred(cl,id,class)`` fact per decision, built from the
-    columns in ``facts.lp`` order, so they need neither the checks nor the sort of
-    :class:`FactBase`.  ``meta_flags`` must cover every instance id (extra ids are ignored).
+    columns in ``facts.lp`` order.  ``meta_flags`` must cover every instance id
+    (extra ids are ignored).
     """
     ids = beliefs.ids.tolist()
     absent = next((iid for iid in ids if iid not in meta_flags), None)
@@ -151,31 +57,65 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
     preds = list(chain.from_iterable(zip(*(
         zip(repeat(symbol), ids, map(CLASS_TO_SYMBOL.__getitem__, column))
         for symbol, column in columns))))
-    fact_base = object.__new__(FactBase)  # the facts keep its constraints, in its order
-    fact_base._facts = tuple(map(Fact._make, chain(zip(repeat(META), meta), zip(repeat(PRED), preds))))
-    return fact_base
+    return tuple(map(Fact._make, chain(zip(repeat(META), meta), zip(repeat(PRED), preds))))
 
 
-def serialize(fact_base: FactBase, path: str | Path) -> int:
+def serialize(facts: tuple[Fact, ...], path: str | Path) -> int:
     """Write one fact per line as ``predicate(args).`` and return bytes written.
 
-    No spaces, trailing period, ``\\n`` line ends, facts sorted by
-    (predicate, id, classifier) for byte-stable output.
+    No spaces, trailing period, ``\\n`` line ends, in the order of ``facts``
+    (for :func:`encode`'s facts, the byte-stable ``facts.lp`` order).
     """
-    data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in fact_base).encode("ascii")
+    data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in facts).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)
 
 
-def load_facts(path: str | Path) -> FactBase:
-    """Parse a serialized fact file back into a FactBase (round-trip of serialize)."""
-    program = nmr.parse_program(Path(path).read_text(encoding="ascii"))
+# the two line shapes serialize writes: meta(<id>,yes|no). and
+# pred(<classifier>,<id>,benign|phishing)., an id without sign or leading zero
+_ID = "(0|[1-9][0-9]*)"
+_LINE = re.compile(rf"{META}\({_ID},({'|'.join(META_TO_SYMBOL.values())})\)\."
+                   rf"|{PRED}\(({'|'.join(kind.value for kind in KIND_ORDER)}),{_ID},"
+                   rf"({'|'.join(SYMBOL_TO_CLASS)})\)\.")
+
+
+def load_facts(path: str | Path) -> tuple[Fact, ...]:
+    """The facts of a ``facts.lp`` file, as :func:`encode` built them.
+
+    Every line is ``meta(<id>,yes|no).`` or ``pred(<classifier>,<id>,benign|phishing).``
+    and ends in ``\\n``; the lines come in strictly increasing ``facts.lp``
+    order, so none repeats a fact's key, and every ``pred`` id has its
+    ``meta`` fact.  Any other line raises ValueError naming the file and line.
+    """
+    *lines, rest = Path(path).read_bytes().decode("ascii", errors="replace").split("\n")
     facts = []
-    for rule in program.rules:
-        if not rule.is_fact or rule.head.variables:
-            raise ValueError(f"{path}: not a ground fact: '{rule}'")
-        facts.append(Fact(rule.head.predicate, rule.head.terms))
-    try:
-        return FactBase(facts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    meta_ids = set()
+    last = (META, -1, "")  # the (predicate, id, classifier) of the line before
+    for number, line in enumerate(lines, start=1):
+        match = _LINE.fullmatch(line)
+        if match is not None:  # interned, the constants share one str each, as encode's do
+            meta_id, flag, symbol, pred_id, cls = match.groups()
+            if meta_id is not None:
+                iid = int(meta_id)
+                key, fact = (META, iid, ""), Fact._make((META, (iid, intern(flag))))
+                meta_ids.add(iid)
+            else:
+                iid, symbol = int(pred_id), intern(symbol)
+                key, fact = (PRED, iid, symbol), Fact._make((PRED, (symbol, iid, intern(cls))))
+            if key > last and iid in meta_ids:
+                facts.append(fact)
+                last = key
+                continue
+        if match is None:
+            problem = (f"not a meta(<id>,yes|no). or pred(<classifier>,<id>,benign|phishing). "
+                       f"fact: {line!r}")
+        elif key == last:
+            problem = f"{line} has the key of line {number - 1}"
+        elif key < last:
+            problem = f"{line} is out of facts.lp order, after line {number - 1}"
+        else:
+            problem = f"{line} has no meta fact for instance {iid}"
+        raise ValueError(f"{path}, line {number}: {problem}")
+    if rest:
+        raise ValueError(f"{path}, line {len(lines) + 1}: {rest!r} has no line end")
+    return tuple(facts)

@@ -3,12 +3,12 @@
 Covers exactly the fragment the belief-revision layer needs: normal rules
 with default negation, no function symbols, no disjunction, no aggregates.
 A program is parsed, checked for rule safety and stratification, and
-grounded against a fact base.  A cycle through ``not`` is rejected, naming
+grounded against facts taken as given.  A cycle through ``not`` is rejected, naming
 the first one in sorted order; otherwise the strata are the least predicate
 levels, found by relaxation.  Grounding runs stratum by stratum, each
 semi-naively, through join plans compiled once per rule over hash indexes
-on (predicate, bound argument positions); the atoms it derives are the
-unique stable model, returned as ``GroundProgram.model`` with its counters.
+on (predicate, bound argument positions); the set of atoms it derives is
+the unique stable model, ``GroundProgram.model``, with its counters.
 The ground rules themselves are enumerated only when
 ``GroundProgram.rules`` is read, by running the same evaluation again and
 recording each fact and firing.  :func:`solve` re-evaluates a ground
@@ -135,7 +135,7 @@ class EvalStats:
 class AnswerSet:
     """The unique stable model of a stratified ground program."""
 
-    atoms: frozenset[GroundAtom]
+    atoms: set[GroundAtom]  # the evaluator's own set: read it, do not change it
     stats: EvalStats = field(compare=False, default=EvalStats())
 
     def holds(self, predicate: str, *args) -> bool:
@@ -593,13 +593,13 @@ def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     linear in the fact count, and every instantiation fires exactly once.
     The evaluation keeps only the atoms and counters; the ground rules are
     enumerated when ``rules`` is first read.  Of the result, only the order
-    of ``rules`` follows the order of ``facts``.
+    of ``rules`` follows the order of ``facts``, kept as given (a tuple is not copied).
     """
-    fact_atoms = tuple((pred, tuple(args)) for pred, args in facts)
+    fact_atoms = tuple(facts)
     check_arities(program, fact_atoms)
     firings, atoms = _evaluate(program, fact_atoms, None)
     stats = EvalStats(firings, len(atoms))
-    return GroundProgram(stats, AnswerSet(frozenset(atoms), stats), (program, fact_atoms))
+    return GroundProgram(stats, AnswerSet(atoms, stats), (program, fact_atoms))
 
 
 def _evaluate(program: Program, fact_atoms: tuple[GroundAtom, ...],
@@ -675,7 +675,7 @@ def solve(ground_program: GroundProgram) -> AnswerSet:
                     if head not in derived:
                         derived.add(head)
                         changed = True
-    return AnswerSet(frozenset(derived), EvalStats(firings, len(derived)))
+    return AnswerSet(derived, EvalStats(firings, len(derived)))
 
 
 def check_stability(ground_program: GroundProgram, candidate) -> bool:

@@ -1,7 +1,7 @@
 """Post-hoc belief revision and before/after reporting.
 
 :func:`apply_revision` routes every belief through the symbolic layer: the
-rule program is grounded over the beliefs' fact base (``kb.encode``) and the
+rule program is grounded over the beliefs' facts (``kb.encode``) and the
 final verdicts are read from the stable model that grounding computes, into
 one final-class column per classifier (:class:`FinalBeliefs`), from which
 ``final_beliefs.csv`` and the confusion counts are made.  Revision is
@@ -127,11 +127,11 @@ class FinalBeliefs(Beliefs):
         return "".join(["id,classifier,initial,final,revised\n", *chain.from_iterable(zip(*rows))])
 
 
-def apply_revision(beliefs: Beliefs, fact_base: kb.FactBase,
+def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
                    program: nmr.Program | None = None) -> FinalBeliefs:
-    """Revise beliefs by grounding the rule program over ``fact_base``.
+    """Revise beliefs by grounding the rule program over ``facts``.
 
-    ``fact_base`` is ``kb.encode(beliefs, meta_flags)``.  The verdicts are read
+    ``facts`` is ``kb.encode(beliefs, meta_flags)``.  The verdicts are read
     from the model that :func:`nmr.ground` computes, which must carry exactly
     one ``final(cl,id,class)`` atom per decision; anything else means the rule
     program is broken and raises.
@@ -139,7 +139,7 @@ def apply_revision(beliefs: Beliefs, fact_base: kb.FactBase,
     if program is None:
         program = revision_program()
     finals: dict[object, dict[object, int]] = {}  # classifier -> instance -> class
-    for pred, args in nmr.ground(program, fact_base).model.atoms:
+    for pred, args in nmr.ground(program, facts).model.atoms:
         if pred != "final":
             continue
         if len(args) != 3:
@@ -162,6 +162,12 @@ def apply_revision(beliefs: Beliefs, fact_base: kb.FactBase,
             f"rule program derived no final belief for classifier {kinds[k].value!r}, "
             f"instance {ids[row]}; the rule set must derive final/3 atoms "
             "(including a pass-through rule for unrevised predictions)")
+    if sum(map(len, finals.values())) > table.size:  # an atom for no decision
+        known_kinds, known_ids = {kind.value for kind in kinds}, set(ids)
+        cl, iid = min(((cl, iid) for cl, by_id in finals.items() for iid in by_id
+                       if cl not in known_kinds or iid not in known_ids), key=str)
+        raise ValueError(f"rule program derived a final belief for classifier {cl!r}, "
+                         f"instance {iid!r}, which is not a decision of the beliefs")
     return FinalBeliefs(beliefs.ids, dict(zip(kinds, table)), beliefs)
 
 
@@ -243,18 +249,36 @@ def _kv_confusion(kv: Mapping[str, str], kind: str, stage: str) -> Confusion:
 def _check_counts(kv: Mapping[str, str], kinds: list[str]) -> None:
     """Raise ValueError unless every count is a non-negative integer, each
     classifier's counts before and after revision have one sum, no smaller
-    than its revisions, and the totals are the sums as revise writes them."""
+    than its revisions, and the totals are the sums as revise writes them.
+
+    Revision changes verdicts, never labels, and each revision moves one
+    count between ``tp`` and ``fn`` or between ``fp`` and ``tn``.  So every
+    classifier counts the same phishing (``tp + fn``) and legitimate
+    (``fp + tn``) instances before and after, and its ``revised`` exceeds
+    ``|tp_after - tp_before| + |fp_after - fp_before|`` by an even number."""
     for key, value in kv.items():
         if key != "total.fraction" and not (value.isascii() and value.isdigit()):
             raise ValueError(f"{key} is {value!r}, not a non-negative integer")
     decisions = revised = 0
+    labels = None  # the (phishing, legitimate) instances of the first classifier, before
     for kind in kinds:
-        before, after = (_kv_confusion(kv, kind, stage).total for stage in _STAGES)
+        before, after = (_kv_confusion(kv, kind, stage) for stage in _STAGES)
         n_revised = int(kv[f"{kind}.revised"])
-        if after != before or n_revised > before:
-            raise ValueError(f"{kind} counts {before} decisions before revision, "
-                             f"{after} after and {n_revised} revised")
-        decisions, revised = decisions + before, revised + n_revised
+        if after.total != before.total or n_revised > before.total:
+            raise ValueError(f"{kind} counts {before.total} decisions before revision, "
+                             f"{after.total} after and {n_revised} revised")
+        for stage, counts in zip(_STAGES, (before, after)):
+            counted = (counts.tp + counts.fn, counts.fp + counts.tn)
+            labels = labels or counted
+            if counted != labels:
+                raise ValueError(f"{kind} counts {counted[0]} phishing and {counted[1]} legitimate "
+                                 f"instances {stage} revision, but {kinds[0]} counts "
+                                 f"{labels[0]} and {labels[1]} before")
+        moved = abs(after.tp - before.tp) + abs(after.fp - before.fp)
+        if n_revised < moved or (n_revised - moved) % 2:
+            raise ValueError(f"{kind}.revised is {n_revised}, but its counts before and after "
+                             f"revision differ by {moved} verdicts")
+        decisions, revised = decisions + before.total, revised + n_revised
     for key, value in report_to_kv(RevisionReport({}, revised, decisions)).items():
         if kv[key] != value:
             raise ValueError(f"{key} is {kv[key]!r}, but the classifiers' counts give {value!r}")

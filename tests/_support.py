@@ -331,9 +331,9 @@ def belief_rows(beliefs: Beliefs) -> list[InitialBelief]:
             for row, iid in enumerate(beliefs.ids.tolist()) for kind in beliefs.classes]
 
 
-def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> kb.FactBase:
-    """One ``pred`` fact per belief plus one ``meta`` fact per instance, checked
-    and sorted by ``FactBase``."""
+def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> tuple[kb.Fact, ...]:
+    """One ``pred`` fact per belief plus one ``meta`` fact per instance, sorted
+    into ``facts.lp`` order: by predicate, then instance id, then classifier."""
     facts = []
     instance_ids = set()
     for belief in beliefs:
@@ -345,16 +345,22 @@ def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> 
         if iid not in instance_ids:
             instance_ids.add(iid)
             facts.append(kb.Fact(kb.META, (iid, kb.META_TO_SYMBOL[bool(meta_flags[iid])])))
-    return kb.FactBase(facts)
+
+    def order(fact):  # meta(id,m) by id, then pred(cl,id,class) by id and classifier
+        if fact.predicate == kb.PRED:
+            return fact.predicate, fact.arguments[1], fact.arguments[0]
+        return fact.predicate, fact.arguments[0], ""
+
+    return tuple(sorted(facts, key=order))
 
 
-def row_apply_revision(beliefs: list[InitialBelief], fact_base: kb.FactBase,
+def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
                        program: Program | None = None) -> list[FinalBelief]:
     """One final belief per belief, read from the ground model's ``final`` atoms."""
     if program is None:
         program = revision.revision_program()
     final_by_key: dict[tuple, int] = {}
-    for pred, args in nmr.ground(program, fact_base).model.atoms:
+    for pred, args in nmr.ground(program, facts).model.atoms:
         if pred != "final":
             continue
         if len(args) != 3:
@@ -774,56 +780,3 @@ def positive_instantiations(program: Program, model: Iterable[GroundAtom]) -> in
         return total
 
     return sum(count(rule.body_pos, {}) for rule in program.rules)
-
-
-def reference_fact_base(facts) -> tuple:
-    """``kb.FactBase``'s facts and errors from one sort of all facts by
-    ``kb._fact_sort_key`` and one loop that checks every argument of every
-    fact (the oracle for ``FactBase``, which checks each symbol once)."""
-    ordered = sorted(set(facts), key=kb._fact_sort_key)
-    pred_keys, meta_ids = set(), set()
-    for fact in ordered:
-        pred, args = fact
-        pos = kb._ID_POSITION.get((pred, len(args)))
-        if pos is not None and (type(args[pos]) is not int or args[pos] < 0):
-            raise ValueError(f"instance id must be a non-negative integer in {fact}")
-        for a in args:
-            if isinstance(a, bool) or not isinstance(a, (str, int)):
-                raise ValueError(f"fact argument must be a symbol or integer, got {a!r}")
-            if isinstance(a, int) and a < 0:
-                raise ValueError(f"integer constants must be non-negative, got {a}")
-            if isinstance(a, str) and not (a[:1].islower() and a.isidentifier()):
-                raise ValueError(f"symbol constants must be lowercase identifiers, got {a!r}")
-        if pred == kb.PRED and len(args) == 3:
-            key = (args[0], args[1])
-            if key in pred_keys:
-                raise ValueError(f"duplicate pred fact for classifier/instance {key}")
-            pred_keys.add(key)
-        elif pred == kb.META and len(args) == 2:
-            if args[0] in meta_ids:
-                raise ValueError(f"duplicate meta fact for instance {args[0]}")
-            meta_ids.add(args[0])
-    return tuple(ordered)
-
-
-def random_facts(rng: random.Random) -> list:
-    """Mostly plain pipeline facts; now and then an odd one: another predicate
-    or arity, an argument of another type or value, or a duplicate key."""
-    odd = [0, 3, -1, True, 1.0, None, "x", "Svm", "1a", "", "dt", "yes"]
-    facts = []
-    for iid in rng.sample(range(40), rng.randint(0, 8)):
-        facts.append(kb.Fact("meta", (iid, rng.choice(("yes", "no")))))
-        for cl in rng.sample(("svm", "knn", "dt", "rf"), rng.randint(0, 4)):
-            facts.append(kb.Fact("pred", (cl, iid, rng.choice(("phishing", "benign")))))
-    plain = list(facts)
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        if plain and rng.random() < 0.5:  # a changed copy of a plain fact
-            pred, args = rng.choice(plain)
-            args = list(args)
-            args[rng.randrange(len(args))] = rng.choice(odd)
-        else:
-            pred = rng.choice(("pred", "meta", "other"))
-            args = [rng.choice(odd) for _ in range(rng.randint(0, 3))]
-        facts.append(kb.Fact(pred, tuple(args)))
-    rng.shuffle(facts)
-    return facts

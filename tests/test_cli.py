@@ -277,12 +277,20 @@ class TestRevise:
          "rules.lp: unknown class symbol 'maybe' in final atom"),
         ("final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n",
          "rules.lp: conflicting final beliefs derived for"),
+        # the bundled rules and one more final/3 atom, for no decision of the beliefs
+        (revision.default_rules_text() + "final(x,1,benign).\n",
+         "rules.lp: rule program derived a final belief for classifier 'x', instance 1, "
+         "which is not a decision"),
+        (revision.default_rules_text() + "final(svm,1000,benign).\n",
+         "rules.lp: rule program derived a final belief for classifier 'svm', instance 1000,"),
+        (b"final(C,I,X) :- pred(C,I,X). % \xff\n", "rules.lp: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing", "parse-error", "unsafe", "not-stratified", "arity-clash", "empty",
-            "no-final", "final-arity-2", "unknown-class-symbol", "conflicting-finals"])
+            "no-final", "final-arity-2", "unknown-class-symbol", "conflicting-finals",
+            "final-of-unknown-classifier", "final-outside-test-ids", "not-utf-8"])
     def test_bad_rule_file_is_usage_error(self, pipeline_run, tmp_path, capsys, text, message):
         rules = tmp_path / "rules.lp"
         if text is not None:
-            rules.write_text(text)
+            rules.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = _copy_run(pipeline_run, tmp_path / "out", "facts.lp", "final_beliefs.csv")
         rc = main(["revise", *DATASET_ARGS, "--out", str(out), "--rules", str(rules)])
         assert rc == 2
@@ -613,10 +621,29 @@ MANIFEST_FAULTS = {
     "string-id": lambda text: text.replace("\n5,", "\nx,", 1),
     "empty-list": lambda text: text.splitlines(keepends=True)[0],
 }
+# a lone surrogate escape, written with errors="surrogateescape": a byte that is not UTF-8
+NOT_UTF_8 = "\udcff"
+INPUTS_FAULTS = {
+    **FAULTS,
+    "flip-digit": lambda text: re.sub(r"\d\n", lambda m: f"{(int(m[0][0]) + 1) % 10}\n", text,
+                                      count=1),
+    "not-utf-8": lambda text: text.replace("=", "=" + NOT_UTF_8, 1),
+}
+RULES = "rules.lp"  # a copy of the bundled rules, passed with --rules
+RULES_FAULTS = {
+    **FAULTS,
+    "not-utf-8": lambda text: text.replace("%", "% " + NOT_UTF_8, 1),
+    "final-of-unknown-classifier": lambda text: text + "final(x,1,benign).\n",
+    "final-outside-test-ids": lambda text: text + "final(svm,1000,benign).\n",
+    "empty": lambda text: "",
+    "arity-clash": lambda text: text + "pred(svm,1).\n",
+}
+FILE_FAULTS = {**dict.fromkeys(MODEL_FILES, MODEL_FAULTS), "split_manifest.csv": MANIFEST_FAULTS,
+               "run_inputs.kv": INPUTS_FAULTS, RULES: RULES_FAULTS}
 SWAPS = {name: MODEL_FILES[(i + 1) % len(MODEL_FILES)] for i, name in enumerate(MODEL_FILES)}
 SWAPS["split_manifest.csv"] = "model_svm.json"
-FAULT_CASES = [(name, fault) for name in MODEL_FILES for fault in [*MODEL_FAULTS, "swap"]] \
-    + [("split_manifest.csv", fault) for fault in [*MANIFEST_FAULTS, "swap"]]
+FAULT_CASES = [(name, fault) for name, faults in FILE_FAULTS.items()
+               for fault in [*faults, *(["swap"] if name in SWAPS else [])]]
 
 
 class TestDamagedRunFiles:
@@ -627,6 +654,10 @@ class TestDamagedRunFiles:
         # harmless (exit 0, every output byte-identical); exit 1 and exit 0
         # with other outputs are both failures
         out = _copy_run(pipeline_run, tmp_path / "out")
+        rules = []
+        if name == RULES:
+            (out / RULES).write_text(revision.default_rules_text())
+            rules = ["--rules", str(out / RULES)]
         damaged = [name]
         if fault == "swap":
             other = SWAPS[name]
@@ -635,11 +666,11 @@ class TestDamagedRunFiles:
             (out / name).write_bytes(second)
             (out / other).write_bytes(first)
         else:
-            edit = (MANIFEST_FAULTS if name == "split_manifest.csv" else MODEL_FAULTS)[fault]
+            edit = FILE_FAULTS[name][fault]
             text = (out / name).read_text()
             assert edit(text) != text
-            (out / name).write_text(edit(text))
-        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+            (out / name).write_text(edit(text), encoding="utf-8", errors="surrogateescape")
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out), *rules])
         err = capsys.readouterr().err
         if rc == 0:
             for output in ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt"):
@@ -741,6 +772,15 @@ class TestReport:
             return text.replace(f"{key}={old}\n", f"{key}={new}\n")
         return edit
 
+    @staticmethod
+    def _set_all(*pairs):
+        """An edit that sets the value of each ``(key, value)`` of ``pairs``."""
+        def edit(text):
+            for key, value in pairs:
+                text = TestReport._set(key, value)(text)
+            return text
+        return edit
+
     @pytest.mark.parametrize("edit,message", [
         (lambda text: text[: text.index("dt.tp_before")], "missing key 'dt.tp_before'"),
         (lambda text: text + "garbage line\n", "expected key=value"),
@@ -751,8 +791,22 @@ class TestReport:
         (_set("total.decisions", "7"), "total.decisions is '7'"),
         (_set("total.fraction", None), "total.fraction is '0.0"),
         (_set("svm.tn_before", None), "svm counts"),
+        # each keeps every sum, but breaks one rule that revision keeps
+        (_set_all(("dt.tp_after", "20"), ("dt.tn_after", "17")),
+         "dt counts 21 phishing and 19 legitimate instances after revision, "
+         "but svm counts 20 and 20 before"),
+        (_set_all(("knn.tp_before", "20"), ("knn.tn_before", "17"),
+                  ("knn.tp_after", "19"), ("knn.tn_after", "18")),
+         "knn counts 21 phishing and 19 legitimate instances before revision, "
+         "but svm counts 20 and 20 before"),
+        (_set_all(("dt.revised", "4"), ("total.revised", "8"), ("total.fraction", "0.050000")),
+         "dt.revised is 4, but its counts before and after revision differ by 3 verdicts"),
+        (_set_all(("dt.revised", "1"), ("total.revised", "5"), ("total.fraction", "0.031250")),
+         "dt.revised is 1, but its counts before and after revision differ by 3 verdicts"),
     ], ids=["truncated", "garbage-line", "negative", "too-many-after", "revised-too-many",
-            "no-decisions", "decisions-mismatch", "fraction-digit", "count-digit"])
+            "no-decisions", "decisions-mismatch", "fraction-digit", "count-digit",
+            "labels-change-in-revision", "labels-differ-across-classifiers", "revised-odd",
+            "revised-too-few"])
     def test_bad_report_kv_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
         path = tmp_path / "report.kv"
         path.write_text(edit((pipeline_run / "report.kv").read_text()))

@@ -1,26 +1,19 @@
 from __future__ import annotations
 
-import logging
+import csv
 import random
 
 import pytest
 
 from metaphish import kb
-from metaphish.classifiers import Beliefs, ClassifierKind
-from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, FactBase, encode, serialize
+from metaphish.classifiers import KIND_ORDER, Beliefs, ClassifierKind
+from metaphish.dataset import load_dataset
+from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, encode, serialize
 
-from _support import random_facts, reference_fact_base
+from _support import FIXTURE_CSV, random_scenario
 
 
 class TestFact:
-    def test_rejects_negative_integer(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            FactBase([Fact("pred", ("svm", -1, "benign"))])
-
-    def test_rejects_uppercase_symbol(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            FactBase([Fact("pred", ("SVM", 1, "benign"))])
-
     def test_str_matches_serialized_form(self):
         assert str(Fact("pred", ("svm", 0, "benign"))) == "pred(svm,0,benign)"
         assert str(Fact("flag", ())) == "flag"
@@ -67,81 +60,18 @@ class TestEncode:
         assert set(SYMBOL_TO_CLASS) == {"benign", "phishing"}
 
 
-class TestFactBase:
-    def test_duplicate_pred_rejected(self):
-        facts = [Fact("pred", ("svm", 1, "benign")), Fact("pred", ("svm", 1, "phishing"))]
-        with pytest.raises(ValueError, match="duplicate pred"):
-            FactBase(facts)
-
-    def test_duplicate_meta_rejected(self):
-        facts = [Fact("meta", (1, "yes")), Fact("meta", (1, "no"))]
-        with pytest.raises(ValueError, match="duplicate meta"):
-            FactBase(facts)
-
-    def test_identical_facts_collapse(self):
-        fb = FactBase([Fact("meta", (1, "yes")), Fact("meta", (1, "yes"))])
-        assert len(fb) == 1
-
-    def test_missing_meta_warns(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="metaphish.kb"):
-            FactBase([Fact("pred", ("svm", 3, "phishing"))])
-        assert "without a meta fact" in caplog.text
-
-    @pytest.mark.parametrize("facts", [
-        [Fact("pred", ("svm", "x", "benign")), Fact("pred", ("svm", 1, "benign"))],
-        [Fact("meta", ("x", "yes")), Fact("meta", (1, "no"))],
-    ], ids=["pred", "meta"])
-    def test_symbol_instance_id_rejected(self, facts):
-        # a symbol id next to an integer one used to fail the sort with TypeError
-        with pytest.raises(ValueError, match=r"instance id .* in (pred\(svm,x,benign\)|meta\(x,yes\))"):
-            FactBase(facts)
-
-    def test_atoms_are_sorted_and_typed(self):
-        fb = FactBase(
-            [
-                Fact("pred", ("svm", 2, "benign")),
-                Fact("meta", (2, "no")),
-                Fact("pred", ("dt", 1, "phishing")),
-                Fact("meta", (1, "yes")),
-            ]
-        )
-        assert list(fb) == [
-            ("meta", (1, "yes")),
-            ("meta", (2, "no")),
-            ("pred", ("dt", 1, "phishing")),
-            ("pred", ("svm", 2, "benign")),
-        ]
-
-
-    def test_order_and_errors_match_reference(self):
-        rng = random.Random(71)
-        outcomes = set()
-        for _ in range(5000):
-            facts = random_facts(rng)
-            try:
-                want = reference_fact_base(facts)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as err:
-                    FactBase(facts)
-                assert str(err.value) == str(exc)
-                outcomes.add(str(exc).split(" ")[0])
-                continue
-            assert tuple(FactBase(facts)) == want
-            outcomes.add("ok")
-        assert outcomes == {"ok", "instance", "fact", "integer", "symbol", "duplicate"}
-
-
 class TestSerialize:
     def test_single_fact_golden_bytes(self, tmp_path):
         path = tmp_path / "facts.lp"
-        n = serialize(FactBase([Fact("pred", ("svm", 0, "benign"))]), path)
+        n = serialize((Fact("pred", ("svm", 0, "benign")),), path)
         assert path.read_bytes() == b"pred(svm,0,benign).\n"
         assert n == 20
 
-    def test_empty_fact_base(self, tmp_path):
+    def test_empty_facts(self, tmp_path):
         path = tmp_path / "facts.lp"
-        assert serialize(FactBase([]), path) == 0
+        assert serialize((), path) == 0
         assert path.read_bytes() == b""
+        assert kb.load_facts(path) == ()
 
     def test_sorted_by_predicate_id_classifier(self, tmp_path):
         beliefs = Beliefs([0, 1], {ClassifierKind.SVM: [0, 1], ClassifierKind.DT: [1, 0]})
@@ -189,14 +119,100 @@ class TestSerialize:
         serialize(fb, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_load_facts_rejects_rules(self, tmp_path):
-        path = tmp_path / "rules.lp"
-        path.write_text("a :- b.\n")
-        with pytest.raises(ValueError, match="not a ground fact"):
-            kb.load_facts(path)
 
-    def test_load_facts_names_file_and_fact_of_bad_id(self, tmp_path):
+# the lines of the file TestLoadFacts damages: encode's facts for ids 0, 2 and 5
+BASE_LINES = [
+    "meta(0,yes).", "meta(2,no).", "meta(5,yes).",
+    "pred(dt,0,phishing).", "pred(knn,0,benign).", "pred(rf,0,phishing).", "pred(svm,0,benign).",
+    "pred(dt,2,benign).", "pred(knn,2,benign).", "pred(rf,2,phishing).", "pred(svm,2,phishing).",
+    "pred(dt,5,phishing).", "pred(knn,5,phishing).", "pred(rf,5,benign).", "pred(svm,5,benign).",
+]
+
+
+def _line(number, edit):
+    """A fault: ``edit`` applied to the text of line ``number`` (1-based)."""
+    def apply(lines):
+        lines[number - 1] = edit(lines[number - 1])
+        return lines
+    return apply
+
+
+def _swap(number):
+    def apply(lines):
+        lines[number - 1], lines[number] = lines[number], lines[number - 1]
+        return lines
+    return apply
+
+
+# fault -> (edit of the list of lines, the line named, a part of the message)
+FACT_FAULTS = {
+    "dropped-period": (_line(4, lambda l: l[:-1]), 4, "not a meta(<id>,yes|no). or pred("),
+    "swapped-pair": (_swap(4), 5, "pred(dt,0,phishing). is out of facts.lp order, after line 4"),
+    "meta-after-pred": (_swap(3), 4, "meta(5,yes). is out of facts.lp order"),
+    "duplicate": (lambda lines: lines[:5] + lines[4:], 6, "pred(knn,0,benign). has the key of line 5"),
+    "duplicate-key": (lambda lines: lines[:5] + ["pred(knn,0,phishing)."] + lines[5:], 6,
+                      "has the key of line 5"),
+    "duplicate-meta": (lambda lines: lines[:1] + ["meta(0,no)."] + lines[1:], 2,
+                       "meta(0,no). has the key of line 1"),
+    "unknown-class": (_line(5, lambda l: l.replace("benign", "maybe")), 5, "'pred(knn,0,maybe).'"),
+    "unknown-classifier": (_line(5, lambda l: l.replace("knn", "xgb")), 5, "'pred(xgb,0,benign).'"),
+    "uppercase-classifier": (_line(5, str.upper), 5, "'PRED(KNN,0,BENIGN).'"),
+    "negative-id": (_line(4, lambda l: l.replace(",0,", ",-1,")), 4, "'pred(dt,-1,phishing).'"),
+    "leading-zero-id": (_line(1, lambda l: l.replace("0", "00")), 1, "'meta(00,yes).'"),
+    "symbol-id": (_line(2, lambda l: l.replace("2", "x")), 2, "'meta(x,no).'"),
+    "variable-id": (_line(4, lambda l: l.replace(",0,", ",X,")), 4, "'pred(dt,X,phishing).'"),
+    "space": (_line(4, lambda l: l.replace(",0,", ", 0,")), 4, "'pred(dt, 0,phishing).'"),
+    "rule": (_line(5, lambda l: "revise(knn,0) :- pred(knn,0,phishing)."), 5, "'revise(knn,0)"),
+    "pred-without-meta": (lambda lines: lines[:1] + lines[2:], 7,
+                          "pred(dt,2,benign). has no meta fact for instance 2"),
+    "blank-line": (lambda lines: lines[:3] + [""] + lines[3:], 4, "fact: ''"),
+    "crlf": (lambda lines: [l + "\r" for l in lines], 1, "fact: 'meta(0,yes).\\r'"),
+    "non-ascii": (_line(3, lambda l: l.replace("yes", "y\u00e9s")), 3, "'meta(5,y\ufffd\ufffds).'"),
+    "no-last-line-end": (lambda lines: lines + ["pred(svm,5,benign)x"], 16,
+                         "'pred(svm,5,benign)x' has no line end"),
+}
+
+
+class TestLoadFacts:
+    def test_reads_back_what_encode_built(self, tmp_path):
+        rng = random.Random(18)
         path = tmp_path / "facts.lp"
-        path.write_text("meta(1,yes).\npred(svm,1,benign).\npred(svm,x,benign).\n")
-        with pytest.raises(ValueError, match=r"facts\.lp: instance id .* in pred\(svm,x,benign\)"):
+        for n in (0, 1, 7, 300):
+            beliefs, meta, _ = random_scenario(rng, n)
+            facts = encode(beliefs, meta)
+            serialize(facts, path)
+            assert kb.load_facts(path) == facts
+            assert all(type(fact) is Fact for fact in kb.load_facts(path))
+
+    def test_reads_the_fixture_run_as_encode_built_it(self, pipeline_run):
+        # the beliefs are the initial verdicts of final_beliefs.csv, the meta
+        # flags the fixture's meta column
+        with open(pipeline_run / "final_beliefs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ids = sorted({int(row["id"]) for row in rows})
+        classes = {kind: [None] * len(ids) for kind in KIND_ORDER}
+        for row in rows:
+            classes[ClassifierKind(row["classifier"])][ids.index(int(row["id"]))] = \
+                SYMBOL_TO_CLASS[row["initial"]]
+        meta = load_dataset(FIXTURE_CSV).meta
+        facts = encode(Beliefs(ids, classes), {iid: bool(meta[iid]) for iid in ids})
+        assert kb.load_facts(pipeline_run / "facts.lp") == facts
+
+    def test_base_lines_are_encode_facts(self, tmp_path):
+        path = tmp_path / "facts.lp"
+        path.write_text("".join(line + "\n" for line in BASE_LINES))
+        assert [str(fact) + "." for fact in kb.load_facts(path)] == BASE_LINES
+
+    @pytest.mark.parametrize("fault", FACT_FAULTS)
+    def test_damaged_line_is_named(self, tmp_path, fault):
+        edit, number, message = FACT_FAULTS[fault]
+        path = tmp_path / "facts.lp"
+        lines = edit(list(BASE_LINES))
+        assert lines != BASE_LINES
+        text = "".join(line + "\n" for line in lines)
+        path.write_bytes(text.removesuffix("\n" if fault == "no-last-line-end" else "")
+                         .encode("utf-8"))
+        with pytest.raises(ValueError) as err:
             kb.load_facts(path)
+        assert str(err.value).startswith(f"{path}, line {number}: "), str(err.value)
+        assert message in str(err.value)
