@@ -130,11 +130,15 @@ def _check_inputs(cfg: argparse.Namespace, out_dir: Path, data) -> None:
     fix = "pass the dataset 'train' used or re-run 'train'"
     if not path.is_file():
         raise ConfigError(f"run inputs not found: {path}; {fix}")
+    expected = _fingerprint(data)
     try:
         recorded = revision.parse_kv(path.read_text(encoding="utf-8"))
-    except ValueError:
+    except ValueError:  # also a byte that is not UTF-8
         recorded = {}
-    differ = [key for key, value in _fingerprint(data).items() if recorded.get(key) != value]
+    if recorded.keys() != expected.keys():
+        raise ConfigError(f"{path}: damaged, it must hold the {', '.join(expected)} lines "
+                          f"that 'train' writes; re-run 'train'")
+    differ = [key for key, value in expected.items() if recorded[key] != value]
     if differ:
         raise ConfigError(f"{path}: {cfg.dataset} is not the dataset 'train' used "
                           f"(mismatch: {', '.join(differ)}); {fix}")

@@ -16,10 +16,9 @@ import csv
 import math
 import random
 import re
+import warnings
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ LABEL_LEGITIMATE = 0
 LABEL_PHISHING = 1
 
 _LABEL_ALIASES = {"legitimate": 0, "phishing": 1, "0": 0, "1": 1}
+_META_FLAGS = {"0": 0, "1": 1}
 _META_TAG_NAMES = {"description", "keywords", "keyword", "author"}
 
 
@@ -38,8 +38,8 @@ class Dataset:
 
     ``X`` is the n x d float64 feature matrix, ``y`` the int64 labels (0 or
     1), and ``meta`` the per-row meta flags, or ``None`` when the dataset
-    carries no meta information.  Every array is a read-only copy, so a
-    Dataset can be shared freely.
+    carries no meta information.  Every array is a read-only copy (``X`` in
+    C order, as hashing it needs), so a Dataset can be shared freely.
     """
 
     X: np.ndarray
@@ -47,7 +47,7 @@ class Dataset:
     meta: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=np.float64)
+        X = np.array(self.X, dtype=np.float64, order="C")
         y = np.array(self.y)
         meta = None if self.meta is None else np.array(self.meta, dtype=bool)
         if X.ndim != 2 or y.shape != X.shape[:1] or (meta is not None and meta.shape != y.shape):
@@ -144,12 +144,12 @@ class CsvSchema:
 
 
 def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read the CSV at ``path`` into one :class:`Dataset`, in one streaming pass.
+    """Read the CSV at ``path`` into one :class:`Dataset`.
 
-    Data row ``k`` (1-based) becomes instance id ``k - 1``.  Any malformed
-    cell aborts with the offending 1-based data row number: a row's width and
-    label are checked as it is read, then its features are converted by
-    ``float``, then its meta cell is checked.  A UTF-8 byte order mark is skipped.
+    Data row ``k`` (1-based) becomes instance id ``k - 1``.  ``csv`` reads the
+    header, one ``np.loadtxt`` pass the data rows (:func:`_read_table`).  A file
+    that pass declines is read row by row (:func:`_read_rows`), which gives the
+    same Dataset or names the first malformed row.  A UTF-8 BOM is skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -176,45 +176,75 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
                 f"{path}: expected {schema.feature_count} feature columns, "
                 f"found {len(feature_idx)}"
             )
-        pick = itemgetter(*feature_idx) if len(feature_idx) > 1 else (
-            lambda row: [row[i] for i in feature_idx])
-        labels: list[int] = []
-        meta: list[bool] = []
-        converting = [0, None]  # the data row number and row whose features are being converted
+        # the cells that are not features, as the row reader checks them; nan marks a bad one
+        limit = csv.field_size_limit()
+        converters = {**dict.fromkeys(skip, lambda cell: math.nan if len(cell) > limit else 0.0),
+                      label_idx: lambda cell: _LABEL_ALIASES.get(cell.strip().lower(), math.nan),
+                      meta_idx: lambda cell: _META_FLAGS.get(cell.strip(), math.nan)}
+        converters.pop(None, None)
+        table = _read_table(path, fh, len(header), converters)
+        if table is None:
+            fh.seek(0)
+            next(reader)
+            return _read_rows(path, reader, header, label_idx, meta_idx, feature_idx)
+    meta = None if meta_idx is None else table[:, meta_idx] == 1
+    return Dataset(table[:, feature_idx], table[:, label_idx].astype(np.int64), meta)
 
-        def feature_cells():
-            for row_num, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: data row {row_num}: expected {len(header)} columns, got {len(row)}"
-                    )
-                raw_label = row[label_idx].strip().lower()
-                if raw_label not in _LABEL_ALIASES:
-                    raise ValueError(f"{path}: data row {row_num}: unknown label value {row[label_idx]!r}")
-                labels.append(_LABEL_ALIASES[raw_label])
-                converting[:] = row_num, row
-                yield pick(row)  # resumed once all of them are converted
-                converting[1] = None
-                if meta_idx is not None:
-                    raw_meta = row[meta_idx].strip()
-                    if raw_meta not in ("0", "1"):
-                        raise ValueError(
-                            f"{path}: data row {row_num}: meta column must be 0 or 1, got {row[meta_idx]!r}"
-                        )
-                    meta.append(raw_meta == "1")
 
+def _read_table(path: Path, fh, width: int, converters) -> np.ndarray | None:
+    """The rest of ``fh`` as a float64 table of ``width`` finite columns, or None
+    where :func:`_read_rows` could read it otherwise: where loadtxt raises (as
+    on ``1_0`` or non-ASCII digits, which ``float`` reads), on a blank record
+    (``csv`` reads a row without columns, loadtxt skips it) and on a cell over
+    ``csv``'s field size limit."""
+    raw = path.read_bytes()
+    blanks = (b"\n\n", b"\n\r", b"\r\r") if b"\r" in raw else (b"\n\n",)
+    # a comma-free run longer than the limit holds an aligned comma-free half of it
+    half = csv.field_size_limit() // 2
+    if any(map(raw.__contains__, blanks)) or any(
+            raw.find(b",", i, i + half) < 0 for i in range(0, len(raw) - half + 1, half)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as for a file without data rows
+            table = np.loadtxt(fh, np.float64, delimiter=",", quotechar='"', comments=None,
+                               converters=converters, ndmin=2)
+    except (ValueError, UserWarning):  # a ValueError also for a byte that is not UTF-8
+        return None
+    return table if table.shape[1] == width and np.isfinite(table).all() else None
+
+
+def _read_rows(path: Path, reader, header: list[str], label_idx: int, meta_idx: int | None,
+               feature_idx: list[int]) -> Dataset:
+    """The data rows of ``reader``, one by one: each row's width and label, its
+    features by ``float``, then its meta cell, naming the first bad data row."""
+    labels, values, meta = [], [], []
+    for row_num, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: data row {row_num}: expected {len(header)} columns, got {len(row)}"
+            )
+        raw_label = row[label_idx].strip().lower()
+        if raw_label not in _LABEL_ALIASES:
+            raise ValueError(f"{path}: data row {row_num}: unknown label value {row[label_idx]!r}")
+        labels.append(_LABEL_ALIASES[raw_label])
         try:
-            values = np.fromiter(map(float, chain.from_iterable(feature_cells())), np.float64)
+            values.extend(map(float, map(row.__getitem__, feature_idx)))
         except ValueError:
-            row_num, row = converting
-            for i in feature_idx if row is not None else ():  # else a row check failed
+            for i in feature_idx:
                 try:
                     float(row[i])
                 except ValueError:
                     raise ValueError(f"{path}: data row {row_num}: non-numeric feature value "
                                      f"{row[i]!r} in column {header[i]!r}") from None
-            raise
-    X = values.reshape(len(labels), len(feature_idx))
+        if meta_idx is not None:
+            raw_meta = row[meta_idx].strip()
+            if raw_meta not in _META_FLAGS:
+                raise ValueError(
+                    f"{path}: data row {row_num}: meta column must be 0 or 1, got {row[meta_idx]!r}"
+                )
+            meta.append(raw_meta == "1")
+    X = np.array(values, dtype=np.float64).reshape(len(labels), len(feature_idx))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1}: non-finite feature value")

@@ -139,6 +139,7 @@ def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
     if program is None:
         program = revision_program()
     finals: dict[object, dict[object, int]] = {}  # classifier -> instance -> class
+    conflicts = []
     for pred, args in nmr.ground(program, facts).model.atoms:
         if pred != "final":
             continue
@@ -149,7 +150,12 @@ def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
             raise ValueError(f"unknown class symbol {symbol!r} in final atom")
         cls = kb.SYMBOL_TO_CLASS[symbol]
         if finals.setdefault(cl, {}).setdefault(iid, cls) != cls:
-            raise ValueError(f"conflicting final beliefs derived for {(cl, iid)}")
+            conflicts.append((cl, iid))
+    if conflicts:  # name the first in final_beliefs.csv order: by instance id, then KIND_ORDER
+        rank = {kind.value: k for k, kind in enumerate(KIND_ORDER)}
+        cl, iid = min(conflicts, key=lambda c: (  # ids of str and int are not comparable
+            (0, c[1]) if isinstance(c[1], int) else (1, str(c[1])), rank.get(c[0], len(rank)), str(c[0])))
+        raise ValueError(f"conflicting final beliefs derived for {(cl, iid)}")
 
     ids = beliefs.ids.tolist()
     kinds = list(beliefs.classes)

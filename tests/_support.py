@@ -59,6 +59,22 @@ def benchmark_csv() -> Path | None:
     return None
 
 
+def edit_row(edit, row=5):
+    """A dataset edit: ``edit`` applied to the list of cells of data row ``row``."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        return "\n".join(lines)
+    return apply
+
+
+def set_cell(column, value):
+    def edit(cells):
+        cells[column] = value if not callable(value) else value(cells[column])
+        return cells
+    return edit
+
+
 def make_records(n: int, d: int = 87, seed: int = 0, shift: float = 0.0) -> Dataset:
     """n rows with alternating labels; optional class shift on feature 0."""
     rng = np.random.default_rng(seed)
@@ -360,6 +376,7 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
     if program is None:
         program = revision.revision_program()
     final_by_key: dict[tuple, int] = {}
+    conflicts = set()
     for pred, args in nmr.ground(program, facts).model.atoms:
         if pred != "final":
             continue
@@ -371,8 +388,12 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
         key = (cl, iid)
         cls = kb.SYMBOL_TO_CLASS[symbol]
         if key in final_by_key and final_by_key[key] != cls:
-            raise ValueError(f"conflicting final beliefs derived for {key}")
+            conflicts.add(key)
         final_by_key[key] = cls
+    for belief in beliefs:  # the first conflict in final_beliefs.csv order
+        key = (belief.classifier.value, belief.instance_id)
+        if key in conflicts:
+            raise ValueError(f"conflicting final beliefs derived for {key}")
     finals = []
     for belief in beliefs:
         key = (belief.classifier.value, belief.instance_id)

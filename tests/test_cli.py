@@ -3,8 +3,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from metaphish.classifiers import Beliefs, ClassifierKind
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
-from _support import FIXTURE_CSV
+from _support import FIXTURE_CSV, edit_row, set_cell
 from test_classifiers import PINNED_ARTIFACTS
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
@@ -298,6 +302,26 @@ class TestRevise:
         assert message in err and str(rules) in err and "fix the rule file" in err
         for name in ("facts.lp", "final_beliefs.csv"):
             assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
+
+    def test_conflict_report_is_independent_of_hash_seed(self, pipeline_run, tmp_path):
+        # the model's atoms iterate in hash order; the message names the first
+        # conflicting decision in final_beliefs.csv order whatever the seed
+        rules = tmp_path / "rules.lp"
+        rules.write_text("final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n")
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        with open(out / "split_manifest.csv", newline="") as fh:
+            first = min(int(row["id"]) for row in csv.DictReader(fh) if row["role"] == "test")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        errors = set()
+        for seed in (1, 2):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            result = subprocess.run([sys.executable, "-m", "metaphish", "revise", *DATASET_ARGS,
+                                     "--out", str(out), "--rules", str(rules)],
+                                    env=env, capture_output=True, text=True)
+            assert result.returncode == 2, result.stderr
+            errors.add(result.stderr.splitlines()[-1])
+        message = f"conflicting final beliefs derived for ('svm', {first})"
+        assert errors == {f"error: {rules}: {message}; fix the rule file"}
 
     @pytest.mark.parametrize("edit", [
         lambda lines: lines[:1],
@@ -638,6 +662,13 @@ RULES_FAULTS = {
     "empty": lambda text: "",
     "arity-clash": lambda text: text + "pred(svm,1).\n",
 }
+# what revise says of each damaged run_inputs.kv: a damaged file, or another dataset
+INPUTS_MESSAGES = {
+    **dict.fromkeys(("truncate", "drop-line", "not-utf-8"),
+                    "damaged, it must hold the rows, x_sha256, y_sha256 lines that 'train' "
+                    "writes; re-run 'train'"),
+    "flip-digit": "is not the dataset 'train' used (mismatch: rows); pass the dataset",
+}
 FILE_FAULTS = {**dict.fromkeys(MODEL_FILES, MODEL_FAULTS), "split_manifest.csv": MANIFEST_FAULTS,
                "run_inputs.kv": INPUTS_FAULTS, RULES: RULES_FAULTS}
 SWAPS = {name: MODEL_FILES[(i + 1) % len(MODEL_FILES)] for i, name in enumerate(MODEL_FILES)}
@@ -678,34 +709,24 @@ class TestDamagedRunFiles:
         else:
             assert rc == 2, err
             assert any(f"error: {out / n}" in err for n in damaged), err
-
-
-def _edit_row(edit, row=5):
-    """A dataset fault: ``edit`` applied to the list of cells of data row ``row``."""
-    def apply(text):
-        lines = text.split("\n")
-        lines[row] = ",".join(edit(lines[row].split(",")))
-        return "\n".join(lines)
-    return apply
-
-
-def _set_cell(column, value):
-    def edit(cells):
-        cells[column] = value if not callable(value) else value(cells[column])
-        return cells
-    return edit
+        if name == "run_inputs.kv":
+            assert INPUTS_MESSAGES[fault] in err, err
 
 
 # the fixture's 90 columns: url, 87 features, status, meta_present
 DATASET_FAULTS = {
-    "drop-cell": _edit_row(lambda cells: cells[:10] + cells[11:]),
-    "non-numeric": _edit_row(_set_cell(10, "x")),
-    "nan": _edit_row(_set_cell(10, "nan")),
-    "unknown-label": _edit_row(_set_cell(88, "maybe")),
-    "meta-2": _edit_row(_set_cell(89, "2")),
-    "blank-line": _edit_row(lambda cells: ["\n" + cells[0], *cells[1:]]),
+    "drop-cell": edit_row(lambda cells: cells[:10] + cells[11:]),
+    "non-numeric": edit_row(set_cell(10, "x")),
+    "nan": edit_row(set_cell(10, "nan")),
+    "unknown-label": edit_row(set_cell(88, "maybe")),
+    "meta-2": edit_row(set_cell(89, "2")),
+    "blank-line": edit_row(lambda cells: ["\n" + cells[0], *cells[1:]]),
     "bom": lambda text: "\ufeff" + text,
-    "flip-digit": _edit_row(_set_cell(10, lambda cell: cell[:-1] + str((int(cell[-1]) + 1) % 10))),
+    "flip-digit": edit_row(set_cell(10, lambda cell: cell[:-1] + str((int(cell[-1]) + 1) % 10))),
+    "extra-cell": edit_row(lambda cells: [*cells, "1"]),
+    "trailing-blank-line": lambda text: text + "\n",
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "quoted-url": edit_row(set_cell(0, lambda cell: f'"{cell}?a=1,b=2"')),
 }
 TRAIN_OUTPUTS = (*MODEL_FILES, "split_manifest.csv", "run_inputs.kv", "cv_summary.kv")
 REVISE_OUTPUTS = ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt")

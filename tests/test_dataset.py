@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import csv
+import hashlib
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from metaphish.dataset import (
     make_split,
 )
 
-from _support import FIXTURE_CSV, benchmark_csv, full_parse_meta_presence, make_records
+from _support import (FIXTURE_CSV, benchmark_csv, edit_row, full_parse_meta_presence, make_records,
+                      set_cell)
 
 # Hand-written 10-row fixture with 5 feature columns; the expected vectors
 # below are the authored values, asserted byte-for-byte after parsing.
@@ -153,6 +157,108 @@ class TestLoadDataset:
         assert int(np.sum((data.y == 1) & data.meta)) == 10
 
 
+# a blank line before data row 5
+_BLANK_LINE = edit_row(set_cell(0, lambda cell: "\n" + cell))
+
+# edits of the fixture (url, 87 features, status, meta_present), each with
+# whether the loadtxt pass reads the result; the row reader reads the rest
+READER_CASES = {
+    "fixture": (lambda text: text, True),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), True),
+    "cr-only": (lambda text: text.replace("\n", "\r"), True),
+    "quoted-url-comma": (edit_row(set_cell(0, lambda cell: f'"{cell}?a=1,b=2"')), True),
+    "quoted-url-line-break": (edit_row(set_cell(0, lambda cell: f'"{cell}\n?a=1"')), True),
+    "quoted-header": (lambda text: '"url"' + text[3:], True),
+    "blank-line": (_BLANK_LINE, False),
+    "crlf-blank-line": (lambda text: _BLANK_LINE(text).replace("\n", "\r\n"), False),
+    "trailing-blank-line": (lambda text: text + "\n", False),
+    "whitespace-line": (edit_row(set_cell(0, lambda cell: "   \n" + cell)), False),
+    "no-final-newline": (lambda text: text.rstrip("\n"), True),
+    "header-only": (lambda text: text.split("\n")[0] + "\n", False),
+    "bom": (lambda text: "\ufeff" + text, True),
+    "bom-blank-line": (lambda text: "\ufeff" + _BLANK_LINE(text), False),
+    "not-utf-8": (edit_row(set_cell(0, lambda cell: cell + "\udcff"), row=150), False),  # 0xff
+    "digit-underscore": (edit_row(set_cell(10, "1_0")), False),
+    "non-ascii-digit": (edit_row(set_cell(10, "\u0661.5")), False),
+    "nul-byte": (edit_row(set_cell(10, lambda cell: cell + "\x00")), False),
+    "extra-cell": (edit_row(lambda cells: [*cells, "1"]), False),
+    "extra-cell-every-row": (lambda text: text.replace("\n", ",1\n").replace(",1\n", "\n", 1),
+                             False),
+    "padded-label": (edit_row(set_cell(88, lambda cell: f" {cell.upper()} ")), True),
+    "padded-meta": (edit_row(set_cell(89, lambda cell: f" {cell}\t")), True),
+    "nan": (edit_row(set_cell(10, "nan")), False),
+    "overflow": (edit_row(set_cell(10, "1e400")), False),
+}
+
+
+def _outcome(path):
+    """The loaded dataset's bytes, or the error it raises."""
+    try:
+        data = load_dataset(path)
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (data.X.shape, data.X.tobytes(), data.y.dtype, data.y.tobytes(), data.meta.tobytes())
+
+
+def _read_both(path, monkeypatch):
+    """load_dataset's outcome, whether its loadtxt pass read the file, and
+    the row reader's outcome alone."""
+    read_table, tables = dataset._read_table, []
+    monkeypatch.setattr(dataset, "_read_table",
+                        lambda *args: tables.append(read_table(*args)) or tables[-1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(path)
+    assert not caught, [str(w.message) for w in caught]  # as loadtxt's on a file without rows
+    monkeypatch.setattr(dataset, "_read_table", lambda *args: None)
+    return outcome, tables[0] is not None, _outcome(path)
+
+
+class TestReadersAgree:
+    """The loadtxt pass against the row reader, which it falls back to."""
+
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_same_dataset_or_same_error(self, tmp_path, monkeypatch, case):
+        edit, fast = READER_CASES[case]
+        text = FIXTURE_CSV.read_text(encoding="utf-8")
+        assert case == "fixture" or edit(text) != text
+        path = tmp_path / "data.csv"
+        path.write_bytes(edit(text).encode("utf-8", "surrogateescape"))
+        outcome, read_by_loadtxt, by_rows = _read_both(path, monkeypatch)
+        assert outcome == by_rows
+        assert read_by_loadtxt == fast
+
+    @pytest.mark.parametrize("cell,value", [(None, None), (0, '"' + "a," * 60 + '"'),
+                                            (10, "0" * 120 + "1")], ids=["none", "url", "feature"])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, monkeypatch, cell, value):
+        # csv rejects a cell of more than field_size_limit() characters
+        text = FIXTURE_CSV.read_text(encoding="utf-8")
+        path = _write(tmp_path, text if cell is None else edit_row(set_cell(cell, value))(text))
+        limit = csv.field_size_limit(100)
+        try:
+            outcome, read_by_loadtxt, by_rows = _read_both(path, monkeypatch)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome == by_rows
+        assert read_by_loadtxt == (cell is None)
+        assert cell is None or outcome == "Error: field larger than field limit (100)"
+
+    def test_random_table_loads_alike(self, tmp_path, monkeypatch):
+        # values of every magnitude, each cell in one of several number formats
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(500, 87)) * 10.0 ** rng.integers(-30, 30, size=(500, 87))
+        formats = [repr, "{:.6f}".format, "{:.3e}".format, "{:+.0f}".format, " {} ".format]
+        picks = rng.integers(len(formats), size=X.shape)
+        lines = [",".join(["url", *(f"f{j}" for j in range(87)), "status", "meta_present"])]
+        for i, row in enumerate(X.tolist()):
+            cells = [formats[k](v) for k, v in zip(picks[i], row)]
+            lines.append(",".join([f"http://{i}.example/", *cells, "01"[i % 2], "01"[i % 3 == 0]]))
+        outcome, read_by_loadtxt, by_rows = _read_both(
+            _write(tmp_path, "\n".join(lines) + "\n"), monkeypatch)
+        assert outcome[0] == (500, 87) and read_by_loadtxt
+        assert outcome == by_rows
+
+
 class TestDataset:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="row 1: non-finite"):
@@ -178,6 +284,12 @@ class TestDataset:
         for arr in (data.X, data.y, data.meta):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_features_are_c_ordered(self):
+        # hashlib reads X as one buffer: the run_inputs.kv fingerprint needs C order
+        data = Dataset(np.asfortranarray(np.ones((3, 2))), [0, 1, 0])
+        assert data.X.flags.c_contiguous
+        assert hashlib.sha256(data.X).hexdigest() == hashlib.sha256(np.ones((3, 2))).hexdigest()
 
     def test_rows_are_sorted_and_in_range(self):
         data = make_records(5, d=1)
