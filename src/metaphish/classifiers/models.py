@@ -5,11 +5,12 @@ on the training rows of a :class:`~metaphish.dataset.Dataset` and the
 estimator on the scaled matrix, and :func:`predict_batch` takes a raw
 (unscaled) feature matrix and applies the model's own scaler.
 
-A model file (``metaphish.model/2``) holds only what the fit learned: the
-params, the scaler, and the estimator's state, whose floats round-trip
-exactly through JSON.  It is not self-contained: KNN's training rows and
-SVM's support vectors are rebuilt from the run's dataset and split manifest,
-so a reloaded model reproduces bit-identical predictions only with those.
+A model file (``metaphish.model/3``, compact JSON) holds only what the fit
+learned: the params, the scaler, and the estimator's state, whose floats
+round-trip exactly through JSON; a tree is stored as its pre-order
+sequence.  It is not self-contained: KNN's training rows and SVM's support
+vectors are rebuilt from the run's dataset and split manifest, so a reloaded
+model reproduces bit-identical predictions only with those.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from metaphish.classifiers.schema import float_list
 from metaphish.classifiers.svm import KernelSVM
 from metaphish.classifiers.tree import DecisionTree
 
-MODEL_FORMAT = "metaphish.model/2"
+MODEL_FORMAT = "metaphish.model/3"
 
 
 class ClassifierKind(str, Enum):
@@ -292,7 +293,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         },
         "state": model.estimator.to_dict(),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:

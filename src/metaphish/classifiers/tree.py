@@ -269,65 +269,64 @@ class DecisionTree:
         return out
 
     def to_dict(self) -> dict:
-        """The tree as five flat arrays in pre-order (node 0 is the root, a
-        split's left child directly follows it), the layout of scikit-learn's
-        ``Tree``; a field a node does not use holds -1."""
-        flat = {"feature": [], "threshold": [], "left": [], "right": [], "label": []}
-        stack = [(self.root_, None, None)]
+        """The tree in pre-order, each split followed by its left subtree and
+        then its right: ``feature`` holds one entry per node (-1 for a leaf),
+        ``threshold`` one per split and ``label`` one per leaf."""
+        flat = {"feature": [], "threshold": [], "label": []}
+        stack = [self.root_]
         while stack:
-            node, parent, side = stack.pop()
-            i = len(flat["label"])
-            if parent is not None:
-                flat[side][parent] = i
-            leaf = node.is_leaf
-            flat["feature"].append(-1 if leaf else int(node.feature))
-            flat["threshold"].append(-1.0 if leaf else float(node.threshold))
-            flat["left"].append(-1)
-            flat["right"].append(-1)
-            flat["label"].append(int(node.label) if leaf else -1)
-            if not leaf:
-                stack += ((node.right, i, "right"), (node.left, i, "left"))
+            node = stack.pop()
+            if node.is_leaf:
+                flat["feature"].append(-1)
+                flat["label"].append(int(node.label))
+            else:
+                flat["feature"].append(int(node.feature))
+                flat["threshold"].append(float(node.threshold))
+                stack += (node.right, node.left)
         return flat
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int, **params) -> "DecisionTree":
-        """The tree of :meth:`to_dict`'s arrays, rebuilt without recursion.
+        """The tree of :meth:`to_dict`'s sequences, decoded without recursion.
 
-        Raises ValueError unless the arrays have equal length, a walk from
-        node 0 reaches every node exactly once, every leaf (``left`` -1) has
-        label 0 or 1, and every split reads a feature below ``n_features``
-        at a finite threshold."""
+        Raises ValueError unless every feature is -1 or below ``n_features``,
+        every threshold is finite, every label is 0 or 1, and the sequences
+        describe one tree: a threshold per split, a label per leaf, and a
+        last node that completes the tree."""
         tree = cls(**params)
-        feature, left, right = int_list(d, "feature"), int_list(d, "left"), int_list(d, "right")
-        label, threshold = int_list(d, "label"), float_list(d, "threshold")
-        n = len(label)
-        if not n or any(len(a) != n for a in (feature, threshold, left, right)):
-            raise ValueError("a tree needs five non-empty arrays of equal length")
-        nodes = [TreeNode() for _ in range(n)]
-        reached = [False] * n
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if reached[i]:
-                raise ValueError(f"tree node {i} is reached twice")
-            reached[i] = True
-            node = nodes[i]
-            if left[i] == -1:
-                if label[i] not in (0, 1):
-                    raise ValueError(f"a tree leaf has class label {label[i]}, not 0 or 1")
-                node.label = label[i]
-                continue
-            if not 0 <= feature[i] < n_features:
-                raise ValueError(f"a tree splits on feature {feature[i]}, but rows have "
-                                 f"{n_features} features")
-            for child in (left[i], right[i]):
-                if not 0 <= child < n:
-                    raise ValueError(f"tree node {i} has child {child}, outside [0, {n})")
-            node.feature, node.threshold = feature[i], threshold[i]
-            node.left, node.right = nodes[left[i]], nodes[right[i]]
-            stack += (right[i], left[i])
-        if not all(reached):
-            raise ValueError(f"tree node {reached.index(False)} is not reached from node 0")
-        tree.root_ = nodes[0]
+        feature, label = int_list(d, "feature"), int_list(d, "label")
+        threshold = float_list(d, "threshold")
+        if not feature:
+            raise ValueError("a tree needs at least one node")
+        for f in feature:
+            if not -1 <= f < n_features:
+                raise ValueError(f"a tree splits on feature {f}, but rows have {n_features} "
+                                 "features (a leaf has feature -1)")
+        for c in label:
+            if c not in (0, 1):
+                raise ValueError(f"a tree leaf has class label {c}, not 0 or 1")
+        leaves = feature.count(-1)
+        if len(threshold) != len(feature) - leaves:
+            raise ValueError(f"a tree needs one threshold per split: {len(feature) - leaves} "
+                             f"splits, {len(threshold)} thresholds")
+        if len(label) != leaves:
+            raise ValueError(f"a tree needs one label per leaf: {leaves} leaves, "
+                             f"{len(label)} labels")
+        labels, thresholds = iter(label), iter(threshold)
+        root = TreeNode()
+        stack = [root]  # the nodes still to be read, the next one last
+        for i, f in enumerate(feature):
+            if not stack:
+                raise ValueError(f"tree node {i} follows a complete tree")
+            node = stack.pop()
+            if f == -1:
+                node.label = next(labels)
+            else:
+                node.feature, node.threshold = f, next(thresholds)
+                node.left, node.right = TreeNode(), TreeNode()
+                stack += (node.right, node.left)
+        if stack:
+            raise ValueError(f"a tree's sequences end with {len(stack)} subtrees missing")
+        tree.root_ = root
         tree.n_features_ = n_features
         return tree

@@ -139,23 +139,30 @@ def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
     if program is None:
         program = revision_program()
     finals: dict[object, dict[object, int]] = {}  # classifier -> instance -> class
-    conflicts = []
+    wrong_arity, unknown_symbol, conflicts = [], [], []
     for pred, args in nmr.ground(program, facts).model.atoms:
         if pred != "final":
             continue
         if len(args) != 3:
-            raise ValueError(f"unexpected arity for final atom {nmr.format_ground_atom((pred, args))}")
-        cl, iid, symbol = args
-        if symbol not in kb.SYMBOL_TO_CLASS:
-            raise ValueError(f"unknown class symbol {symbol!r} in final atom")
-        cls = kb.SYMBOL_TO_CLASS[symbol]
-        if finals.setdefault(cl, {}).setdefault(iid, cls) != cls:
-            conflicts.append((cl, iid))
-    if conflicts:  # name the first in final_beliefs.csv order: by instance id, then KIND_ORDER
-        rank = {kind.value: k for k, kind in enumerate(KIND_ORDER)}
-        cl, iid = min(conflicts, key=lambda c: (  # ids of str and int are not comparable
-            (0, c[1]) if isinstance(c[1], int) else (1, str(c[1])), rank.get(c[0], len(rank)), str(c[0])))
-        raise ValueError(f"conflicting final beliefs derived for {(cl, iid)}")
+            wrong_arity.append(args)
+        elif args[2] not in kb.SYMBOL_TO_CLASS:
+            unknown_symbol.append(args)
+        else:
+            cl, iid, symbol = args
+            cls = kb.SYMBOL_TO_CLASS[symbol]
+            if finals.setdefault(cl, {}).setdefault(iid, cls) != cls:
+                conflicts.append((cl, iid))
+    # the model's atoms iterate in hash order: each message names the first
+    # offending atom in final_beliefs.csv order, whatever the hash seed
+    if wrong_arity:
+        atom = nmr.format_ground_atom(("final", _first_decision(wrong_arity)))
+        raise ValueError(f"unexpected arity for final atom {atom}")
+    if unknown_symbol:
+        args = _first_decision(unknown_symbol)
+        raise ValueError(f"unknown class symbol {args[2]!r} in final atom "
+                         f"{nmr.format_ground_atom(('final', args))}")
+    if conflicts:
+        raise ValueError(f"conflicting final beliefs derived for {_first_decision(conflicts)}")
 
     ids = beliefs.ids.tolist()
     kinds = list(beliefs.classes)
@@ -175,6 +182,19 @@ def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
         raise ValueError(f"rule program derived a final belief for classifier {cl!r}, "
                          f"instance {iid!r}, which is not a decision of the beliefs")
     return FinalBeliefs(beliefs.ids, dict(zip(kinds, table)), beliefs)
+
+
+def _first_decision(found: list[tuple]) -> tuple:
+    """The argument tuple among ``found`` that comes first in
+    final_beliefs.csv order, read as ``(classifier, instance id, ...)``: by
+    instance id, then :data:`KIND_ORDER`, then the text of the tuple."""
+    rank = {kind.value: k for k, kind in enumerate(KIND_ORDER)}
+
+    def key(args):
+        cl, iid = (*args, None, None)[:2]  # ids of str and int are not comparable
+        return ((0, iid) if isinstance(iid, int) else (1, str(iid)),
+                rank.get(cl, len(rank)), str(args))
+    return min(found, key=key)
 
 
 def build_report(final: FinalBeliefs, ground_truth) -> RevisionReport:

@@ -168,23 +168,19 @@ def grow_tree(X, y, criterion="gini", max_depth=None, min_samples_split=2,
 
 def flatten_tree(root: dict) -> dict:
     """A nested tree (``{"label"}`` leaves, ``{"feature", "threshold", "left",
-    "right"}`` splits) as the five pre-order arrays of
+    "right"}`` splits) as the three pre-order sequences of
     ``DecisionTree.to_dict()``, walked without recursion."""
-    flat = {"feature": [], "threshold": [], "left": [], "right": [], "label": []}
-    stack = [(root, None, None)]
+    flat = {"feature": [], "threshold": [], "label": []}
+    stack = [root]
     while stack:
-        node, parent, side = stack.pop()
-        i = len(flat["label"])
-        if parent is not None:
-            flat[side][parent] = i
-        split = "feature" in node
-        flat["feature"].append(node["feature"] if split else -1)
-        flat["threshold"].append(node["threshold"] if split else -1.0)
-        flat["left"].append(-1)
-        flat["right"].append(-1)
-        flat["label"].append(-1 if split else node["label"])
-        if split:
-            stack += ((node["right"], i, "right"), (node["left"], i, "left"))
+        node = stack.pop()
+        if "feature" in node:
+            flat["feature"].append(node["feature"])
+            flat["threshold"].append(node["threshold"])
+            stack += (node["right"], node["left"])
+        else:
+            flat["feature"].append(-1)
+            flat["label"].append(node["label"])
     return flat
 
 
@@ -377,14 +373,19 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
         program = revision.revision_program()
     final_by_key: dict[tuple, int] = {}
     conflicts = set()
-    for pred, args in nmr.ground(program, facts).model.atoms:
-        if pred != "final":
-            continue
-        if len(args) != 3:
-            raise ValueError(f"unexpected arity for final atom {nmr.format_ground_atom((pred, args))}")
-        cl, iid, symbol = args
-        if symbol not in kb.SYMBOL_TO_CLASS:
-            raise ValueError(f"unknown class symbol {symbol!r} in final atom")
+    atoms = [args for pred, args in nmr.ground(program, facts).model.atoms if pred == "final"]
+    for bad, message in ((lambda a: len(a) != 3, "unexpected arity for final atom {atom}"),
+                         (lambda a: a[2] not in kb.SYMBOL_TO_CLASS,
+                          "unknown class symbol {symbol!r} in final atom {atom}")):
+        found = sorted(filter(bad, atoms), key=str)
+        # the first offending atom of a belief in final_beliefs.csv order
+        args = next((a for belief in beliefs for a in found
+                     if a[:2] == (belief.classifier.value, belief.instance_id)),
+                    found[0] if found else None)
+        if args is not None:
+            raise ValueError(message.format(atom=nmr.format_ground_atom(("final", args)),
+                                            symbol=args[-1]))
+    for cl, iid, symbol in atoms:
         key = (cl, iid)
         cls = kb.SYMBOL_TO_CLASS[symbol]
         if key in final_by_key and final_by_key[key] != cls:

@@ -292,7 +292,7 @@ def test_c9_micro_oracles():
 
     # RF even 50/50 vote goes to class 0
     forest = RandomForest(n_estimators=2)
-    leaf = {"feature": [-1], "threshold": [-1.0], "left": [-1], "right": [-1]}
+    leaf = {"feature": [-1], "threshold": []}
     forest.trees_ = [DecisionTree.from_dict({**leaf, "label": [c]}, n_features=2) for c in (0, 1)]
     assert forest.predict(np.zeros((1, 2))).tolist() == [0]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -29,8 +30,9 @@ from metaphish.classifiers import (
 from metaphish.classifiers import knn as knn_module
 from metaphish.classifiers import tree as tree_module
 from metaphish.classifiers.tree import TABLE_ROWS, RankTable, impurity_tables
-from metaphish.dataset import Dataset
+from metaphish.dataset import Dataset, load_dataset
 from _support import (
+    FIXTURE_CSV,
     broadcast_distances,
     chunked_knn_predict,
     grow_forest,
@@ -45,10 +47,10 @@ from _support import (
 # --seed 42` and `revise` (run_config.kv records the output path, so it is not
 # pinned); a change that alters any model, the split or a verdict fails here
 PINNED_ARTIFACTS = {
-    "model_svm.json": "4ed13dcd301719fb9c47e4762797066d53ae152d4742e4f4aabc12a4545326ed",
-    "model_knn.json": "b598fb9c343817018ac3032c9972ce161dd493966d89ab84d23268dbb98eae9d",
-    "model_dt.json": "8911b1ec01e6949bacdbd2648b0ebcc115b097bd87f976fa7d5a5359bd2e2a6c",
-    "model_rf.json": "b749071a2b9cbd917a0c2652297435cf3ed3d6da08d5f81616ff6ed51e629689",
+    "model_svm.json": "05a14329b95e51d59cfac55955f8d26d2e106e38e0eca1bff2f680bebab984a9",
+    "model_knn.json": "d0ba9e679d5eae5c17b8fd2a554fea608618f95e540845f6e47916b0edf46c5d",
+    "model_dt.json": "8aea912be88b108a2776be2851b0fbc68667004839e019485e1b62d7d5878394",
+    "model_rf.json": "24ed82e1e2ac233d91c7967694689a0124dea74211fb24575a2c260d74cecee4",
     "split_manifest.csv": "2959b93a3652e831d09fa7b773169dbd76df33651a85f33c232899e80030b224",
     "cv_summary.kv": "685c6712b0777eebfe3eee604a37dd832cf35e4fff5054eb60c465ecf88fb4d9",
     "facts.lp": "4f455ad1e1d28b621b8abc43e25db95344a5cecf6485b0460a608eacc8acded2",
@@ -71,8 +73,8 @@ def _split_features(root):
 
 def _leaf(label):
     """A one-node tree predicting ``label``, in the flat form of ``to_dict``."""
-    flat = {"feature": [-1], "threshold": [-1.0], "left": [-1], "right": [-1], "label": [label]}
-    return DecisionTree.from_dict(flat, n_features=2)
+    return DecisionTree.from_dict({"feature": [-1], "threshold": [], "label": [label]},
+                                  n_features=2)
 
 
 def _assert_pinned(run_dir, name):
@@ -397,7 +399,7 @@ class TestGrowerMatchesOracle:
         y = np.array([0, 1, 0, 1])
         tree = DecisionTree(max_depth=max_depth).fit(X, y)
         assert tree.predict(X).tolist() == y.tolist()
-        assert tree.to_dict()["label"] == [-1, 0, 1]
+        assert tree.to_dict() == {"feature": [0, -1, -1], "threshold": [ADJ_LOW], "label": [0, 1]}
 
     def test_overflowing_midpoint_parts_the_values(self):
         X = np.array([[1.5e308], [1.7e308]] * 2)  # their sum overflows to inf
@@ -900,7 +902,7 @@ class TestTrainedModelApi:
 
 
 class TestModelFileSchema:
-    """load_model rejects a file that breaks the metaphish.model/2 schema with
+    """load_model rejects a file that breaks the metaphish.model/3 schema with
     a ValueError (or KeyError or TypeError) that says which field is wrong."""
 
     @staticmethod
@@ -953,13 +955,38 @@ class TestModelFileSchema:
         (ClassifierKind.KNN, {"k": 3},
          lambda p: p["scaler"]["std_devs"].__setitem__(0, float("inf")), "std_devs must be"),
         (ClassifierKind.DT, {"max_depth": 3},
-         lambda p: p["state"]["left"].pop(), "five non-empty arrays of equal length"),
+         lambda p: p["state"].update(feature=[0, -1, -1], threshold=[0.5, 0.5], label=[0, 1]),
+         "a tree needs one threshold per split: 1 splits, 2 thresholds"),
         (ClassifierKind.DT, {"max_depth": 3},
-         lambda p: p["state"]["right"].__setitem__(0, 1), "tree node 1 is reached twice"),
+         lambda p: p["state"].update(feature=[0, -1, -1], threshold=[0.5], label=[0]),
+         "a tree needs one label per leaf: 2 leaves, 1 labels"),
         (ClassifierKind.DT, {"max_depth": 3},
-         lambda p: p["state"]["right"].__setitem__(0, 0), "tree node 0 is reached twice"),
+         lambda p: p["state"].update(feature=[-1, -1], threshold=[], label=[0, 1]),
+         "tree node 1 follows a complete tree"),
         (ClassifierKind.DT, {"max_depth": 3},
-         lambda p: p["state"]["right"].__setitem__(0, 99), "has child 99, outside"),
+         lambda p: p["state"].update(feature=[0, -1, -1, -1], threshold=[0.5], label=[0, 1, 1]),
+         "tree node 3 follows a complete tree"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"].update(feature=[0, -1], threshold=[0.5], label=[0]),
+         "a tree's sequences end with 1 subtrees missing"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"].update(feature=[0, 0, -1, -1], threshold=[0.5, 0.5], label=[0, 1]),
+         "a tree's sequences end with 1 subtrees missing"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"].update(feature=[], threshold=[], label=[]),
+         "a tree needs at least one node"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["feature"].__setitem__(0, -2), "splits on feature -2"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["threshold"].__setitem__(0, float("inf")),
+         "threshold must be a list of finite numbers"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["threshold"].__setitem__(0, "0.5"),
+         "threshold must be a list of finite numbers"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["label"].__setitem__(0, 2), "a tree leaf has class label 2, not 0 or 1"),
+        (ClassifierKind.DT, {"max_depth": 3},
+         lambda p: p["state"]["label"].__setitem__(0, 1.0), "label must be a list of integers"),
         (ClassifierKind.DT, {"max_depth": 3},
          lambda p: p["state"]["feature"].__setitem__(0, 9), "splits on feature 9"),
         (ClassifierKind.DT, {"max_depth": 3},
@@ -972,6 +999,8 @@ class TestModelFileSchema:
          lambda p: p["state"]["trees"].pop(), "holds 2 trees, but n_estimators is 3"),
         (ClassifierKind.RF, {"n_estimators": 3},
          lambda p: p.__setitem__("seed", "42"), "seed an integer"),
+        (ClassifierKind.RF, {"n_estimators": 3},
+         lambda p: p["state"]["trees"][2]["label"].append(0), "a tree needs one label per leaf"),
     ])
     def test_schema_violation_is_rejected(self, tmp_path, records, train_ids, kind, params,
                                           edit, message):
@@ -981,6 +1010,15 @@ class TestModelFileSchema:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path, records, train_ids)
+
+    @pytest.mark.parametrize("kind", list(ClassifierKind))
+    def test_saving_a_loaded_model_rewrites_its_file(self, pipeline_run, tmp_path, kind):
+        data = load_dataset(FIXTURE_CSV)
+        with open(pipeline_run / "split_manifest.csv", newline="") as fh:
+            train_ids = {int(row["id"]) for row in csv.DictReader(fh) if row["role"] == "train"}
+        path = pipeline_run / f"model_{kind.value}.json"
+        save_model(load_model(path, data, train_ids), tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
     def test_fixture_model_files_are_small(self, pipeline_run):
         sizes = {kind: (pipeline_run / f"model_{kind.value}.json").stat().st_size

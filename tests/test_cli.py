@@ -22,8 +22,9 @@ from test_classifiers import PINNED_ARTIFACTS
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
 MODEL_FILES = ("model_svm.json", "model_knn.json", "model_dt.json", "model_rf.json")
-# the label of a tree's first leaf: split nodes come first in pre-order, with label -1
-FIRST_LEAF_LABEL = re.compile(rb'("label": \[(?:-1, )*)[01]')
+# the label of a tree's first leaf: the label sequence holds one entry per leaf
+FIRST_LEAF_LABEL = re.compile(rb'("label":\s*\[)[01]')
+FORMAT_VALUE = re.compile(rb'("format":\s*")')
 
 
 def _copy_run(run_dir, out, *extra):
@@ -303,14 +304,23 @@ class TestRevise:
         for name in ("facts.lp", "final_beliefs.csv"):
             assert (out / name).read_bytes() == (pipeline_run / name).read_bytes(), name
 
-    def test_conflict_report_is_independent_of_hash_seed(self, pipeline_run, tmp_path):
+    @pytest.mark.parametrize("text,message", [
+        ("final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n",
+         "conflicting final beliefs derived for ('svm', {first})"),
+        ("final(C,I) :- pred(C,I,X).\n", "unexpected arity for final atom final(svm,{first})"),
+        ("final(C,I,M) :- pred(C,I,X), meta(I,M).\n",
+         "unknown class symbol '{meta}' in final atom final(svm,{first},{meta})"),
+    ], ids=["conflicting-finals", "final-arity-2", "unknown-class-symbol"])
+    def test_rule_error_is_independent_of_hash_seed(self, pipeline_run, tmp_path, text, message):
         # the model's atoms iterate in hash order; the message names the first
-        # conflicting decision in final_beliefs.csv order whatever the seed
+        # offending atom in final_beliefs.csv order whatever the seed
         rules = tmp_path / "rules.lp"
-        rules.write_text("final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n")
+        rules.write_text(text)
         out = _copy_run(pipeline_run, tmp_path / "out")
         with open(out / "split_manifest.csv", newline="") as fh:
             first = min(int(row["id"]) for row in csv.DictReader(fh) if row["role"] == "test")
+        meta = re.search(rf"^meta\({first},(\w+)\)\.$", (pipeline_run / "facts.lp").read_text(),
+                         re.MULTILINE)[1]
         src = str(Path(cli.__file__).resolve().parents[1])
         errors = set()
         for seed in (1, 2):
@@ -320,7 +330,7 @@ class TestRevise:
                                     env=env, capture_output=True, text=True)
             assert result.returncode == 2, result.stderr
             errors.add(result.stderr.splitlines()[-1])
-        message = f"conflicting final beliefs derived for ('svm', {first})"
+        message = message.format(first=first, meta=meta)
         assert errors == {f"error: {rules}: {message}; fix the rule file"}
 
     @pytest.mark.parametrize("edit", [
@@ -339,7 +349,7 @@ class TestRevise:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda raw: raw[:300], "Expecting"),
-        (lambda raw: raw.replace(b'"format": "', b'"format": "x'), "not a model file"),
+        (lambda raw: FORMAT_VALUE.sub(rb"\g<1>x", raw, count=1), "not a model file"),
         (lambda raw: raw.replace(b'"state"', b'"stat"'), "missing key 'state'"),
     ], ids=["truncated", "wrong-format", "missing-key"])
     def test_unusable_model_file_is_usage_error(self, pipeline_run, tmp_path, capsys, edit, message):
@@ -375,6 +385,40 @@ class TestRevise:
         assert err.rstrip().endswith("re-run 'train'")
         assert not (out / "facts.lp").exists()
 
+    def test_deleted_or_duplicated_tree_entry_is_usage_error(self, pipeline_run, tmp_path, capsys):
+        # deleting or duplicating one entry of a tree's sequence changes the
+        # count of its nodes, splits or leaves, so no such edit reads as a tree
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        saved = {name: (pipeline_run / name).read_text() for name in ("model_dt.json", "model_rf.json")}
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            name = data.draw(st.sampled_from(sorted(saved)))
+            payload = json.loads(saved[name])
+            trees = payload["state"]["trees"] if name == "model_rf.json" else [payload["state"]]
+            tree = trees[data.draw(st.integers(0, len(trees) - 1))]
+            entries = tree[data.draw(st.sampled_from([k for k in sorted(tree) if tree[k]]))]
+            at = data.draw(st.integers(0, len(entries) - 1))
+            if data.draw(st.booleans()):
+                del entries[at]
+            else:
+                entries.insert(at, entries[at])
+            out = _copy_run(pipeline_run, tmp_path / "out")
+            model = out / name
+            model.write_text(json.dumps(payload))
+            try:
+                assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert f"{model}: not a usable model file" in err, err
+                assert err.rstrip().endswith("re-run 'train'")
+                assert not (out / "facts.lp").exists()
+            finally:
+                shutil.rmtree(out)
+
+        check()
+
     @pytest.mark.parametrize("name,edit,message", [
         ("model_svm.json", lambda p: p["state"]["dual_coef"].__setitem__(0, float("nan")),
          "dual_coef must be a list of finite numbers"),
@@ -390,6 +434,9 @@ class TestRevise:
          "trees must be a non-empty list"),
         ("model_dt.json", lambda p: p.__setitem__("format", "metaphish.model/1"),
          "not a model file: format 'metaphish.model/1', but this version reads"),
+        ("model_rf.json", lambda p: p.__setitem__("format", "metaphish.model/2"),
+         "not a model file: format 'metaphish.model/2', but this version reads "
+         "'metaphish.model/3'"),
         ("model_rf.json", lambda p: p.__setitem__("seed", -1),
          "seed must be an integer of at least 0, got -1"),
         ("model_rf.json", lambda p: p["params"].__setitem__("n_estimators", 0),
@@ -397,8 +444,8 @@ class TestRevise:
         ("model_dt.json", lambda p: p["params"].__setitem__("max_depth", -1),
          "max_depth must be an integer of at least 0 or None, got -1"),
     ], ids=["svm-dual-coef-nan", "dt-threshold-nan", "knn-k-0", "svm-gamma-value-str",
-            "knn-k-str", "rf-no-trees", "format-1", "rf-seed-negative", "rf-n-estimators-0",
-            "dt-max-depth-negative"])
+            "knn-k-str", "rf-no-trees", "format-1", "format-2", "rf-seed-negative",
+            "rf-n-estimators-0", "dt-max-depth-negative"])
     def test_model_schema_violation_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                    name, edit, message):
         # each of these ended with exit 0 and a wrong answer, or exit 1, before

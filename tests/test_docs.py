@@ -1,5 +1,5 @@
-"""The README's documented library use runs against the shipped fixture, and its
-flag table lists each command's options."""
+"""The README's documented library use runs against the shipped fixture, its
+flag table lists each command's options, and it names the current model format."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 from metaphish import cli
+from metaphish.classifiers import models
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +33,11 @@ def test_readme_flag_table_lists_the_parser_options():
     documented = {name: {flag for cells in rows if f"`{name}`" in cells[2]
                          for flag in re.findall(r"`(--[a-z-]+)", cells[1])} for name in options}
     assert documented == options
+
+
+def test_readme_model_format_paragraph_names_the_current_format():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\nA model file (", 1)[1].split("\n\n", 1)[0]
+    assert paragraph.startswith(f"`{models.MODEL_FORMAT}`)"), paragraph[:40]
+    row = next(line for line in readme.splitlines() if line.startswith("| `model_"))
+    assert f"`{models.MODEL_FORMAT}`" in row

@@ -117,6 +117,7 @@ BROKEN_RULES = {
     "no-final": "revise(C,I) :- pred(C,I,phishing), meta(I,yes).\n",
     "final-arity-2": "final(C,I) :- pred(C,I,X).\n",
     "unknown-class-symbol": "final(C,I,maybe) :- pred(C,I,X).\n",
+    "meta-as-class-symbol": "final(C,I,M) :- pred(C,I,X), meta(I,M).\n",
     "conflicting-finals": "final(C,I,benign) :- pred(C,I,X).\nfinal(C,I,phishing) :- pred(C,I,X).\n",
 }
 
