@@ -1,14 +1,14 @@
 """k-nearest-neighbor classifier with uniform or inverse-distance weighting.
 
-``predict`` works on blocks of query rows.  A block's distances to every
-training row come from a column-major copy of the training matrix, eight
-columns per ufunc call, added in the order numpy's ``sum(axis=1)`` adds one
-row (:func:`_row_sums`), so each distance is bitwise the one that
-``np.abs(q - X).sum(axis=1)`` (or ``np.sqrt(((q - X) ** 2).sum(axis=1))``)
-gives.  ``np.argpartition`` picks the ``k`` nearest rows; the block then
-votes at once, and the few rows whose verdict a different summation order or
-a tie could change are decided one by one by :meth:`KNearestNeighbors._vote`
-on neighbours in stable (distance, index) order.
+``predict`` works on blocks of query rows.  A float32 pass gives each of a
+block's distances to every training row within a proven bound
+(:meth:`KNearestNeighbors._distances`).  Only the rows that bound cannot put
+past the k-th distance get an exact one, from ``np.abs(q - X).sum(axis=1)``
+(or ``np.sqrt(((q - X) ** 2).sum(axis=1))``) itself; the rest are ``+inf``.
+``np.argpartition`` picks the ``k`` nearest rows; the block then votes at
+once, and the few rows whose verdict a tie or rounding could change are
+decided one by one by :meth:`KNearestNeighbors._vote` on neighbours in stable
+(distance, index) order.
 """
 
 from __future__ import annotations
@@ -17,47 +17,18 @@ import numpy as np
 
 from metaphish.classifiers.schema import check_integer, finite_query, training_set
 
-# Query rows x training rows per block.  The eight running lanes and the
-# eight-column terms take 8 x 8 bytes per element each: 1 MiB together.
-BLOCK_ELEMENTS = 2**13
+# Elements per block: its query rows times the training rows plus the k x d
+# values that each query's candidates gather for the exact distances.
+BLOCK_ELEMENTS = 2**17
 
-_LANES = 8  # numpy's pairwise sum keeps eight partial sums
-_PAIRWISE_BLOCK = 128  # and splits a longer row in two
-
-
-def _row_sums(term, lo: int, hi: int) -> np.ndarray:
-    """Sum ``term(c)`` over columns ``lo <= c < hi`` in the order of numpy's
-    pairwise summation of one contiguous row (``pairwise_sum`` in
-    ``loops_utils.h``): left to right below eight columns; up to 128 columns,
-    column ``c`` into lane ``c % 8``, the lanes combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and the rest added left to right;
-    above 128, the two halves split at a multiple of eight, each summed this
-    way.  ``term(c, width)`` returns the terms of ``width`` columns from ``c``
-    as a ``(rows, width, n)`` array, ``term(c)`` those of column ``c`` alone."""
-    n = hi - lo
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % _LANES
-        return _row_sums(term, lo, lo + half) + _row_sums(term, lo + half, hi)
-    if n < _LANES:
-        total = 0.0
-        for c in range(lo, hi):
-            total = total + term(c)
-        return total
-    stop = hi - n % _LANES
-    lanes = term(lo, _LANES)
-    for c in range(lo + _LANES, stop, _LANES):
-        lanes += term(c, _LANES)
-    r = [lanes[:, i] for i in range(_LANES)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for c in range(stop, hi):
-        total += term(c)
-    return total
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
+_TINY32 = 2.0**-149  # the smallest float32 subnormal
 
 
 class KNearestNeighbors:
     """Lazy learner: fit checks the training set as the trees do (finite
-    values, labels 0 or 1) and stores it verbatim.
+    values, labels 0 or 1) and stores it verbatim, beside the float32 copy
+    and the row norms that the distance filter reads.
 
     Distance weighting uses 1/d; a neighbor at distance exactly 0 decides the
     query outright (majority among zero-distance neighbors, ties to class 0).
@@ -79,40 +50,67 @@ class KNearestNeighbors:
 
     def fit(self, X, y):
         self.X_, self.y_ = training_set(X, y)
+        with np.errstate(over="ignore"):  # past float32's range a value is inf
+            self._columns = np.ascontiguousarray(self.X_.T, dtype=np.float32)
+        self._x_norms = self._norms(self.X_)
         return self
 
-    def _distances(self, Q: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
+    @np.errstate(over="ignore", invalid="ignore")  # past float32's range a norm is inf
+    def _norms(self, A: np.ndarray) -> np.ndarray:
+        """Each row's norm, in the metric's own norm, as float32."""
+        p = 2 if self.metric == "euclidean" else 1
+        return np.linalg.norm(A, ord=p, axis=1).astype(np.float32)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _distances(self, Q: np.ndarray) -> np.ndarray:
         """Distances from each row of ``Q`` to each training row, shape
-        ``(len(Q), n_train)``, bitwise those of ``Q[i] - X_`` reduced with
-        ``sum(axis=1)``.  ``columns`` is ``X_.T`` in C order (made if not given)."""
-        if columns is None:
-            columns = np.ascontiguousarray(self.X_.T)
-        square = self.metric == "euclidean"
-
-        def term(c, width=None):
-            if width is None:
-                diff = Q[:, c, None] - columns[c]
-            else:
-                diff = Q[:, c:c + width, None] - columns[c:c + width]
-            return np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)
-
-        dist = _row_sums(term, 0, Q.shape[1])
-        return np.sqrt(dist, out=dist) if square else dist
+        ``(len(Q), n_train)``: bitwise those of ``Q[i] - X_`` reduced with
+        ``sum(axis=1)`` for every row that may be among the k nearest or tied
+        with the k-th, ``+inf`` for the others."""
+        euclid = self.metric == "euclidean"
+        per_column = np.square if euclid else np.abs  # np.square(x) is bitwise x * x
+        Q32 = Q.astype(np.float32)
+        approx = np.zeros((len(Q), len(self.X_)), dtype=np.float32)
+        diff32 = np.empty_like(approx)
+        for c, column in enumerate(self._columns):
+            approx += per_column(np.subtract(Q32[:, c, None], column, out=diff32), out=diff32)
+        if euclid:
+            np.sqrt(approx, out=approx)
+        # |approx - reference| <= slack / 2 (Higham 2002, sections 3.1 and 4.2):
+        # rounding the inputs to float32 moves a distance by u32 (|q| + |x|) at
+        # most; both sums and the square roots by a relative (d + 2)(u32 + u64);
+        # float32 underflow by d 2^-149 (manhattan) or its root (euclidean)
+        d = Q.shape[1]
+        slack = (d + 2) * (_U32 + _U64) * approx
+        slack += _U32 * (self._norms(Q)[:, None] + self._x_norms)
+        slack += np.sqrt(d * _TINY32) if euclid else d * _TINY32
+        slack *= 2
+        k = min(self.k, len(self.X_))
+        far = ~np.isfinite(approx)  # the float32 copy overflowed: always a candidate
+        kth = np.partition(np.where(far, np.inf, approx + slack), k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(far | (approx - slack <= kth[:, None]))
+        dist = np.full(approx.shape, np.inf)
+        step = max(1, BLOCK_ELEMENTS // d)  # a tie or an overflow may keep every row
+        for at in range(0, len(rows), step):
+            r, c = rows[at:at + step], cols[at:at + step]
+            diff = Q[r]
+            diff -= self.X_[c]
+            sums = per_column(diff, out=diff).sum(axis=1)
+            dist[r, c] = np.sqrt(sums) if euclid else sums
+        return dist
 
     def predict(self, X) -> np.ndarray:
-        """Classes of the rows of ``X``, taken ``BLOCK_ELEMENTS // n_train``
-        query rows (at least one) at a time: the scratch stays near 1 MiB
-        however many rows ``X`` has, beside a column-major copy of ``X_``."""
+        """Classes of the rows of ``X``, taken ``BLOCK_ELEMENTS // (n_train +
+        k * d)`` query rows (at least one) at a time: the scratch stays near
+        ``BLOCK_ELEMENTS`` elements however many rows ``X`` has."""
         if self.X_ is None:
             raise ValueError("classifier is not fitted")
         n, d = self.X_.shape
         Q = finite_query(X, d)
-        columns = np.ascontiguousarray(self.X_.T)
         out = np.empty(len(Q), dtype=np.int64)
-        step = max(1, BLOCK_ELEMENTS // n)
+        step = max(1, BLOCK_ELEMENTS // (n + min(self.k, n) * d))
         for start in range(0, len(Q), step):
-            dist = self._distances(Q[start:start + step], columns)
-            out[start:start + step] = self._vote_block(dist)
+            out[start:start + step] = self._vote_block(self._distances(Q[start:start + step]))
         return out
 
     def _vote_block(self, dist: np.ndarray) -> np.ndarray:

@@ -166,33 +166,36 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
     if not path.is_file():
         raise ConfigError(f"split manifest not found: {path} (run 'train' first)")
     ids_by_role: dict[str, set[int]] = {"train": set(), "test": set()}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            role = row.get("role")
-            try:
-                rid = int(row.get("id") or "")
-            except ValueError:
-                rid = None
-            fold = row.get("fold")
-            if role not in ids_by_role:
-                problem = f"unknown role {role!r} (expected 'train' or 'test')"
-            elif rid is None:
-                problem = f"id {row.get('id')!r} is not an integer"
-            elif role == "train" and not (fold and fold.isascii() and fold.isdigit()):
-                problem = f"train row {rid} has fold {fold!r}, not a non-negative integer"
-            elif role == "test" and fold != "":
-                problem = f"test row {rid} has fold {fold!r}; a test row has none"
-            elif not 0 <= rid < n_rows:
-                problem = f"id {rid} is outside the dataset's rows [0, {n_rows})"
-            elif rid in ids_by_role["train"] or rid in ids_by_role["test"]:
-                problem = f"duplicate id {rid}"
-            else:
-                ids_by_role[role].add(rid)
-                continue
-            raise ConfigError(
-                f"{path}, line {reader.line_num}: {problem}; re-run 'train' on this dataset"
-            )
+    try:  # the reader decodes as it goes, so a bad byte shows mid-loop
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                role = row.get("role")
+                try:
+                    rid = int(row.get("id") or "")
+                except ValueError:
+                    rid = None
+                fold = row.get("fold")
+                if role not in ids_by_role:
+                    problem = f"unknown role {role!r} (expected 'train' or 'test')"
+                elif rid is None:
+                    problem = f"id {row.get('id')!r} is not an integer"
+                elif role == "train" and not (fold and fold.isascii() and fold.isdigit()):
+                    problem = f"train row {rid} has fold {fold!r}, not a non-negative integer"
+                elif role == "test" and fold != "":
+                    problem = f"test row {rid} has fold {fold!r}; a test row has none"
+                elif not 0 <= rid < n_rows:
+                    problem = f"id {rid} is outside the dataset's rows [0, {n_rows})"
+                elif rid in ids_by_role["train"] or rid in ids_by_role["test"]:
+                    problem = f"duplicate id {rid}"
+                else:
+                    ids_by_role[role].add(rid)
+                    continue
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: {problem}; re-run 'train' on this dataset"
+                )
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc}); re-run 'train'") from None
     if not ids_by_role["test"]:
         raise ConfigError(
             f"{path}: no test rows to revise; re-run 'train' with a larger --test-fraction"
@@ -219,7 +222,11 @@ def cmd_train(cfg: argparse.Namespace) -> int:
                           f"pass --folds {limit} or fewer, or a smaller --test-fraction")
     split = make_split(data, cfg.test_fraction, cfg.folds, cfg.seed)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out_dir}: a file is in the way of this directory; "
+                          f"pass a directory path or move the file") from None
     _write_manifest(split, out_dir)
     (out_dir / INPUTS_FILE).write_text(revision.format_kv(_fingerprint(data)), encoding="utf-8")
 

@@ -237,8 +237,9 @@ _CHUNK_ELEMENTS = 20_000_000  # cap on the broadcast buffer (rows * train * dims
 
 def broadcast_distances(Q, X, metric: str) -> np.ndarray:
     """Distances from every row of ``Q`` to every row of ``X`` through one 3-D
-    difference reduced over its last axis (the oracle for
-    ``KNearestNeighbors._distances``, which sums eight columns per call)."""
+    difference reduced over its last axis (the oracle for the distances that
+    ``KNearestNeighbors._distances`` keeps after its float32 filter, and for
+    the rows it drops being past the k-th distance)."""
     diff = Q[:, None, :] - X[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=2))
@@ -247,8 +248,9 @@ def broadcast_distances(Q, X, metric: str) -> np.ndarray:
 
 def chunked_knn_predict(knn, X) -> np.ndarray:
     """``KNearestNeighbors.predict`` over chunks of query rows whose 3-D
-    difference stays under ``_CHUNK_ELEMENTS``, each row's neighbours from a
-    stable ``argsort`` (the oracle for the blocked selection and vote)."""
+    difference stays under ``_CHUNK_ELEMENTS``: every distance exact, with no
+    filter, and each row's neighbours from a stable ``argsort`` (the oracle
+    for the filtered, blocked selection and vote)."""
     Q = np.asarray(X, dtype=np.float64)
     n_train, d = knn.X_.shape
     k = min(knn.k, n_train)

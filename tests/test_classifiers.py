@@ -528,6 +528,35 @@ class TestPipelineArtifactParity:
         _assert_pinned(pipeline_run, name)
 
 
+def _knn_case(name: str):
+    """(X, y, Q) of one adversarial KNN input: each stresses one term of the
+    float32 filter's error bound or the tie rules."""
+    rng = np.random.default_rng(36)
+    y = rng.integers(0, 2, size=12)
+    if name == "tiny":  # float32 subnormals and flushes to 0
+        X, Q = (rng.normal(size=(m, 6)) * 10.0 ** rng.integers(-46, -20, size=(m, 6))
+                for m in (12, 9))
+    elif name == "beyond-float32":  # 1e39 is inf in float32, beside an ordinary column
+        X, Q = (np.column_stack([rng.choice([0.0, 1e39, -1e39], size=m), rng.normal(size=m)])
+                for m in (12, 9))
+    elif name == "offset":  # 1e6 + 2**-5 is a float32 rounding midpoint: inputs round either way
+        X, Q = (1e6 + 2.0**-5 + rng.normal(size=(m, 5)) * 1e-3 for m in (12, 9))
+    elif name == "ulp-apart":  # rows one float64 ulp apart, equal in float32
+        base = rng.normal(size=(4, 3))
+        X = np.vstack([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+        Q = np.vstack([base, np.nextafter(base[:2], np.inf), base[2:] + 1e-3])
+    elif name == "ties":  # duplicate rows, tied at the k-th distance
+        base = rng.integers(0, 3, size=(4, 3)).astype(np.float64)
+        X, Q = np.vstack([base, base, base]), rng.integers(0, 3, size=(9, 3)).astype(np.float64)
+    else:  # "zero": every query is a training row
+        X = rng.normal(size=(12, 4))
+        Q = X[[0, 3, 3, 7, 11]]
+    return X, y, Q
+
+
+KNN_CASES = ("tiny", "beyond-float32", "offset", "ulp-apart", "ties", "zero")
+
+
 class TestKNN:
     def test_k1_self_label(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
@@ -585,7 +614,9 @@ class TestKNN:
         assert knn.predict([[0.5]]).tolist() == [1]
 
     def test_row_distances_bitwise_match_broadcast_oracle(self):
-        # int64 views, so even the last bit and the sign of zero must agree
+        # every distance the filter keeps is the oracle's, compared as int64
+        # views, so even the last bit and the sign of zero must agree; every
+        # one it drops (+inf) is strictly past the row's k-th distance
         rng = np.random.default_rng(31)
         for d in range(1, 301):
             scale = 10.0 ** int(rng.integers(-3, 4))
@@ -598,7 +629,12 @@ class TestKNN:
                 knn = KNearestNeighbors(metric=metric).fit(X, y)
                 got = knn._distances(Q)  # one block of all four query rows
                 expected = broadcast_distances(Q, X, metric)
-                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (d, metric)
+                kth = np.sort(expected, axis=1)[:, min(knn.k, len(X)) - 1, None]
+                kept = np.isfinite(got)
+                assert np.array_equal(got[kept].view(np.int64),
+                                      expected[kept].view(np.int64)), (d, metric)
+                assert kept[expected <= kth].all(), (d, metric)
+                assert (expected > kth)[got == np.inf].all(), (d, metric)
 
     def test_predictions_match_chunked_oracle_on_ties(self):
         rng = np.random.default_rng(32)
@@ -630,6 +666,54 @@ class TestKNN:
                     knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)
                     expected = chunked_knn_predict(knn, Q)
                     assert knn.predict(Q).tolist() == expected.tolist(), (k, weights, metric)
+
+    @pytest.mark.parametrize("case", KNN_CASES)
+    def test_predictions_match_chunked_oracle_on_adversarial_inputs(self, case):
+        X, y, Q = _knn_case(case)
+        for k in (1, 3, 9, len(X), len(X) + 2):
+            for weights in ("uniform", "distance"):
+                for metric in ("euclidean", "manhattan"):
+                    knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)
+                    expected = chunked_knn_predict(knn, Q)
+                    assert knn.predict(Q).tolist() == expected.tolist(), (k, weights, metric)
+
+    @pytest.mark.parametrize("term", ["underflow", "input-rounding", "float32-sum"])
+    def test_each_bound_term_keeps_the_nearest_row(self, term):
+        # row 1 is the nearest, row 0 looks nearer in float32, and only this
+        # term of the filter's bound keeps row 1 a candidate
+        X = np.zeros((2, 87))
+        query = np.zeros((1, 87))
+        metric = "manhattan"
+        if term == "underflow":  # row 0's squares (1e-46) flush to 0, row 1's (2.5e-45) do not
+            X[0], X[1, 0], metric = 1e-23, 5e-23, "euclidean"
+        elif term == "input-rounding":  # q and row 0 round to 1e6, row 1 to 1e6 + 2**-4
+            query[0, 0], X[0, 0], X[1, 0] = 1e6 + 0.03, 1e6 - 0.02, 1e6 + 0.033
+        else:  # each 2**-24 after the 1.0 rounds away in a float32 running sum
+            X[0, 0], X[0, 1:], X[1, 0] = 1.0, 2.0**-24, 1.0 + 80 * 2.0**-24
+        knn = KNearestNeighbors(k=1, metric=metric).fit(X, np.array([0, 1]))
+        assert knn.predict(query).tolist() == [1] == chunked_knn_predict(knn, query).tolist()
+
+    def test_predictions_match_chunked_oracle_on_generated_inputs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e-23, 5e-23, 1e-40, 1e6, 1e39]),
+                          st.floats(-1e40, 1e40, allow_nan=False, allow_infinity=False))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(1, 5), st.integers(1, 8), st.data())
+        def check(d, n, data):
+            rows = st.lists(value, min_size=d, max_size=d)
+            X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)))
+            Q = np.array(data.draw(st.lists(rows, min_size=1, max_size=4)))
+            Q = np.vstack([Q, X[:data.draw(st.integers(0, n))]])  # zero distances too
+            y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            knn = KNearestNeighbors(k=data.draw(st.integers(1, n + 2)),
+                                    weights=data.draw(st.sampled_from(["uniform", "distance"])),
+                                    metric=data.draw(st.sampled_from(["euclidean", "manhattan"])))
+            knn.fit(X, y)
+            assert knn.predict(Q).tolist() == chunked_knn_predict(knn, Q).tolist()
+
+        check()
 
     @pytest.mark.parametrize("weights", ["uniform", "distance"])
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
@@ -695,6 +779,25 @@ class TestKNN:
         knn = KNearestNeighbors(k=9, weights="distance", metric="manhattan")
         knn.fit(rng.normal(size=(50, 87)), rng.integers(0, 2, size=50))
         Q = rng.normal(size=(2000, 87))
+        tracemalloc.start()
+        try:
+            knn.predict(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_predict_memory_stays_bounded_when_every_row_is_a_candidate(self):
+        # a column past float32's range leaves the filter nothing to rule out:
+        # the exact distances of all 2,000 x 50 pairs are computed, a block at
+        # a time, in slices of BLOCK_ELEMENTS elements
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(50, 87))
+        X[:, 0] = 1e39
+        knn = KNearestNeighbors(k=9, weights="distance", metric="manhattan")
+        knn.fit(X, rng.integers(0, 2, size=50))
+        Q = rng.normal(size=(2000, 87))
+        assert np.isinf(knn._distances(Q[:1])).sum() == 0
         tracemalloc.start()
         try:
             knn.predict(Q)

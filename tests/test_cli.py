@@ -94,6 +94,19 @@ class TestTrain:
         rc = main(["train", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("below", [(), ("run",)], ids=["file", "below-a-file"])
+    def test_out_in_the_way_of_a_file_is_usage_error(self, tmp_path, capsys, below):
+        # --out naming a file ended in exit 1 with "[Errno 17] File exists",
+        # and a path below a file with "[Errno 20] Not a directory"
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken.joinpath(*below)
+        assert main(["train", *DATASET_ARGS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out}: a file is in the way of this directory; " \
+               f"pass a directory path or move the file" in err, err
+        assert taken.read_text() == "kept"
+
     def test_corrupt_dataset_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         header, first_row = FIXTURE_CSV.read_text().splitlines()[:2]
@@ -673,6 +686,9 @@ def _empty_last_list(text):
     return text[:text.rindex("[", 0, end)] + "[]" + text[end + 1:]
 
 
+# a lone surrogate escape, written with errors="surrogateescape": a byte that is not UTF-8
+NOT_UTF_8 = "\udcff"
+
 FAULTS = {
     "truncate": lambda text: text[: len(text) // 2],
     "drop-line": _drop_middle_line,
@@ -684,6 +700,7 @@ MODEL_FAULTS = {
     "string-param": _number_after('"params"', '"x"'),
     "string-last-number": _number_after(None, '"x"'),
     "empty-last-list": _empty_last_list,
+    "not-utf-8": lambda text: text.replace('"', '"' + NOT_UTF_8, 1),
 }
 MANIFEST_FAULTS = {
     **FAULTS,
@@ -691,9 +708,8 @@ MANIFEST_FAULTS = {
     "nan-fold": lambda text: re.sub(r"\n(\d+),train,\d+\n", r"\n\1,train,NaN\n", text, count=1),
     "string-id": lambda text: text.replace("\n5,", "\nx,", 1),
     "empty-list": lambda text: text.splitlines(keepends=True)[0],
+    "not-utf-8": lambda text: text.replace("\n5,", "\n5" + NOT_UTF_8 + ",", 1),
 }
-# a lone surrogate escape, written with errors="surrogateescape": a byte that is not UTF-8
-NOT_UTF_8 = "\udcff"
 INPUTS_FAULTS = {
     **FAULTS,
     "flip-digit": lambda text: re.sub(r"\d\n", lambda m: f"{(int(m[0][0]) + 1) % 10}\n", text,
