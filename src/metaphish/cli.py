@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from metaphish import kb, nmr, revision
@@ -168,18 +169,25 @@ def _read_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
     ids_by_role: dict[str, set[int]] = {"train": set(), "test": set()}
     try:  # the reader decodes as it goes, so a bad byte shows mid-loop
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # a cell by the last header column of its name, None past a short
+            # row's end or for a name not in the header (index -1 of the padding)
+            at = {name: i for i, name in enumerate(header)}
+            cells = itemgetter(*(at.get(name, -1) for name in ("id", "role", "fold")))
+            padding = [None] * (len(header) + 1)
             for row in reader:
-                role = row.get("role")
+                if not row:  # a blank line
+                    continue
+                text_id, role, fold = cells(row + padding)
                 try:
-                    rid = int(row.get("id") or "")
+                    rid = int(text_id or "")
                 except ValueError:
                     rid = None
-                fold = row.get("fold")
                 if role not in ids_by_role:
                     problem = f"unknown role {role!r} (expected 'train' or 'test')"
                 elif rid is None:
-                    problem = f"id {row.get('id')!r} is not an integer"
+                    problem = f"id {text_id!r} is not an integer"
                 elif role == "train" and not (fold and fold.isascii() and fold.isdigit()):
                     problem = f"train row {rid} has fold {fold!r}, not a non-negative integer"
                 elif role == "test" and fold != "":
@@ -227,6 +235,9 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"--out {out_dir}: a file is in the way of this directory; "
                           f"pass a directory path or move the file") from None
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot create this directory ({exc.strerror or exc}); "
+                          f"pass a directory path you can write to") from None
     _write_manifest(split, out_dir)
     (out_dir / INPUTS_FILE).write_text(revision.format_kv(_fingerprint(data)), encoding="utf-8")
 

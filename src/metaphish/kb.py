@@ -4,21 +4,25 @@ Class labels cross into the symbolic layer as named constants
 (0 <-> benign, 1 <-> phishing); the 0/1 coding is confined to
 :func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
 facts one per line in solver-compatible syntax so the file can also be fed
-to external ASP tooling for cross-validation.  A fact is a plain ground atom
-(a named tuple), and a fact base is the tuple of facts in ``facts.lp``
-order: every ``meta`` fact by instance id, then every ``pred`` fact by
-(instance id, classifier).  :func:`encode` builds it from the belief
-columns, :func:`serialize` writes it, and :func:`load_facts` reads it back,
-accepting only the lines :func:`serialize` writes, in that order.
+to external ASP tooling for cross-validation.  A fact base
+(:class:`FactBase`) holds the argument columns of the ``meta`` and ``pred``
+facts in ``facts.lp`` order, every ``meta`` fact by instance id, then every
+``pred`` fact by (instance id, classifier), integer-coded as :mod:`nmr`
+grounds them; iterating it makes each fact, a :class:`Fact`.
+:func:`encode` builds it from the belief columns, :func:`serialize` writes
+it, and :func:`load_facts` reads the facts back, accepting only the lines
+:func:`serialize` writes, in that order.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from sys import intern
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from metaphish import nmr
 from metaphish.classifiers import KIND_ORDER
@@ -41,7 +45,21 @@ class Fact(NamedTuple):
         return nmr.format_ground_atom(self)
 
 
-def encode(beliefs, meta_flags: Mapping[int, bool]) -> tuple[Fact, ...]:
+class FactBase(nmr.Relations):
+    """Facts as :mod:`nmr` grounds them: each predicate's argument columns,
+    integer-coded, in ``facts.lp`` order.  Iterating makes the :class:`Fact`
+    of each row."""
+
+    def __iter__(self):
+        return starmap(Fact, super().__iter__())
+
+    def __eq__(self, other):  # equal to a sequence of the same facts, in the same order
+        if isinstance(other, (nmr.Relations, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
     """One ``meta(id,m)`` fact per instance of the :class:`~metaphish.classifiers.Beliefs`
     ``beliefs``, then one ``pred(cl,id,class)`` fact per decision, built from the
     columns in ``facts.lp`` order.  ``meta_flags`` must cover every instance id
@@ -51,24 +69,67 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> tuple[Fact, ...]:
     absent = next((iid for iid in ids if iid not in meta_flags), None)
     if absent is not None:
         raise ValueError(f"belief references instance {absent} absent from meta flags")
-    meta = list(zip(ids, [META_TO_SYMBOL[bool(meta_flags[iid])] for iid in ids]))
-    columns = sorted((kind.value, column.tolist()) for kind, column in beliefs.classes.items())
-    # pred facts by (id, classifier symbol): the columns' arguments, interleaved
-    preds = list(chain.from_iterable(zip(*(
-        zip(repeat(symbol), ids, map(CLASS_TO_SYMBOL.__getitem__, column))
-        for symbol, column in columns))))
-    return tuple(map(Fact._make, chain(zip(repeat(META), meta), zip(repeat(PRED), preds))))
+    facts = FactBase()
+    id_codes = facts.encode(beliefs.ids)
+    flags = np.fromiter(map(meta_flags.__getitem__, ids), bool, len(ids))
+    no, yes = (facts.code(META_TO_SYMBOL[flag]) for flag in (False, True))
+    facts.tables[META] = np.column_stack([id_codes, np.where(flags, yes, no)])
+    # pred facts by (id, classifier symbol): the verdict columns, interleaved
+    kinds = sorted(beliefs.classes, key=lambda kind: kind.value)
+    verdicts = np.column_stack([beliefs.classes[kind] for kind in kinds]).reshape(-1)
+    benign, phishing = (facts.code(CLASS_TO_SYMBOL[cls]) for cls in (0, 1))
+    facts.tables[PRED] = np.column_stack([
+        np.tile([facts.code(kind.value) for kind in kinds], len(ids)),
+        np.repeat(id_codes, len(kinds)), np.where(verdicts == 1, phishing, benign)])
+    return facts
 
 
-def serialize(facts: tuple[Fact, ...], path: str | Path) -> int:
+def serialize(facts: Iterable[Fact], path: str | Path) -> int:
     """Write one fact per line as ``predicate(args).`` and return bytes written.
 
-    No spaces, trailing period, ``\\n`` line ends, in the order of ``facts``
-    (for :func:`encode`'s facts, the byte-stable ``facts.lp`` order).
+    No spaces, trailing period, ``\\n`` line ends, each predicate's facts in
+    the order of ``facts`` (for :func:`encode`'s facts, the byte-stable
+    ``facts.lp`` order); a plain iterable of facts is grouped by predicate.
+    A line is made of templates: the text of an argument column that holds
+    more than symbols, and between two such columns the text of the symbol
+    columns with their punctuation, like ``pred(svm,`` and ``,benign).``;
+    each template is formatted once per distinct row of its columns.
     """
-    data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in facts).encode("ascii")
+    if not isinstance(facts, nmr.Relations):
+        facts = FactBase.of(facts)
+    chunks = []
+    for pred, table in facts.tables.items():
+        n, arity = table.shape
+        parts, run = [], []  # the per-row texts; the columns of the template being built
+        text = pred + ("(" if arity else ".\n")
+        for k, col in enumerate(table.T, start=1):
+            if n and col.max() < 0:  # symbols only: into the template
+                run.append(col)
+                text += "{}"
+            else:  # other constants: a template of their own
+                parts += [_filled(facts, text, run, n), _filled(facts, "{}", [col], n)]
+                run, text = [], ""
+            text += ").\n" if k == arity else ","
+        parts.append(_filled(facts, text, run, n))
+        chunks.append("".join(chain.from_iterable(zip(*parts))))
+    data = "".join(chunks).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)
+
+
+def _filled(facts: FactBase, text: str, run: list[np.ndarray], n: int):
+    """The ``n`` texts of ``text`` with each row's constants of the columns
+    ``run`` in its ``{}`` places, formatted once per distinct row."""
+    if not run:
+        return repeat(text, n)
+    columns = np.column_stack(run)
+    _, first, inverse = np.unique(nmr.row_keys(columns, columns[:0])[0],
+                                  return_index=True, return_inverse=True)
+    if text == "{}":  # one column alone
+        texts = list(map(str, facts.constants(columns[first, 0])))
+    else:
+        texts = [text.format(*row) for row in facts.decode(columns[first])]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 # the two line shapes serialize writes: meta(<id>,yes|no). and

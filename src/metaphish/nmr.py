@@ -2,32 +2,29 @@
 
 Covers exactly the fragment the belief-revision layer needs: normal rules
 with default negation, no function symbols, no disjunction, no aggregates.
-A program is parsed, checked for rule safety and stratification, and
-grounded against facts taken as given.  A cycle through ``not`` is rejected, naming
-the first one in sorted order; otherwise the strata are the least predicate
-levels, found by relaxation.  Grounding runs stratum by stratum, each
-semi-naively, through join plans compiled once per rule over hash indexes
-on (predicate, bound argument positions); the set of atoms it derives is
-the unique stable model, ``GroundProgram.model``, with its counters.
-The ground rules themselves are enumerated only when
-``GroundProgram.rules`` is read, by running the same evaluation again and
-recording each fact and firing.  :func:`solve` re-evaluates a ground
-program and :func:`check_stability` implements the reduct-based
-stable-model definition; both read those rules and serve as independent
-oracles for the model.
+A program is parsed, checked for rule safety and stratification (a cycle
+through ``not`` is rejected, naming the first in sorted order; otherwise
+the strata are the least predicate levels, found by relaxation), and
+grounded against facts taken as given: stratum by stratum, semi-naively,
+through join plans run a set at a time over integer-coded argument columns
+(:class:`Relations`).  The atoms derived are the unique stable model,
+``GroundProgram.model``; the ground rules are enumerated only when
+``GroundProgram.rules`` is read, by evaluating again.  :func:`solve` and the
+reduct-based :func:`check_stability` read them: oracles for the model.
 
 Ground atoms are plain ``(predicate, args)`` tuples where each argument is a
-lowercase symbol (str) or a non-negative integer.
+symbol (str) or an integer.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from collections import defaultdict
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Union
+
+import numpy as np
 
 GroundAtom = tuple  # (predicate: str, args: tuple[str | int, ...])
 
@@ -131,20 +128,27 @@ class EvalStats:
     atoms: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnswerSet:
-    """The unique stable model of a stratified ground program."""
+    """The unique stable model of a stratified ground program: its atoms as
+    given (by :func:`ground`, its :class:`Relations`), a set in ``atoms``
+    from the first read on; answer sets with equal atoms are equal."""
 
-    atoms: set[GroundAtom]  # the evaluator's own set: read it, do not change it
-    stats: EvalStats = field(compare=False, default=EvalStats())
+    relations: Iterable[GroundAtom]
+    stats: EvalStats = EvalStats()
+
+    @cached_property
+    def atoms(self) -> set[GroundAtom]:
+        return set(self.relations)
+
+    def __eq__(self, other):
+        return isinstance(other, AnswerSet) and self.atoms == other.atoms
 
     def holds(self, predicate: str, *args) -> bool:
         return (predicate, tuple(args)) in self.atoms
 
     def with_predicate(self, predicate: str) -> list[GroundAtom]:
-        return sorted(
-            (a for a in self.atoms if a[0] == predicate), key=_atom_sort_key
-        )
+        return sorted((a for a in self.atoms if a[0] == predicate), key=_atom_sort_key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +157,11 @@ class GroundProgram:
 
     ``rules`` (one :class:`GroundRule` per distinct fact, in input order, then
     one per firing, in firing order) is enumerated on first read, by
-    evaluating ``source`` (the program and its fact atoms) again, and kept.
-    """
+    evaluating ``source`` (the program and its facts) again, and kept."""
 
     stats: EvalStats
     model: AnswerSet
-    source: tuple[Program, tuple[GroundAtom, ...]] = field(repr=False)
+    source: tuple[Program, Relations | tuple[GroundAtom, ...]] = field(repr=False)
 
     @cached_property
     def rules(self) -> tuple[GroundRule, ...]:
@@ -174,9 +177,7 @@ def _atom_sort_key(atom: GroundAtom):
 
 def format_ground_atom(atom: GroundAtom) -> str:
     pred, args = atom
-    if not args:
-        return pred
-    return f"{pred}({','.join(str(a) for a in args)})"
+    return f"{pred}({','.join(map(str, args))})" if args else pred
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +317,15 @@ def _check_safety(rules: list[Rule]) -> None:
                     )
 
 
-def _dependency_graph(rules: Iterable[Rule]) -> dict[str, set[tuple[str, bool]]]:
+def _dependency_graph(rules: Iterable[tuple]) -> dict[str, set[tuple[str, bool]]]:
+    """The ``(predicate, negated)`` dependencies of each predicate, from
+    ``(head, positive body, negative body)`` triples of predicates."""
     graph: dict[str, set[tuple[str, bool]]] = {}
-    for rule in rules:
-        deps = graph.setdefault(rule.head.predicate, set())
-        for atom in rule.body_pos:
-            deps.add((atom.predicate, False))
-            graph.setdefault(atom.predicate, set())
-        for atom in rule.body_neg:
-            deps.add((atom.predicate, True))
-            graph.setdefault(atom.predicate, set())
+    for head, pos, neg in rules:
+        deps = graph.setdefault(head, set())
+        for pred, negated in chain(zip(pos, repeat(False)), zip(neg, repeat(True))):
+            deps.add((pred, negated))
+            graph.setdefault(pred, set())
     return graph
 
 
@@ -382,7 +382,8 @@ def parse_program(text: str) -> Program:
     """
     rules = _Parser(text).parse_rules()
     _check_safety(rules)
-    graph = _dependency_graph(rules)
+    graph = _dependency_graph((rule.head.predicate, [a.predicate for a in rule.body_pos],
+                               [a.predicate for a in rule.body_neg]) for rule in rules)
     strata = _stratify(graph)
     frozen = {pred: frozenset(deps) for pred, deps in graph.items()}
     return Program(tuple(rules), frozen, strata)
@@ -391,51 +392,107 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Grounding
 
-class _Relations:
-    """The atoms derived so far: a set, a list per predicate in insertion
-    order, and a hash index per (predicate, key positions) pattern, built on
-    first use and kept up to date as atoms are added."""
-
-    def __init__(self):
-        self.atoms: set[GroundAtom] = set()
-        self.lists: defaultdict[str, list[GroundAtom]] = defaultdict(list)
-        self._indexes: dict[tuple, defaultdict] = {}
-        self._by_pred: dict[str, list[tuple[Callable, defaultdict]]] = {}
-
-    def extend(self, atoms: Iterable[GroundAtom]) -> None:
-        """Add ``atoms``, none of which is here yet."""
-        for atom in atoms:
-            self.atoms.add(atom)
-            self.lists[atom[0]].append(atom)
-            for key, index in self._by_pred.get(atom[0], ()):
-                index[key(atom[1])].append(atom)
-
-    def index(self, pred: str, positions: tuple[int, ...]) -> defaultdict:
-        """The atoms of ``pred`` keyed by their argument at ``positions``
-        (a value for one position, a tuple for several)."""
-        index = self._indexes.get((pred, positions))
-        if index is None:
-            key = itemgetter(*positions)
-            index = self._indexes[pred, positions] = _bucket(self.lists.get(pred, ()), key)
-            self._by_pred.setdefault(pred, []).append((key, index))
-        return index
+_SELF_CODED = 2 ** 62  # an int in [0, 2**62) is its own code
 
 
-def _bucket(atoms: Iterable[GroundAtom], key: Callable) -> defaultdict:
-    index = defaultdict(list)
-    for atom in atoms:
-        index[key(atom[1])].append(atom)
-    return index
+class Relations:
+    """Ground atoms as integer-coded columns: per predicate, in insertion
+    order, an int64 table of one row per atom and one column per argument.
+    Any constant but an int in [0, 2**62) is coded ``-1 - k``, ``symbols[k]``;
+    iterating decodes ``(predicate, args)`` tuples of Python ints and strs."""
+
+    def __init__(self, tables: dict[str, np.ndarray] | None = None, symbols: Iterable = ()):
+        self.tables = {} if tables is None else tables
+        self.symbols = list(symbols)
+        self._codes = {symbol: -1 - k for k, symbol in enumerate(self.symbols)}
+
+    @classmethod
+    def of(cls, atoms: Iterable[GroundAtom]):
+        """``atoms``, of one arity per predicate, grouped by predicate in one pass."""
+        rel, rows = cls(), {}
+        for pred, args in atoms:
+            rows.setdefault(pred, []).append(args)
+        for pred, args in rows.items():
+            codes = [rel.code(a) for row in args for a in row]
+            rel.tables[pred] = np.array(codes, np.int64).reshape(len(args), len(args[0]))
+        return rel
+
+    def code(self, constant) -> int:
+        """The code of ``constant``, adding a new symbol to the table."""
+        if isinstance(constant, (int, np.integer)) and 0 <= constant < _SELF_CODED:
+            return int(constant)
+        if constant not in self._codes:
+            self._codes[constant] = -1 - len(self.symbols)
+            self.symbols.append(constant)
+        return self._codes[constant]
+
+    def encode(self, ints) -> np.ndarray:
+        """The codes of an array of ints."""
+        codes = np.array(ints, dtype=np.int64)
+        odd = (codes < 0) | (codes >= _SELF_CODED)
+        codes[odd] = [self.code(v) for v in codes[odd].tolist()]
+        return codes
+
+    def constants(self, codes: np.ndarray) -> list:
+        """The constants of an array of codes."""
+        if not len(codes) or codes.min() >= 0:
+            return codes.tolist()
+        return [self.symbols[-1 - v] if v < 0 else v for v in codes.tolist()]
+
+    def decode(self, table: np.ndarray) -> list[tuple]:
+        """The rows of a table of codes, as tuples of constants."""
+        return list(zip(*map(self.constants, table.T))) if table.shape[1] else [()] * len(table)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.tables.values()))
+
+    def __iter__(self):
+        for pred, table in self.tables.items():
+            yield from zip(repeat(pred), self.decode(table))
 
 
-def _getter(slots: list[int]) -> Callable:
-    """A function of a sequence that returns the tuple of its items at ``slots``."""
-    if len(slots) == 1:
-        return lambda seq, s=slots[0]: (seq[s],)
-    return itemgetter(*slots) if slots else lambda seq: ()
+def row_keys(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An int64 key per row of two tables with the same columns, equal
+    exactly for equal rows: the columns' offsets in mixed radix, renumbered
+    densely where the product of their ranges would overflow."""
+    rows = np.concatenate([left, right])
+    key, span = np.zeros(len(rows), np.int64), 1
+    for col in rows.T if len(rows) else ():
+        low = int(col.min())
+        width = int(col.max()) - low + 1
+        if span * width > _SELF_CODED:
+            _, key = np.unique(key, return_inverse=True)
+            values, col = np.unique(col, return_inverse=True)
+            span, low, width = int(key.max()) + 1, 0, len(values)
+        key, span = key * width + (col - low), span * width
+    return key[:len(left)], key[len(left):]
 
 
-_FULL, _DELTA, _OLD = range(3)  # which atoms of its predicate a join step reads
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) index pairs of equal rows of two tables with the same
+    columns, by left, then right index: each left key sought in the sorted right keys."""
+    if not left.shape[1]:  # every pair
+        return np.divmod(np.arange(len(left) * len(right)), max(len(right), 1))
+    left, right = row_keys(left, right)
+    order = np.argsort(right, kind="stable")
+    start = np.searchsorted(right, left, "left", sorter=order)
+    counts = np.searchsorted(right, left, "right", sorter=order) - start
+    offset = np.repeat(start - np.cumsum(counts) + counts, counts)
+    return np.repeat(np.arange(len(left)), counts), order[offset + np.arange(len(offset))]
+
+
+def _extend(rel: Relations, marks: dict[str, int], new: dict[str, list[np.ndarray]]) -> int:
+    """Append the first of each row of ``new`` not in its predicate's table;
+    record every table's length before in ``marks``; count the rows added."""
+    marks.update((pred, len(table)) for pred, table in rel.tables.items())
+    for pred, chunks in new.items():
+        rows = np.concatenate([rel.tables.get(pred, chunks[0][:0]), *chunks])
+        _, first = np.unique(row_keys(rows, rows[:0])[0], return_index=True)
+        rel.tables[pred] = rows[np.sort(first)]  # the old rows are distinct, and first
+    return len(rel) - sum(marks.values())
+
+
+_FULL, _DELTA, _OLD = range(3)  # which rows of its predicate's table a join step reads
 
 
 class _Step(NamedTuple):
@@ -443,213 +500,159 @@ class _Step(NamedTuple):
 
     predicate: str
     source: int
-    key_positions: tuple[int, ...]  # argument positions a constant or a bound variable fixes
-    key: Callable | None  # env -> the index key at those positions
+    keys: tuple[tuple[int, int], ...]  # (position, binding column) of a constant or bound variable
     repeats: tuple[tuple[int, int], ...]  # (position, earlier position) of one new variable
-    lo: int  # env[lo:hi] takes the atom's new variables
-    hi: int
-    take: Callable  # args -> the values of the new variables
+    takes: tuple[int, ...]  # the positions of its new variables, in new binding columns
     written: int  # the atom's position in the written body
 
 
 class _Plan(NamedTuple):
+    consts: list[int]  # the codes of the rule's constants, its first binding columns
     steps: tuple[_Step, ...]
-    env: list  # the rule's constants, then one slot per variable
-    head: tuple[str, Callable]  # predicate, env -> arguments
-    neg: tuple[tuple[str, Callable], ...]
+    head: tuple[str, list[int]]  # predicate, binding column per argument
+    neg: tuple[tuple[str, list[int]], ...]
 
 
-def _compile(rule: Rule, delta_at: int | None = None, derived=frozenset()) -> _Plan:
+def _compile(rule: Rule, code: Callable, delta_at: int | None = None,
+             derived=frozenset()) -> _Plan:
     """The join plan of ``rule``: its positive body in written order, every
     atom read in full; or, with ``delta_at``, that atom moved first to read
-    only the last pass's new atoms, and the atoms written before it that
-    this stratum derives reading only the atoms older than those.
-
-    Every term gets a slot in the plan's environment: constants first, then
-    the variables in the order the plan binds them.  Each step looks up the
-    atoms that match its constants and bound variables in a hash index,
-    checks a variable repeated inside the atom, and copies its new variables
-    into consecutive slots.
-    """
+    only the last pass's new rows, and the atoms written before it that this
+    stratum derives reading only the rows older than those.  Every term gets
+    a binding column: the constants (coded by ``code``), then the variables
+    in the order the plan binds them."""
     body = rule.body_pos
-    order = sorted(range(len(body)), key=lambda j: j != delta_at)  # delta_at first
-    atoms = (rule.head, *body, *rule.body_neg)
-    consts = list(dict.fromkeys(t for a in atoms for t in a.terms if not isinstance(t, Variable)))
-    slot = {t: i for i, t in enumerate(consts)}
+    consts = list(dict.fromkeys(t for a in (rule.head, *body, *rule.body_neg)
+                                for t in a.terms if not isinstance(t, Variable)))
+    column = {t: k for k, t in enumerate(consts)}
     steps = []
-    for j in order:
-        atom = body[j]
-        key_positions, key_slots, repeats, first = [], [], [], {}
-        for p, t in enumerate(atom.terms):
+    for j in sorted(range(len(body)), key=lambda j: j != delta_at):  # delta_at first
+        keys, repeats, first = [], [], {}
+        for p, t in enumerate(body[j].terms):
             if t in first:
                 repeats.append((p, first[t]))
-            elif t in slot:
-                key_positions.append(p)
-                key_slots.append(slot[t])
+            elif t in column:
+                keys.append((p, column[t]))
             else:
                 first[t] = p
-        lo = len(slot)
-        slot.update((t, lo + i) for i, t in enumerate(first))
-        if j == delta_at:
-            source = _DELTA
-        elif delta_at is not None and j < delta_at and atom.predicate in derived:
-            source = _OLD
-        else:
-            source = _FULL
-        steps.append(_Step(atom.predicate, source, tuple(key_positions),
-                           itemgetter(*key_slots) if key_slots else None, tuple(repeats),
-                           lo, len(slot), _getter(list(first.values())), j))
-    env = consts + [None] * (len(slot) - len(consts))
-    head, *neg = ((a.predicate, _getter([slot[t] for t in a.terms]))
-                  for a in (rule.head, *rule.body_neg))
-    return _Plan(tuple(steps), env, head, tuple(neg))
+        column.update(zip(first, range(len(column), len(column) + len(first))))
+        old = delta_at is not None and j < delta_at and body[j].predicate in derived
+        source = _DELTA if j == delta_at else _OLD if old else _FULL
+        steps.append(_Step(body[j].predicate, source, tuple(keys), tuple(repeats),
+                           tuple(first.values()), j))
+    head, *neg = ((a.predicate, [column[t] for t in a.terms]) for a in (rule.head, *rule.body_neg))
+    return _Plan(list(map(code, consts)), tuple(steps), head, tuple(neg))
 
 
-def _fire(plan: _Plan, rel: _Relations, fresh: dict, rules: dict | None, new: dict) -> int:
-    """Run ``plan`` against ``rel`` and the last pass's new atoms ``fresh``;
-    return its firings.
-
-    Each instantiation of the positive body becomes a ground rule in
-    ``rules``, unless that is None; its head goes to ``new`` unless it is
-    already derived or a negative literal holds.
-    """
-    steps, env, (head_pred, head_args), negs = plan
-    env = list(env)
-    matched = [None] * len(steps)
-    atoms = rel.atoms
-    tables = []
-    for step in steps:
-        if step.source == _DELTA:
-            src = [atom for atom in fresh if atom[0] == step.predicate]
-            tables.append(_bucket(src, itemgetter(*step.key_positions))
-                          if step.key_positions else src)
-        elif step.key_positions:
-            tables.append(rel.index(step.predicate, step.key_positions))
-        else:
-            tables.append(rel.lists.get(step.predicate, ()))
-    firings = 0
-
-    def walk(i: int) -> None:
-        nonlocal firings
-        if i == len(steps):
-            firings += 1
-            head = (head_pred, head_args(env))
-            neg = tuple([(pred, args(env)) for pred, args in negs])
-            if rules is not None:
-                rules[GroundRule(head, tuple(matched), neg)] = None
-            if head not in atoms:
-                for atom in neg:
-                    if atom in atoms:
-                        break
-                else:
-                    new[head] = None
-            return
-        _, source, _, key, repeats, lo, hi, take, written = steps[i]
-        table = tables[i]
-        for atom in table if key is None else table.get(key(env), ()):
-            args = atom[1]
-            if repeats and any(args[p] != args[q] for p, q in repeats):
-                continue
-            if source == _OLD and atom in fresh:
-                continue
-            env[lo:hi] = take(args)
-            matched[written] = atom
-            walk(i + 1)
-
-    walk(0)
-    return firings
+def _fire(plan: _Plan, rel: Relations, marks: dict[str, int], rules: dict | None,
+          new: dict[str, list[np.ndarray]]) -> int:
+    """Run ``plan`` against ``rel``; return its firings.  Each step keeps the
+    rows of its source whose repeated variables agree, and joins each binding
+    so far with every one that matches it at the key positions, in table
+    order: the bindings come in the order of nested loops.  Each is a firing
+    and, unless ``rules`` is None, a ground rule in it; its head goes to
+    ``new`` unless a negative literal holds (an anti-join)."""
+    bound = np.array([plan.consts], np.int64).reshape(1, -1)  # one binding: the constants
+    matched = []  # per step, the table row each binding matched (when recording)
+    for pred, source, keys, repeats, takes, _ in plan.steps:
+        if not len(bound):
+            return 0
+        table, mark = rel.tables[pred], marks.get(pred, len(rel.tables[pred]))
+        index = np.arange(mark, len(table)) if source == _DELTA else \
+            np.arange(mark if source == _OLD else len(table))
+        for p, q in repeats:
+            index = index[table[index, p] == table[index, q]]
+        left, right = _join(bound[:, [c for _, c in keys]], table[index][:, [p for p, _ in keys]])
+        bound = np.concatenate([bound[left], table[index[right]][:, list(takes)]], axis=1)
+        if rules is not None:
+            matched = [m[left] for m in matched] + [index[right]]
+    head_pred, head_columns = plan.head
+    heads = bound[:, head_columns]
+    negs = [(pred, bound[:, columns]) for pred, columns in plan.neg]
+    if rules is not None:
+        def atoms(pred, codes):
+            return zip(repeat(pred), rel.decode(codes))
+        pos = [atoms(step.predicate, rel.tables[step.predicate][m]) for step, m in
+               sorted(zip(plan.steps, matched), key=lambda pair: pair[0].written)]
+        neg = [atoms(pred, codes) for pred, codes in negs]
+        rules.update(zip(map(GroundRule, atoms(head_pred, heads), zip(*pos) if pos else repeat(()),
+                             zip(*neg) if neg else repeat(())), repeat(None)))
+    keep = np.ones(len(bound), bool)
+    for pred, codes in negs:
+        keep[_join(codes, rel.tables[pred])[0]] = False
+    new.setdefault(head_pred, []).append(heads[keep])
+    return len(bound)
 
 
-def check_arities(program: Program, fact_atoms: Iterable[GroundAtom]) -> None:
+def check_arities(program: Program, facts) -> None:
     """Raise :class:`ArityError` if a predicate of the program or the facts
-    is used with two different arities."""
+    (a :class:`Relations`, or atoms) is used with two different arities."""
     arity: dict[str, int] = {}
-
-    def check(pred: str, n: int, context: str):
+    in_facts = ([(pred, table.shape[1]) for pred, table in facts.tables.items()]
+                if isinstance(facts, Relations) else
+                dict.fromkeys((pred, len(args)) for pred, args in facts))
+    for pred, n, rule in chain(((pred, n, None) for pred, n in in_facts),
+                               ((atom.predicate, len(atom.terms), rule) for rule in program.rules
+                                for atom in (rule.head, *rule.body_pos, *rule.body_neg))):
         seen = arity.setdefault(pred, n)
         if seen != n:
-            raise ArityError(
-                f"predicate {pred!r} used with arity {n} in {context} "
-                f"but with arity {seen} elsewhere"
-            )
-
-    for pred, n in dict.fromkeys((pred, len(args)) for pred, args in fact_atoms):
-        check(pred, n, "the fact base")
-    for rule in program.rules:
-        for atom in (rule.head, *rule.body_pos, *rule.body_neg):
-            check(atom.predicate, len(atom.terms), f"rule '{rule}'")
+            context = "the fact base" if rule is None else f"rule '{rule}'"
+            raise ArityError(f"predicate {pred!r} used with arity {n} in {context} "
+                             f"but with arity {seen} elsewhere")
 
 
 def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
     """Instantiate the program over every substitution whose positive body is
     satisfiable by derivable atoms (facts included as empty-body ground rules).
 
-    Strata run bottom-up, each semi-naively (Bancilhon & Ramakrishnan 1986):
-    a first pass joins every rule against all atoms so far, and while a pass
-    derives new atoms, the next joins the rules whose positive body has a
-    predicate of this stratum against those new atoms only.  Each rule is
-    compiled once into join plans over hash indexes on (predicate, bound
-    argument positions), so the ground program for the revision rules stays
-    linear in the fact count, and every instantiation fires exactly once.
-    The evaluation keeps only the atoms and counters; the ground rules are
-    enumerated when ``rules`` is first read.  Of the result, only the order
-    of ``rules`` follows the order of ``facts``, kept as given (a tuple is not copied).
-    """
-    fact_atoms = tuple(facts)
+    ``facts`` is a :class:`Relations`, kept as given, or atoms, grouped into
+    one.  Strata run bottom-up, each semi-naively (Bancilhon & Ramakrishnan
+    1986): after a first pass over all atoms, each pass joins the rules with
+    a body predicate of the stratum against the last pass's new atoms only,
+    through join plans compiled once per rule and run a set at a time, so
+    every instantiation fires once.  The model's atoms are decoded, and the
+    ground rules enumerated, on first read; only the order of ``rules``
+    follows the order of ``facts``."""
+    fact_atoms = facts if isinstance(facts, Relations) else tuple(facts)
     check_arities(program, fact_atoms)
-    firings, atoms = _evaluate(program, fact_atoms, None)
-    stats = EvalStats(firings, len(atoms))
-    return GroundProgram(stats, AnswerSet(atoms, stats), (program, fact_atoms))
+    firings, model = _evaluate(program, fact_atoms, None)
+    stats = EvalStats(firings, len(model))
+    return GroundProgram(stats, AnswerSet(model, stats), (program, fact_atoms))
 
 
-def _evaluate(program: Program, fact_atoms: tuple[GroundAtom, ...],
-              rules: dict | None) -> tuple[int, set[GroundAtom]]:
-    """The firings and derived atoms of :func:`ground`; with a dict ``rules``,
-    each distinct fact and each firing also becomes a ground rule in it."""
+def _evaluate(program: Program, facts, rules: dict | None) -> tuple[int, Relations]:
+    """The firings and model of :func:`ground`; with a dict ``rules``, each
+    distinct fact and each firing also becomes a ground rule in it."""
     if rules is not None:  # an insertion-ordered set: the facts may repeat
-        rules.update(dict.fromkeys(GroundRule(atom, (), ()) for atom in fact_atoms))
-    rel = _Relations()
-    rel.extend(dict.fromkeys(fact_atoms))
-
+        rules.update(dict.fromkeys(GroundRule(atom, (), ()) for atom in facts))
+    given = facts if isinstance(facts, Relations) else Relations.of(facts)
+    rel, marks = Relations({}, given.symbols), {}
+    _extend(rel, marks, {pred: [table] for pred, table in given.tables.items()})
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
         by_stratum.setdefault(program.strata[rule.head.predicate], []).append(rule)
-
+        for atom in (rule.head, *rule.body_pos, *rule.body_neg):
+            rel.tables.setdefault(atom.predicate, np.empty((0, len(atom.terms)), np.int64))
     firings = 0
     for stratum in sorted(by_stratum):
         stratum_rules = by_stratum[stratum]
         derived = {rule.head.predicate for rule in stratum_rules}
-        delta_plans = [_compile(rule, k, derived) for rule in stratum_rules
+        delta_plans = [_compile(rule, rel.code, k, derived) for rule in stratum_rules
                        for k, atom in enumerate(rule.body_pos) if atom.predicate in derived]
         # negative literals point strictly below this stratum, so their
         # truth is already decided by the atoms derived so far
-        new: dict[GroundAtom, None] = {}
+        new: dict[str, list[np.ndarray]] = {}
         for rule in stratum_rules:
-            firings += _fire(_compile(rule), rel, {}, rules, new)
-        rel.extend(new)
-        while new and delta_plans:
-            fresh, new = new, {}
+            firings += _fire(_compile(rule, rel.code), rel, marks, rules, new)
+        while _extend(rel, marks, new) and delta_plans:
+            new = {}
             for plan in delta_plans:
-                firings += _fire(plan, rel, fresh, rules, new)
-            rel.extend(new)
-    return firings, rel.atoms
+                firings += _fire(plan, rel, marks, rules, new)
+    return firings, rel
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-def _ground_strata(rules: Iterable[GroundRule]) -> dict[str, int]:
-    graph: dict[str, set[tuple[str, bool]]] = {}
-    for head, pos, neg in rules:
-        deps = graph.setdefault(head[0], set())
-        for atom in pos:
-            deps.add((atom[0], False))
-            graph.setdefault(atom[0], set())
-        for atom in neg:
-            deps.add((atom[0], True))
-            graph.setdefault(atom[0], set())
-    return _stratify(graph)
-
 
 def solve(ground_program: GroundProgram) -> AnswerSet:
     """Evaluate strata bottom-up to the unique stable model.
@@ -657,7 +660,8 @@ def solve(ground_program: GroundProgram) -> AnswerSet:
     Within a stratum the positive fixpoint is iterated with lower-stratum
     negations treated as decided.  Output is independent of rule order.
     """
-    strata = _ground_strata(ground_program.rules)  # defensive re-check
+    strata = _stratify(_dependency_graph((head[0], [a[0] for a in pos], [a[0] for a in neg])
+                                         for head, pos, neg in ground_program.rules))  # a re-check
     by_stratum: dict[int, list[GroundRule]] = {}
     for rule in ground_program.rules:
         by_stratum.setdefault(strata[rule.head[0]], []).append(rule)
@@ -685,14 +689,9 @@ def check_stability(ground_program: GroundProgram, candidate) -> bool:
     remaining negative literals, and compares the candidate with the least
     model of the resulting positive program.
     """
-    if hasattr(candidate, "atoms"):
-        candidate = candidate.atoms
-    cand = frozenset(candidate)
-    reduct = [
-        (head, pos)
-        for head, pos, neg in ground_program.rules
-        if not any(n in cand for n in neg)
-    ]
+    cand = frozenset(getattr(candidate, "atoms", candidate))  # an AnswerSet, or atoms
+    reduct = [(head, pos) for head, pos, neg in ground_program.rules
+              if not any(n in cand for n in neg)]
     least: set[GroundAtom] = set()
     changed = True
     while changed:

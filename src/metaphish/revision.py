@@ -127,61 +127,64 @@ class FinalBeliefs(Beliefs):
         return "".join(["id,classifier,initial,final,revised\n", *chain.from_iterable(zip(*rows))])
 
 
-def apply_revision(beliefs: Beliefs, facts: tuple[kb.Fact, ...],
+def apply_revision(beliefs: Beliefs, facts: kb.FactBase,
                    program: nmr.Program | None = None) -> FinalBeliefs:
     """Revise beliefs by grounding the rule program over ``facts``.
 
     ``facts`` is ``kb.encode(beliefs, meta_flags)``.  The verdicts are read
-    from the model that :func:`nmr.ground` computes, which must carry exactly
-    one ``final(cl,id,class)`` atom per decision; anything else means the rule
-    program is broken and raises.
+    from the columns of the ``final`` atoms of the model that
+    :func:`nmr.ground` computes, which must hold exactly one
+    ``final(cl,id,class)`` atom per decision; anything else means the rule
+    program is broken and raises, naming the first offending atom in
+    final_beliefs.csv order.
     """
     if program is None:
         program = revision_program()
-    finals: dict[object, dict[object, int]] = {}  # classifier -> instance -> class
-    wrong_arity, unknown_symbol, conflicts = [], [], []
-    for pred, args in nmr.ground(program, facts).model.atoms:
-        if pred != "final":
-            continue
-        if len(args) != 3:
-            wrong_arity.append(args)
-        elif args[2] not in kb.SYMBOL_TO_CLASS:
-            unknown_symbol.append(args)
-        else:
-            cl, iid, symbol = args
-            cls = kb.SYMBOL_TO_CLASS[symbol]
-            if finals.setdefault(cl, {}).setdefault(iid, cls) != cls:
-                conflicts.append((cl, iid))
-    # the model's atoms iterate in hash order: each message names the first
-    # offending atom in final_beliefs.csv order, whatever the hash seed
-    if wrong_arity:
-        atom = nmr.format_ground_atom(("final", _first_decision(wrong_arity)))
+    model = nmr.ground(program, facts).model.relations
+    final = model.tables.get("final", np.empty((0, 3), np.int64))
+    if final.shape[1] != 3 and len(final):
+        atom = nmr.format_ground_atom(("final", _first_decision(model.decode(final))))
         raise ValueError(f"unexpected arity for final atom {atom}")
-    if unknown_symbol:
-        args = _first_decision(unknown_symbol)
+    final = final.reshape(-1, 3)
+    cls = _positions(np.array([model.code(symbol) for symbol in kb.SYMBOL_TO_CLASS]), final[:, 2])
+    if (cls < 0).any():
+        args = _first_decision(model.decode(final[cls < 0]))
         raise ValueError(f"unknown class symbol {args[2]!r} in final atom "
                          f"{nmr.format_ground_atom(('final', args))}")
-    if conflicts:
-        raise ValueError(f"conflicting final beliefs derived for {_first_decision(conflicts)}")
+    _, inverse, counts = np.unique(nmr.row_keys(final[:, :2], final[:0, :2])[0],
+                                   return_inverse=True, return_counts=True)
+    twice = counts[inverse] > 1  # the atoms are distinct: two classes
+    if twice.any():
+        raise ValueError("conflicting final beliefs derived for "
+                         f"{_first_decision(model.decode(final[twice, :2]))}")
 
-    ids = beliefs.ids.tolist()
     kinds = list(beliefs.classes)
-    table = np.array([list(map(finals.get(kind.value, {}).get, ids, repeat(-1)))
-                      for kind in kinds], dtype=np.int64).reshape(len(kinds), len(ids))
+    k = _positions(np.array([model.code(kind.value) for kind in kinds]), final[:, 0])
+    row = _positions(model.encode(beliefs.ids), final[:, 1])
+    known = (k >= 0) & (row >= 0)
+    table = np.full((len(kinds), len(beliefs.ids)), -1, np.int64)
+    table[k[known], row[known]] = np.array(list(kb.SYMBOL_TO_CLASS.values()))[cls[known]]
     missing = np.argwhere(table.T < 0)  # (row, classifier) pairs, in (id, classifier) order
     if missing.size:
         row, k = missing[0]
         raise ValueError(
             f"rule program derived no final belief for classifier {kinds[k].value!r}, "
-            f"instance {ids[row]}; the rule set must derive final/3 atoms "
+            f"instance {beliefs.ids[row]}; the rule set must derive final/3 atoms "
             "(including a pass-through rule for unrevised predictions)")
-    if sum(map(len, finals.values())) > table.size:  # an atom for no decision
-        known_kinds, known_ids = {kind.value for kind in kinds}, set(ids)
-        cl, iid = min(((cl, iid) for cl, by_id in finals.items() for iid in by_id
-                       if cl not in known_kinds or iid not in known_ids), key=str)
+    if not known.all():  # an atom for no decision
+        cl, iid = min(model.decode(final[~known, :2]), key=str)
         raise ValueError(f"rule program derived a final belief for classifier {cl!r}, "
                          f"instance {iid!r}, which is not a decision of the beliefs")
     return FinalBeliefs(beliefs.ids, dict(zip(kinds, table)), beliefs)
+
+
+def _positions(codes: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """The index in ``codes`` (distinct) of each of ``found``, or -1."""
+    if not len(codes):
+        return np.full(len(found), -1)
+    order = np.argsort(codes)
+    at = order[np.searchsorted(codes, found, sorter=order).clip(max=len(codes) - 1)]
+    return np.where(codes[at] == found, at, -1)
 
 
 def _first_decision(found: list[tuple]) -> tuple:

@@ -412,6 +412,14 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
     return finals
 
 
+def atom_serialize(facts: Iterable[GroundAtom], path) -> int:
+    """``kb.serialize`` one fact at a time: ``predicate(args).`` and a line
+    end per fact, in order (the oracle for its line templates)."""
+    data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in facts).encode("ascii")
+    Path(path).write_bytes(data)
+    return len(data)
+
+
 def row_final_beliefs_csv(beliefs: list[InitialBelief], finals: list[FinalBelief]) -> str:
     """``final_beliefs.csv`` through ``csv.writer``, one row per belief."""
     buf = io.StringIO()
@@ -736,20 +744,21 @@ def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> SimpleNa
 
 
 
-def random_nonground_program(rng: random.Random) -> tuple[str, list[GroundAtom]]:
+def random_nonground_program(rng: random.Random, consts=(0, 1, 2, "a", "b"),
+                             fact_consts=None) -> tuple[str, list[GroundAtom]]:
     """A random non-ground stratified program and input facts for it.
 
     Predicates of arity 0-2 get levels 0-2; a rule's positive body stays at
     or below its head's level (so a stratum can recurse, through rules of
     up to three body atoms) and its negative body strictly below.  Terms are
     variables from a small pool, so one can repeat inside an atom, or
-    constants, in the head and both bodies.  Every program also holds a
-    duplicated rule, a copy of a rule with its variables renamed, and a
-    program fact equal to an input fact, if there is one.
+    constants from ``consts``, in the head and both bodies; the input facts
+    draw theirs from ``fact_consts`` (by default ``consts``).  Every program
+    also holds a duplicated rule, a copy of a rule with its variables
+    renamed, and a program fact equal to an input fact, if there is one.
     """
-    consts = [0, 1, 2, "a", "b"]
     preds = {f"p{k}": (rng.randint(0, 2), rng.randint(0, 2)) for k in range(rng.randint(2, 5))}
-    facts = [(pred, tuple(rng.choice(consts) for _ in range(arity)))
+    facts = [(pred, tuple(rng.choice(fact_consts or consts) for _ in range(arity)))
              for pred, (arity, _) in preds.items() for _ in range(rng.randint(0, 4))]
 
     def atom(pred, variables):
@@ -777,7 +786,9 @@ def random_nonground_program(rng: random.Random) -> tuple[str, list[GroundAtom]]
     def text(pred, terms):
         return f"{pred}({','.join(map(str, terms))})" if terms else pred
 
-    lines = [f"{text(*fact)}." for fact in rng.sample(facts, min(len(facts), 1))]
+    # a program fact, unless its constants cannot be written in rule text
+    lines = [f"{text(*fact)}." for fact in rng.sample(facts, min(len(facts), 1))
+             if all(a in consts for a in fact[1])]
     for head, pos, neg in rules:
         body = [text(*a) for a in pos] + [f"not {text(*a)}" for a in neg]
         lines.append(f"{text(*head)} :- {', '.join(body)}." if body else f"{text(*head)}.")
@@ -804,3 +815,55 @@ def positive_instantiations(program: Program, model: Iterable[GroundAtom]) -> in
         return total
 
     return sum(count(rule.body_pos, {}) for rule in program.rules)
+
+
+def dict_reader_manifest(out_dir: Path, n_rows: int) -> tuple[set[int], set[int]]:
+    """``cli._read_manifest`` through ``csv.DictReader``, as it was before it
+    read header positions (the oracle for its results and messages)."""
+    from metaphish.cli import MANIFEST_FILE, ConfigError
+
+    path = out_dir / MANIFEST_FILE
+    if not path.is_file():
+        raise ConfigError(f"split manifest not found: {path} (run 'train' first)")
+    ids_by_role: dict[str, set[int]] = {"train": set(), "test": set()}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                role = row.get("role")
+                try:
+                    rid = int(row.get("id") or "")
+                except ValueError:
+                    rid = None
+                fold = row.get("fold")
+                if role not in ids_by_role:
+                    problem = f"unknown role {role!r} (expected 'train' or 'test')"
+                elif rid is None:
+                    problem = f"id {row.get('id')!r} is not an integer"
+                elif role == "train" and not (fold and fold.isascii() and fold.isdigit()):
+                    problem = f"train row {rid} has fold {fold!r}, not a non-negative integer"
+                elif role == "test" and fold != "":
+                    problem = f"test row {rid} has fold {fold!r}; a test row has none"
+                elif not 0 <= rid < n_rows:
+                    problem = f"id {rid} is outside the dataset's rows [0, {n_rows})"
+                elif rid in ids_by_role["train"] or rid in ids_by_role["test"]:
+                    problem = f"duplicate id {rid}"
+                else:
+                    ids_by_role[role].add(rid)
+                    continue
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: {problem}; re-run 'train' on this dataset"
+                )
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc}); re-run 'train'") from None
+    if not ids_by_role["test"]:
+        raise ConfigError(
+            f"{path}: no test rows to revise; re-run 'train' with a larger --test-fraction"
+        )
+    if not ids_by_role["train"]:
+        raise ConfigError(f"{path}: no train rows to rebuild the models from; re-run 'train'")
+    if len(ids_by_role["train"]) + len(ids_by_role["test"]) < n_rows:
+        missing = min(set(range(n_rows)) - ids_by_role["train"] - ids_by_role["test"])
+        raise ConfigError(f"{path}: id {missing} of the dataset's {n_rows} rows is not listed; "
+                          f"re-run 'train' on this dataset")
+    return ids_by_role["train"], ids_by_role["test"]

@@ -659,8 +659,10 @@ class TestKNN:
         X = np.vstack([base, base, base])
         y = rng.integers(0, 2, size=len(X))
         Q = np.vstack([base[:4], rng.integers(0, 3, size=(19, 3)).astype(np.float64)])
-        monkeypatch.setattr(knn_module, "BLOCK_ELEMENTS", rows_per_block * len(X))
+        n, d = X.shape
         for k in (1, 2, 3, 5, 9, 18, 25):
+            # the block rule, BLOCK_ELEMENTS // (n + min(k, n) * d), gives exactly rows_per_block
+            monkeypatch.setattr(knn_module, "BLOCK_ELEMENTS", rows_per_block * (n + min(k, n) * d))
             for weights in ("uniform", "distance"):
                 for metric in ("euclidean", "manhattan"):
                     knn = KNearestNeighbors(k=k, weights=weights, metric=metric).fit(X, y)

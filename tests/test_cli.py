@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from metaphish.classifiers import Beliefs, ClassifierKind
 from metaphish.cli import main
 from metaphish.revision import parse_kv
 
-from _support import FIXTURE_CSV, edit_row, set_cell
+from _support import FIXTURE_CSV, dict_reader_manifest, edit_row, set_cell
 from test_classifiers import PINNED_ARTIFACTS
 
 DATASET_ARGS = ["--dataset", str(FIXTURE_CSV)]
@@ -107,6 +108,23 @@ class TestTrain:
                f"pass a directory path or move the file" in err, err
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("error", [PermissionError(13, "Permission denied"),
+                                       FileNotFoundError(2, "No such file or directory")],
+                             ids=["permission", "not-found"])
+    def test_out_that_cannot_be_created_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       error):
+        # any other failure to create --out (a read-only or pseudo file system,
+        # no permission) ended in exit 1 with the bare OS text
+        def refuse(self, *args, **kwargs):
+            raise error
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        assert main(["train", *DATASET_ARGS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out}: cannot create this directory ({error.strerror}); " in err, err
+        assert not out.exists()
+
     def test_corrupt_dataset_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         header, first_row = FIXTURE_CSV.read_text().splitlines()[:2]
@@ -176,6 +194,41 @@ class TestRevise:
         for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == PINNED_ARTIFACTS[name], name
+
+    def test_revise_builds_no_fact_and_decodes_no_model(self, pipeline_run, tmp_path,
+                                                         monkeypatch):
+        # revise keeps facts and derived atoms in integer-coded columns from
+        # kb.encode to final_beliefs.csv: no Fact tuple is made, and the
+        # model's atom set is never decoded
+        made, decoded = [], []
+
+        class CountedFact(kb.Fact):
+            def __new__(cls, *args):
+                made.append(args)
+                return super().__new__(cls, *args)
+
+            @classmethod
+            def _make(cls, iterable):  # a named tuple's _make skips __new__
+                made.append(iterable)
+                return super()._make(iterable)
+
+        def atoms(self):
+            decoded.append(self)
+            return set(self.relations)
+
+        monkeypatch.setattr(kb, "Fact", CountedFact)
+        monkeypatch.setattr(nmr.AnswerSet, "atoms", property(atoms))
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
+        assert made == [] and decoded == []
+        for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == PINNED_ARTIFACTS[name], name
+        beliefs = Beliefs([7], {ClassifierKind.SVM: [1]})
+        facts = kb.encode(beliefs, {7: True})
+        assert [str(fact) for fact in facts] == ["meta(7,yes)", "pred(svm,7,phishing)"]
+        assert nmr.ground(revision.revision_program(), facts).model.holds("revise", "svm", 7)
+        assert len(made) == 2 and len(decoded) == 1  # what is made on demand is counted
 
     def test_revise_builds_no_decision_row(self, pipeline_run, tmp_path, monkeypatch):
         # revise keeps its beliefs in columns from prediction to report; a
@@ -774,6 +827,78 @@ class TestDamagedRunFiles:
             assert any(f"error: {out / n}" in err for n in damaged), err
         if name == "run_inputs.kv":
             assert INPUTS_MESSAGES[fault] in err, err
+
+
+# manifests whose header or rows have another shape than train writes:
+# (header, rows), each a list of lines, or a whole text
+MANIFEST_SHAPES = {
+    "columns-reordered": lambda lines: ["fold,id,role"] + [
+        ",".join((c[2], c[0], c[1])) for c in (line.split(",") for line in lines[1:])],
+    "id-twice": lambda lines: ["id,role,fold,id"] + [line + ",x" for line in lines[1:]],
+    "id-twice-last-empty": lambda lines: ["id,role,fold,id"] + [line + "," for line in lines[1:]],
+    "no-fold-column": lambda lines: ["id,role"] + [line.rsplit(",", 1)[0] for line in lines[1:]],
+    "no-role-column": lambda lines: ["id,fold"] + [line.split(",")[0] for line in lines[1:]],
+    "no-id-column": lambda lines: ["role,fold"] + lines[1:],
+    "short-row": lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:],
+    "long-rows": lambda lines: [line + ",extra,more" for line in lines],
+    "blank-lines": lambda lines: [lines[0], "", *lines[1:5], "", "", *lines[5:], ""],
+    "blank-header": lambda lines: ["", *lines],
+    "header-only": lambda lines: lines[:1],
+    "empty": lambda lines: [],
+    "quoted-cells": lambda lines: [lines[0]] + [f'"{line.split(",")[0]}",{line.split(",", 1)[1]}'
+                                                for line in lines[1:]],
+    "quoted-newline": lambda lines: lines[:3] + ['"5\n",test,'] + lines[3:],
+    "header-spaces": lambda lines: ["id, role, fold"] + lines[1:],
+    "bom": lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+    "crlf": lambda lines: [line + "\r" for line in lines],
+}
+
+
+class TestManifestReader:
+    """``cli._read_manifest`` against the ``csv.DictReader`` reader it replaced."""
+
+    @staticmethod
+    def outcome(read, out, n_rows):
+        try:
+            return read(out, n_rows)
+        except cli.ConfigError as exc:
+            return str(exc)
+
+    def check(self, out, text, n_rows=200):
+        (out / cli.MANIFEST_FILE).write_bytes(text.encode("utf-8", "surrogateescape"))
+        want = self.outcome(dict_reader_manifest, out, n_rows)
+        assert self.outcome(cli._read_manifest, out, n_rows) == want
+        return want
+
+    @pytest.mark.parametrize("shape", MANIFEST_SHAPES)
+    def test_same_result_for_another_shape(self, pipeline_run, tmp_path, shape):
+        lines = (pipeline_run / cli.MANIFEST_FILE).read_text().splitlines()
+        self.check(tmp_path, "".join(line + "\n" for line in MANIFEST_SHAPES[shape](lines)))
+
+    def test_same_result_for_random_edits(self, pipeline_run, tmp_path):
+        lines = (pipeline_run / cli.MANIFEST_FILE).read_text().splitlines()
+        rng = random.Random(29)
+        cells = ["", "0", "7", "199", "200", "-1", "x", "train", "test", "id", "role", "fold",
+                 '"', "1.0", " 3"]
+        outcomes = set()
+        for _ in range(300):
+            edited = list(lines)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(edited) + 1)
+                row = edited[at].split(",") if at < len(edited) else []
+                action = rng.randrange(4)
+                if action == 0 and row:  # replace a cell
+                    row[rng.randrange(len(row))] = rng.choice(cells)
+                elif action == 1 and row:  # drop a cell
+                    del row[rng.randrange(len(row))]
+                elif action == 2:  # add a cell
+                    row.insert(rng.randint(0, len(row)), rng.choice(cells))
+                if action == 3:  # drop the line, or add a blank one
+                    edited[at:at + 1] = [] if row else [""]
+                else:
+                    edited[at:at + 1] = [",".join(row)]
+            outcomes.add(type(self.check(tmp_path, "\n".join(edited) + "\n")))
+        assert outcomes == {str, tuple}  # both accepted and refused manifests are met
 
 
 # the fixture's 90 columns: url, 87 features, status, meta_present

@@ -10,7 +10,7 @@ from metaphish.classifiers import KIND_ORDER, Beliefs, ClassifierKind
 from metaphish.dataset import load_dataset
 from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, encode, serialize
 
-from _support import FIXTURE_CSV, random_scenario
+from _support import FIXTURE_CSV, atom_serialize, random_scenario
 
 
 class TestFact:
@@ -110,6 +110,26 @@ class TestSerialize:
             if f.predicate == "meta"
         }
         assert meta_back == meta
+
+    def test_same_bytes_as_one_fact_at_a_time(self, tmp_path):
+        # the line templates against the per-fact writer: encode's facts, and
+        # fact bases grouped from atoms whose argument columns mix symbols,
+        # ids, ints past the self-coded range and negative ints
+        rng = random.Random(25)
+        consts = ("svm", "benign", 0, 7, 2**62, 2**63 + 1, -3, "x_1")
+        for n in (0, 1, 9, 200):
+            beliefs, meta, _ = random_scenario(rng, n)
+            facts = encode(beliefs, meta)
+            assert serialize(facts, tmp_path / "a.lp") == atom_serialize(tuple(facts),
+                                                                         tmp_path / "b.lp")
+            assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
+        for _ in range(200):
+            atoms = [(pred, tuple(rng.choice(consts[:rng.randint(1, len(consts))])
+                                  for _ in range(arity)))
+                     for pred, arity in (("p", 3), ("q", 0), ("r", 1), ("s", 2))
+                     for _ in range(rng.randint(0, 6))]
+            assert serialize(atoms, tmp_path / "a.lp") == atom_serialize(atoms, tmp_path / "b.lp")
+            assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
     def test_byte_stable(self, tmp_path):
         beliefs = Beliefs(range(20), {ClassifierKind.KNN: [i % 2 for i in range(20)]})

@@ -36,6 +36,11 @@ from _support import (
     tarjan_stratify,
 )
 
+# constants that rule text can hold, and more that only facts can: past the
+# int64 range, at the edge of the self-coded range, and negative
+AWKWARD_RULE_CONSTS = (0, 7, 2**62 - 1, 2**62, 2**63 + 5, "a")
+AWKWARD_FACT_CONSTS = (*AWKWARD_RULE_CONSTS, -1, -(2**63) - 1, 2**64, "b")
+
 REVISION_TEXT = """
 revise(CL,ID) :- pred(CL,ID,phishing), meta(ID,yes).
 final(CL,ID,benign) :- revise(CL,ID).
@@ -407,6 +412,42 @@ class TestSemiNaive:
             self.check(*random_nonground_program(rng))
 
         check()
+
+    def test_awkward_constants_match_naive_ground(self):
+        # ints past the self-coded range and negative ones (symbol codes), a
+        # symbol and an int in one argument position, 0-arity atoms and
+        # repeated variables; the constants decode to Python ints and strs
+        rng = random.Random(71)
+        for _ in range(400):
+            text, facts = random_nonground_program(rng, AWKWARD_RULE_CONSTS, AWKWARD_FACT_CONSTS)
+            self.check(text, facts)
+            self.check_decoded(ground(parse_program(text), facts))
+
+    def test_awkward_constants_match_naive_ground_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            self.check(*random_nonground_program(rng, AWKWARD_RULE_CONSTS, AWKWARD_FACT_CONSTS))
+
+        check()
+
+    def test_recursion_reads_old_rows_with_awkward_constants(self):
+        # both body atoms of the closure rule are derived in its stratum, so
+        # its delta plans read the older rows of t before the new ones
+        text = "t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z). s(X) :- t(X,X), not u. u :- e(X,X)."
+        nodes = [2**63 + 1, -7, "a", 2**62, 0, -(2**63) - 1, "b", 5]
+        edges = [("e", (a, b)) for a, b in zip(nodes, nodes[1:])]
+        for facts in (edges, edges + [("e", (nodes[-1], nodes[0]))], edges + [("e", (5, 5))]):
+            self.check(text, facts)
+            self.check_decoded(ground(parse_program(text), facts))
+
+    @staticmethod
+    def check_decoded(gp):
+        for atom in (*gp.model.atoms, *(a for r in gp.rules for a in (r.head, *r.pos, *r.neg))):
+            assert all(type(a) in (int, str) for a in atom[1]), atom
 
     def test_recursion_over_many_passes(self):
         # a path of 30 edges: its closure takes passes doubling the path length,
