@@ -304,8 +304,8 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     KNN's training rows and SVM's support vectors are rebuilt as
     ``scaler.scale(data.X[data.rows(train_ids)])``, bitwise the matrix the fit
     saw, so the stored scaler must be the one those rows give.  Raises
-    ValueError (or KeyError or TypeError) on a file that breaks the schema:
-    see the estimators' ``from_dict``.
+    ValueError (or KeyError or TypeError) on a file that breaks the schema,
+    such as a parameter its kind's grid lacks: see the estimators' ``from_dict``.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     fmt = payload.get("format") if type(payload) is dict else None
@@ -316,6 +316,9 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     params, seed, state = payload["params"], payload["seed"], payload["state"]
     if type(params) is not dict or type(state) is not dict or type(seed) is not int:
         raise ValueError("params and state must be objects, and seed an integer")
+    unknown = sorted(set(params) - set(DEFAULT_GRIDS[kind].parameter_lists))
+    if unknown:
+        raise ValueError(f"params not in the {kind.value} grid: {', '.join(map(repr, unknown))}")
     scaler = ScalerStats(float_list(payload["scaler"], "means"),
                          float_list(payload["scaler"], "std_devs"))
     width = data.X.shape[1]

@@ -1,8 +1,8 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
 Working sets of size two are chosen as the maximal violating pair;
-optimization stops when the largest KKT violation drops below ``tol``
-(default 1e-3) or after ``max_iter`` pair updates.
+optimization stops when the largest KKT violation drops below :data:`TOL`
+or after :data:`MAX_ITER` pair updates.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from metaphish.classifiers.schema import (
     number,
     training_set,
 )
+
+TOL = 1e-3
+MAX_ITER = 10_000
 
 
 def linear_kernel(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -46,7 +49,7 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
 class KernelSVM:
     """Binary SVM over labels {0,1}; internally trained on {-1,+1}."""
 
-    def __init__(self, C=1.0, kernel="linear", gamma="scale", tol=1e-3, max_iter=10_000):
+    def __init__(self, C=1.0, kernel="linear", gamma="scale"):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
         if isinstance(C, bool) or not isinstance(C, numbers.Real) or not 0 < C < math.inf:
@@ -54,8 +57,6 @@ class KernelSVM:
         self.C = float(C)
         self.kernel = kernel
         self.gamma = gamma
-        self.tol = tol
-        self.max_iter = max_iter
         self.support_x_ = None
         self.support_rows_ = None
         self.dual_coef_ = None
@@ -103,14 +104,14 @@ class KernelSVM:
         up, low = working_sets(slice(None))  # then kept current, as only two alphas move
         neg_inf = -np.inf
         iters = 0
-        while iters < self.max_iter:
+        while iters < MAX_ITER:
             yg = y * g
             if not up.any() or not low.any():
                 break
             i = int(np.argmax(np.where(up, yg, neg_inf)))
             j = int(np.argmin(np.where(low, yg, -neg_inf)))
             violation = yg[i] - yg[j]
-            if violation < self.tol:
+            if violation < TOL:
                 break
             Ki = krow(i)
             Kj = krow(j)

@@ -4,23 +4,22 @@ Class labels cross into the symbolic layer as named constants
 (0 <-> benign, 1 <-> phishing); the 0/1 coding is confined to
 :func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
 facts one per line in solver-compatible syntax so the file can also be fed
-to external ASP tooling for cross-validation.  A fact base
-(:class:`FactBase`) holds the argument columns of the ``meta`` and ``pred``
-facts in ``facts.lp`` order, every ``meta`` fact by instance id, then every
-``pred`` fact by (instance id, classifier), integer-coded as :mod:`nmr`
-grounds them; iterating it makes each fact, a :class:`Fact`.
-:func:`encode` builds it from the belief columns, :func:`serialize` writes
-it, and :func:`load_facts` reads the facts back, accepting only the lines
-:func:`serialize` writes, in that order.
+to external ASP tooling for cross-validation.  Facts are
+:class:`nmr.Relations`, the integer-coded argument columns :mod:`nmr`
+grounds: every ``meta`` fact by instance id, then every ``pred`` fact by
+(instance id, classifier), in ``facts.lp`` order.  :func:`encode` builds
+them from the belief columns, :func:`serialize` writes them, and
+:func:`load_facts` reads back the lines :func:`serialize` writes, and only
+those, into the columns and symbol table that :func:`encode` builds.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat, starmap
+from array import array
+from itertools import chain, repeat
 from pathlib import Path
-from sys import intern
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -35,31 +34,7 @@ SYMBOL_TO_CLASS = {"benign": 0, "phishing": 1}
 META_TO_SYMBOL = {False: "no", True: "yes"}
 
 
-class Fact(NamedTuple):
-    """A ground atom, ``(predicate, arguments)``, as :mod:`nmr` grounds it."""
-
-    predicate: str
-    arguments: tuple
-
-    def __str__(self):
-        return nmr.format_ground_atom(self)
-
-
-class FactBase(nmr.Relations):
-    """Facts as :mod:`nmr` grounds them: each predicate's argument columns,
-    integer-coded, in ``facts.lp`` order.  Iterating makes the :class:`Fact`
-    of each row."""
-
-    def __iter__(self):
-        return starmap(Fact, super().__iter__())
-
-    def __eq__(self, other):  # equal to a sequence of the same facts, in the same order
-        if isinstance(other, (nmr.Relations, tuple, list)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-
-def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
+def encode(beliefs, meta_flags: Mapping[int, bool]) -> nmr.Relations:
     """One ``meta(id,m)`` fact per instance of the :class:`~metaphish.classifiers.Beliefs`
     ``beliefs``, then one ``pred(cl,id,class)`` fact per decision, built from the
     columns in ``facts.lp`` order.  ``meta_flags`` must cover every instance id
@@ -69,7 +44,7 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
     absent = next((iid for iid in ids if iid not in meta_flags), None)
     if absent is not None:
         raise ValueError(f"belief references instance {absent} absent from meta flags")
-    facts = FactBase()
+    facts = nmr.Relations()
     id_codes = facts.encode(beliefs.ids)
     flags = np.fromiter(map(meta_flags.__getitem__, ids), bool, len(ids))
     no, yes = (facts.code(META_TO_SYMBOL[flag]) for flag in (False, True))
@@ -84,19 +59,17 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> FactBase:
     return facts
 
 
-def serialize(facts: Iterable[Fact], path: str | Path) -> int:
+def serialize(facts: nmr.Relations, path: str | Path) -> int:
     """Write one fact per line as ``predicate(args).`` and return bytes written.
 
     No spaces, trailing period, ``\\n`` line ends, each predicate's facts in
     the order of ``facts`` (for :func:`encode`'s facts, the byte-stable
-    ``facts.lp`` order); a plain iterable of facts is grouped by predicate.
-    A line is made of templates: the text of an argument column that holds
-    more than symbols, and between two such columns the text of the symbol
-    columns with their punctuation, like ``pred(svm,`` and ``,benign).``;
-    each template is formatted once per distinct row of its columns.
+    ``facts.lp`` order).  A line is made of templates: the text of an
+    argument column that holds more than symbols, and between two such
+    columns the text of the symbol columns with their punctuation, like
+    ``pred(svm,`` and ``,benign).``; each template is formatted once per
+    distinct row of its columns.
     """
-    if not isinstance(facts, nmr.Relations):
-        facts = FactBase.of(facts)
     chunks = []
     for pred, table in facts.tables.items():
         n, arity = table.shape
@@ -117,7 +90,7 @@ def serialize(facts: Iterable[Fact], path: str | Path) -> int:
     return len(data)
 
 
-def _filled(facts: FactBase, text: str, run: list[np.ndarray], n: int):
+def _filled(facts: nmr.Relations, text: str, run: list[np.ndarray], n: int):
     """The ``n`` texts of ``text`` with each row's constants of the columns
     ``run`` in its ``{}`` places, formatted once per distinct row."""
     if not run:
@@ -140,7 +113,7 @@ _LINE = re.compile(rf"{META}\({_ID},({'|'.join(META_TO_SYMBOL.values())})\)\."
                    rf"({'|'.join(SYMBOL_TO_CLASS)})\)\.")
 
 
-def load_facts(path: str | Path) -> tuple[Fact, ...]:
+def load_facts(path: str | Path) -> nmr.Relations:
     """The facts of a ``facts.lp`` file, as :func:`encode` built them.
 
     Every line is ``meta(<id>,yes|no).`` or ``pred(<classifier>,<id>,benign|phishing).``
@@ -149,22 +122,25 @@ def load_facts(path: str | Path) -> tuple[Fact, ...]:
     ``meta`` fact.  Any other line raises ValueError naming the file and line.
     """
     *lines, rest = Path(path).read_bytes().decode("ascii", errors="replace").split("\n")
-    facts = []
+    # encode's symbol order: the flags, the classes, then each classifier as it first appears
+    facts = nmr.Relations({}, (*META_TO_SYMBOL.values(), *SYMBOL_TO_CLASS))
+    code = facts.code
+    rows = {META: array("q"), PRED: array("q")}  # each table's codes, row after row
     meta_ids = set()
     last = (META, -1, "")  # the (predicate, id, classifier) of the line before
     for number, line in enumerate(lines, start=1):
         match = _LINE.fullmatch(line)
-        if match is not None:  # interned, the constants share one str each, as encode's do
+        if match is not None:
             meta_id, flag, symbol, pred_id, cls = match.groups()
             if meta_id is not None:
                 iid = int(meta_id)
-                key, fact = (META, iid, ""), Fact._make((META, (iid, intern(flag))))
+                key, row = (META, iid, ""), (code(iid), code(flag))
                 meta_ids.add(iid)
             else:
-                iid, symbol = int(pred_id), intern(symbol)
-                key, fact = (PRED, iid, symbol), Fact._make((PRED, (symbol, iid, intern(cls))))
+                iid = int(pred_id)
+                key, row = (PRED, iid, symbol), (code(symbol), code(iid), code(cls))
             if key > last and iid in meta_ids:
-                facts.append(fact)
+                rows[key[0]].extend(row)
                 last = key
                 continue
         if match is None:
@@ -179,4 +155,6 @@ def load_facts(path: str | Path) -> tuple[Fact, ...]:
         raise ValueError(f"{path}, line {number}: {problem}")
     if rest:
         raise ValueError(f"{path}, line {len(lines) + 1}: {rest!r} has no line end")
-    return tuple(facts)
+    for pred, arity in ((META, 2), (PRED, 3)):
+        facts.tables[pred] = np.frombuffer(rows[pred], np.int64).reshape(-1, arity)
+    return facts

@@ -127,7 +127,7 @@ class FinalBeliefs(Beliefs):
         return "".join(["id,classifier,initial,final,revised\n", *chain.from_iterable(zip(*rows))])
 
 
-def apply_revision(beliefs: Beliefs, facts: kb.FactBase,
+def apply_revision(beliefs: Beliefs, facts: nmr.Relations,
                    program: nmr.Program | None = None) -> FinalBeliefs:
     """Revise beliefs by grounding the rule program over ``facts``.
 

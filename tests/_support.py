@@ -345,7 +345,8 @@ def belief_rows(beliefs: Beliefs) -> list[InitialBelief]:
             for row, iid in enumerate(beliefs.ids.tolist()) for kind in beliefs.classes]
 
 
-def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> tuple[kb.Fact, ...]:
+def row_encode(beliefs: list[InitialBelief],
+               meta_flags: Mapping[int, bool]) -> tuple[GroundAtom, ...]:
     """One ``pred`` fact per belief plus one ``meta`` fact per instance, sorted
     into ``facts.lp`` order: by predicate, then instance id, then classifier."""
     facts = []
@@ -354,21 +355,20 @@ def row_encode(beliefs: list[InitialBelief], meta_flags: Mapping[int, bool]) -> 
         iid = belief.instance_id
         if iid not in meta_flags:
             raise ValueError(f"belief references instance {iid} absent from meta flags")
-        facts.append(kb.Fact(kb.PRED, (belief.classifier.value, iid,
-                                       kb.CLASS_TO_SYMBOL[belief.predicted_class])))
+        facts.append((kb.PRED, (belief.classifier.value, iid,
+                                kb.CLASS_TO_SYMBOL[belief.predicted_class])))
         if iid not in instance_ids:
             instance_ids.add(iid)
-            facts.append(kb.Fact(kb.META, (iid, kb.META_TO_SYMBOL[bool(meta_flags[iid])])))
+            facts.append((kb.META, (iid, kb.META_TO_SYMBOL[bool(meta_flags[iid])])))
 
     def order(fact):  # meta(id,m) by id, then pred(cl,id,class) by id and classifier
-        if fact.predicate == kb.PRED:
-            return fact.predicate, fact.arguments[1], fact.arguments[0]
-        return fact.predicate, fact.arguments[0], ""
+        pred, args = fact
+        return (pred, args[1], args[0]) if pred == kb.PRED else (pred, args[0], "")
 
     return tuple(sorted(facts, key=order))
 
 
-def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[kb.Fact, ...],
+def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[GroundAtom, ...],
                        program: Program | None = None) -> list[FinalBelief]:
     """One final belief per belief, read from the ground model's ``final`` atoms."""
     if program is None:

@@ -88,17 +88,11 @@ def test_c1_asp_path_equals_functional_oracle():
 
 def _revised_identity_check(out_dir):
     facts = kb.load_facts(out_dir / "facts.lp")
-    meta_yes = {
-        f.arguments[0] for f in facts if f.predicate == "meta" and f.arguments[1] == "yes"
-    }
+    meta_yes = {args[0] for pred, args in facts if pred == "meta" and args[1] == "yes"}
     expected = {k.value: 0 for k in KIND_ORDER}
-    for fact in facts:
-        if (
-            fact.predicate == "pred"
-            and fact.arguments[2] == "phishing"
-            and fact.arguments[1] in meta_yes
-        ):
-            expected[fact.arguments[0]] += 1
+    for pred, args in facts:
+        if pred == "pred" and args[2] == "phishing" and args[1] in meta_yes:
+            expected[args[0]] += 1
     kv = parse_kv((out_dir / "report.kv").read_text())
     for kind in KIND_ORDER:
         assert int(kv[f"{kind.value}.revised"]) == expected[kind.value], kind.value

@@ -28,6 +28,7 @@ from metaphish.classifiers import (
     train,
 )
 from metaphish.classifiers import knn as knn_module
+from metaphish.classifiers import svm as svm_module
 from metaphish.classifiers import tree as tree_module
 from metaphish.classifiers.tree import TABLE_ROWS, RankTable, impurity_tables
 from metaphish.dataset import Dataset, load_dataset
@@ -838,7 +839,7 @@ class TestKernelSVM:
     def test_kkt_convergence_flag(self):
         X, y = separable_set(100, seed=9)
         svm = KernelSVM(C=1.0, kernel="rbf", gamma="scale").fit(X, y)
-        assert svm.n_iter_ < svm.max_iter
+        assert svm.n_iter_ < svm_module.MAX_ITER
 
     def test_single_class_degenerate(self):
         X = np.array([[0.0], [1.0]])

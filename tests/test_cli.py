@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from metaphish import cli, kb, nmr, revision
-from metaphish.classifiers import Beliefs, ClassifierKind
+from metaphish.classifiers import DEFAULT_GRIDS, Beliefs, ClassifierKind
 from metaphish.cli import main
+from metaphish.dataset import extract_meta_presence
 from metaphish.revision import parse_kv
 
 from _support import FIXTURE_CSV, dict_reader_manifest, edit_row, set_cell
@@ -164,15 +165,11 @@ class TestRevise:
     def test_facts_identity_check(self, pipeline_run):
         # derived check: recompute revised counts from facts.lp alone
         facts = kb.load_facts(pipeline_run / "facts.lp")
-        meta_yes = {
-            f.arguments[0] for f in facts if f.predicate == "meta" and f.arguments[1] == "yes"
-        }
+        meta_yes = {args[0] for pred, args in facts if pred == "meta" and args[1] == "yes"}
         expected = {}
-        for fact in facts:
-            if fact.predicate == "pred" and fact.arguments[2] == "phishing":
-                if fact.arguments[1] in meta_yes:
-                    cl = fact.arguments[0]
-                    expected[cl] = expected.get(cl, 0) + 1
+        for pred, args in facts:
+            if pred == "pred" and args[2] == "phishing" and args[1] in meta_yes:
+                expected[args[0]] = expected.get(args[0], 0) + 1
         kv = parse_kv((pipeline_run / "report.kv").read_text())
         for cl in ("svm", "knn", "dt", "rf"):
             assert int(kv[f"{cl}.revised"]) == expected.get(cl, 0)
@@ -198,37 +195,32 @@ class TestRevise:
     def test_revise_builds_no_fact_and_decodes_no_model(self, pipeline_run, tmp_path,
                                                          monkeypatch):
         # revise keeps facts and derived atoms in integer-coded columns from
-        # kb.encode to final_beliefs.csv: no Fact tuple is made, and the
-        # model's atom set is never decoded
-        made, decoded = [], []
+        # kb.encode to final_beliefs.csv: no column set is iterated into
+        # atoms, and the model's atom set is never decoded
+        iterated, decoded = [], []
+        iterate = nmr.Relations.__iter__
 
-        class CountedFact(kb.Fact):
-            def __new__(cls, *args):
-                made.append(args)
-                return super().__new__(cls, *args)
-
-            @classmethod
-            def _make(cls, iterable):  # a named tuple's _make skips __new__
-                made.append(iterable)
-                return super()._make(iterable)
+        def counted_iter(self):
+            iterated.append(self)
+            return iterate(self)
 
         def atoms(self):
             decoded.append(self)
             return set(self.relations)
 
-        monkeypatch.setattr(kb, "Fact", CountedFact)
+        monkeypatch.setattr(nmr.Relations, "__iter__", counted_iter)
         monkeypatch.setattr(nmr.AnswerSet, "atoms", property(atoms))
         out = _copy_run(pipeline_run, tmp_path / "out")
         assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
-        assert made == [] and decoded == []
+        assert iterated == [] and decoded == []
         for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == PINNED_ARTIFACTS[name], name
         beliefs = Beliefs([7], {ClassifierKind.SVM: [1]})
         facts = kb.encode(beliefs, {7: True})
-        assert [str(fact) for fact in facts] == ["meta(7,yes)", "pred(svm,7,phishing)"]
+        assert list(map(nmr.format_ground_atom, facts)) == ["meta(7,yes)", "pred(svm,7,phishing)"]
         assert nmr.ground(revision.revision_program(), facts).model.holds("revise", "svm", 7)
-        assert len(made) == 2 and len(decoded) == 1  # what is made on demand is counted
+        assert len(iterated) == 2 and len(decoded) == 1  # what runs on demand is counted
 
     def test_revise_builds_no_decision_row(self, pipeline_run, tmp_path, monkeypatch):
         # revise keeps its beliefs in columns from prediction to report; a
@@ -254,10 +246,8 @@ class TestRevise:
 
     def test_fact_counts(self, pipeline_run):
         facts = kb.load_facts(pipeline_run / "facts.lp")
-        preds = [f for f in facts if f.predicate == "pred"]
-        metas = [f for f in facts if f.predicate == "meta"]
-        assert len(preds) == 4 * 40
-        assert len(metas) == 40
+        assert len(facts.tables["pred"]) == 4 * 40
+        assert len(facts.tables["meta"]) == 40
 
     def test_final_beliefs_consistent(self, pipeline_run):
         with open(pipeline_run / "final_beliefs.csv", newline="") as fh:
@@ -746,8 +736,24 @@ FAULTS = {
     "truncate": lambda text: text[: len(text) // 2],
     "drop-line": _drop_middle_line,
 }
+# params that an estimator's constructor takes but no grid has; revise must
+# refuse a model file whose kind's grid lacks any of them
+PARAM_FAULTS = {
+    "svm-solver-params": {"tol": "abc", "max_iter": -5},
+    "min-samples-split-param": {"min_samples_split": 5},
+    "tree-sampling-params": {"max_features": 3, "rng": 7},
+}
+
+
+def _with_params(extra):
+    """Put the entries of ``extra`` first in the model file's params."""
+    entries = json.dumps(extra, separators=(",", ":"))[1:-1]
+    return lambda text: text.replace('"params":{', '"params":{' + entries + ",", 1)
+
+
 MODEL_FAULTS = {
     **FAULTS,
+    **{fault: _with_params(extra) for fault, extra in PARAM_FAULTS.items()},
     "nan-param": _number_after('"params"', "NaN"),
     "nan-last-number": _number_after(None, "NaN"),
     "string-param": _number_after('"params"', '"x"'),
@@ -827,6 +833,61 @@ class TestDamagedRunFiles:
             assert any(f"error: {out / n}" in err for n in damaged), err
         if name == "run_inputs.kv":
             assert INPUTS_MESSAGES[fault] in err, err
+        if fault in PARAM_FAULTS and not set(PARAM_FAULTS[fault]) <= set(
+                DEFAULT_GRIDS[ClassifierKind(name[len("model_"):-len(".json")])].parameter_lists):
+            assert rc == 2 and "not a usable model file (params not in the " in err, err
+
+
+META_PAGE = ('<html><head><meta name="description" content="a shop"></head>'
+             "<body><p>hi</p></body></html>")
+BARE_PAGE = "<html><body><p>hi</p></body></html>"
+
+
+def _page(data: bytes):
+    return lambda path: path.write_bytes(data)
+
+
+# a damaged <id>.html -> (what is made at its path, the meta flag it reads as)
+PAGE_FAULTS = {
+    "cut-mid-tag": (_page(META_PAGE[:META_PAGE.index("content") + 4].encode()), False),
+    "not-utf-8": (_page(META_PAGE.encode().replace(b"a shop", b"a \xff\xfe shop")), True),
+    "unclosed-meta-at-end": (_page(BARE_PAGE.encode() + b'<meta name="description" content="x"'),
+                             False),
+    "markup-parser-gives-up-on": (_page(b"<![foo]]>" + META_PAGE.encode()), False),
+    "directory": (Path.mkdir, False),
+    "dangling-symlink": (lambda path: path.symlink_to(path.with_name("gone.html")), False),
+}
+
+
+class TestDamagedSnapshotPages:
+    @pytest.mark.parametrize("fault", PAGE_FAULTS)
+    def test_revise_reads_the_flag_the_scanner_gives(self, pipeline_run, tmp_path, fault):
+        # every other test page is damaged; revise must write what it writes
+        # for clean pages whose flags are the scanner's flags of the damaged ones
+        make, flag = PAGE_FAULTS[fault]
+        with open(pipeline_run / "split_manifest.csv", newline="") as fh:
+            test_ids = [int(r["id"]) for r in csv.DictReader(fh) if r["role"] == "test"]
+        damaged, clean = tmp_path / "damaged", tmp_path / "clean"
+        damaged.mkdir()
+        clean.mkdir()
+        for k, rid in enumerate(test_ids):
+            page = damaged / f"{rid}.html"
+            if k % 2:
+                page.write_text(META_PAGE)
+                (clean / page.name).write_text(META_PAGE)
+                continue
+            make(page)
+            if page.is_file():
+                assert extract_meta_presence(page.read_text("utf-8", errors="replace")) is flag
+            (clean / page.name).write_text(META_PAGE if flag else BARE_PAGE)
+        outputs = []
+        for pages in (damaged, clean):
+            out = _copy_run(pipeline_run, tmp_path / f"out-{pages.name}")
+            assert main(["revise", *DATASET_ARGS, "--out", str(out),
+                         "--snapshot-dir", str(pages)]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in
+                            ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt")})
+        assert outputs[0] == outputs[1]
 
 
 # manifests whose header or rows have another shape than train writes:

@@ -1,5 +1,6 @@
 """The README's documented library use runs against the shipped fixture, its
-flag table lists each command's options, and it names the current model format."""
+flag table lists each command's options, it names the current model format,
+and every module attribute it names exists."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import argparse
 import re
 from pathlib import Path
 
-from metaphish import cli
+from metaphish import cli, dataset, kb, nmr, revision
 from metaphish.classifiers import models
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +42,19 @@ def test_readme_model_format_paragraph_names_the_current_format():
     assert paragraph.startswith(f"`{models.MODEL_FORMAT}`)"), paragraph[:40]
     row = next(line for line in readme.splitlines() if line.startswith("| `model_"))
     assert f"`{models.MODEL_FORMAT}`" in row
+
+
+def test_readme_names_only_existing_module_attributes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {"cli": cli, "dataset": dataset, "kb": kb, "nmr": nmr, "revision": revision}
+    named = set(re.findall(rf"`({'|'.join(modules)})\.(\w+(?:\.\w+)*)", readme))
+    assert named  # the pattern still finds the README's names
+    absent = []
+    for module, path in sorted(named):
+        target = modules[module]
+        try:
+            for attribute in path.split("."):
+                target = getattr(target, attribute)
+        except AttributeError:
+            absent.append(f"{module}.{path}")
+    assert absent == []

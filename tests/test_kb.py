@@ -3,27 +3,36 @@ from __future__ import annotations
 import csv
 import random
 
+import numpy as np
 import pytest
 
-from metaphish import kb
+from metaphish import kb, nmr
 from metaphish.classifiers import KIND_ORDER, Beliefs, ClassifierKind
 from metaphish.dataset import load_dataset
-from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, Fact, encode, serialize
+from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, encode, serialize
 
 from _support import FIXTURE_CSV, atom_serialize, random_scenario
 
 
-class TestFact:
-    def test_str_matches_serialized_form(self):
-        assert str(Fact("pred", ("svm", 0, "benign"))) == "pred(svm,0,benign)"
-        assert str(Fact("flag", ())) == "flag"
+def _texts(facts):
+    return [nmr.format_ground_atom(atom) for atom in facts]
+
+
+def _assert_same_columns(read, built):
+    """``read`` holds ``built``'s tables, as int64 columns, and its symbol table."""
+    assert read.symbols == built.symbols
+    assert list(read.tables) == list(built.tables)
+    for pred, table in built.tables.items():
+        assert read.tables[pred].dtype == np.int64
+        assert np.array_equal(read.tables[pred], table), pred
 
 
 class TestEncode:
     def test_single_belief(self):
         beliefs = Beliefs([19], {ClassifierKind.RF: [1]})
         fb = encode(beliefs, {19: True})
-        assert {str(f) for f in fb} == {"pred(rf,19,phishing)", "meta(19,yes)"}
+        assert type(fb) is nmr.Relations
+        assert set(_texts(fb)) == {"pred(rf,19,phishing)", "meta(19,yes)"}
 
     def test_empty_beliefs(self):
         assert len(encode(Beliefs([], {ClassifierKind.SVM: []}), {})) == 0
@@ -33,10 +42,8 @@ class TestEncode:
         beliefs = Beliefs(range(n), {kind: [i % 2 for i in range(n)] for kind in ClassifierKind})
         fb = encode(beliefs, {i: i % 3 == 0 for i in range(n)})
         assert len(fb) == 5 * n
-        preds = [f for f in fb if f.predicate == "pred"]
-        metas = [f for f in fb if f.predicate == "meta"]
-        assert len(preds) == 4 * n
-        assert len(metas) == n
+        assert fb.tables["pred"].shape == (4 * n, 3)
+        assert fb.tables["meta"].shape == (n, 2)
         if n == 2286:
             assert len(beliefs) == 9144
             assert len(fb) == 11430
@@ -44,7 +51,7 @@ class TestEncode:
     def test_class_symbol_mapping(self):
         beliefs = Beliefs([0], {ClassifierKind.SVM: [0], ClassifierKind.KNN: [1]})
         fb = encode(beliefs, {0: False})
-        strings = {str(f) for f in fb}
+        strings = set(_texts(fb))
         assert "pred(svm,0,benign)" in strings
         assert "pred(knn,0,phishing)" in strings
         assert "meta(0,no)" in strings
@@ -63,15 +70,15 @@ class TestEncode:
 class TestSerialize:
     def test_single_fact_golden_bytes(self, tmp_path):
         path = tmp_path / "facts.lp"
-        n = serialize((Fact("pred", ("svm", 0, "benign")),), path)
+        n = serialize(nmr.Relations.of([("pred", ("svm", 0, "benign"))]), path)
         assert path.read_bytes() == b"pred(svm,0,benign).\n"
         assert n == 20
 
     def test_empty_facts(self, tmp_path):
         path = tmp_path / "facts.lp"
-        assert serialize((), path) == 0
+        assert serialize(nmr.Relations(), path) == 0
         assert path.read_bytes() == b""
-        assert kb.load_facts(path) == ()
+        assert list(kb.load_facts(path)) == []
 
     def test_sorted_by_predicate_id_classifier(self, tmp_path):
         beliefs = Beliefs([0, 1], {ClassifierKind.SVM: [0, 1], ClassifierKind.DT: [1, 0]})
@@ -94,21 +101,16 @@ class TestSerialize:
         path = tmp_path / "facts.lp"
         serialize(fb, path)
         recovered = kb.load_facts(path)
-        assert recovered == fb
+        _assert_same_columns(recovered, fb)
         # the encoding is a bijection: beliefs and meta come back exactly
         beliefs_back = {
-            (ClassifierKind(f.arguments[0]), f.arguments[1], SYMBOL_TO_CLASS[f.arguments[2]])
-            for f in recovered
-            if f.predicate == "pred"
+            (ClassifierKind(cl), iid, SYMBOL_TO_CLASS[cls])
+            for cl, iid, cls in recovered.decode(recovered.tables["pred"])
         }
         assert beliefs_back == {
             (kind, i, (i + j) % 2) for j, kind in enumerate(ClassifierKind) for i in range(7)
         }
-        meta_back = {
-            f.arguments[0]: f.arguments[1] == "yes"
-            for f in recovered
-            if f.predicate == "meta"
-        }
+        meta_back = {iid: flag == "yes" for iid, flag in recovered.decode(recovered.tables["meta"])}
         assert meta_back == meta
 
     def test_same_bytes_as_one_fact_at_a_time(self, tmp_path):
@@ -128,7 +130,8 @@ class TestSerialize:
                                   for _ in range(arity)))
                      for pred, arity in (("p", 3), ("q", 0), ("r", 1), ("s", 2))
                      for _ in range(rng.randint(0, 6))]
-            assert serialize(atoms, tmp_path / "a.lp") == atom_serialize(atoms, tmp_path / "b.lp")
+            assert serialize(nmr.Relations.of(atoms), tmp_path / "a.lp") == \
+                atom_serialize(atoms, tmp_path / "b.lp")
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
     def test_byte_stable(self, tmp_path):
@@ -197,12 +200,15 @@ class TestLoadFacts:
     def test_reads_back_what_encode_built(self, tmp_path):
         rng = random.Random(18)
         path = tmp_path / "facts.lp"
-        for n in (0, 1, 7, 300):
+        for n in (0, 1, 7, 300, *(rng.randint(1, 40) for _ in range(100))):
             beliefs, meta, _ = random_scenario(rng, n)
             facts = encode(beliefs, meta)
             serialize(facts, path)
-            assert kb.load_facts(path) == facts
-            assert all(type(fact) is Fact for fact in kb.load_facts(path))
+            read = kb.load_facts(path)
+            assert type(read) is nmr.Relations
+            assert list(read) == list(facts)
+            if n:  # with no pred line, no classifier symbol is read
+                _assert_same_columns(read, facts)
 
     def test_reads_the_fixture_run_as_encode_built_it(self, pipeline_run):
         # the beliefs are the initial verdicts of final_beliefs.csv, the meta
@@ -216,12 +222,12 @@ class TestLoadFacts:
                 SYMBOL_TO_CLASS[row["initial"]]
         meta = load_dataset(FIXTURE_CSV).meta
         facts = encode(Beliefs(ids, classes), {iid: bool(meta[iid]) for iid in ids})
-        assert kb.load_facts(pipeline_run / "facts.lp") == facts
+        _assert_same_columns(kb.load_facts(pipeline_run / "facts.lp"), facts)
 
     def test_base_lines_are_encode_facts(self, tmp_path):
         path = tmp_path / "facts.lp"
         path.write_text("".join(line + "\n" for line in BASE_LINES))
-        assert [str(fact) + "." for fact in kb.load_facts(path)] == BASE_LINES
+        assert [text + "." for text in _texts(kb.load_facts(path))] == BASE_LINES
 
     @pytest.mark.parametrize("fault", FACT_FAULTS)
     def test_damaged_line_is_named(self, tmp_path, fault):

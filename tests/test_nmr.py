@@ -59,6 +59,12 @@ def all_candidates(ground_program):
             yield frozenset(combo)
 
 
+class TestFormatGroundAtom:
+    def test_matches_serialized_form(self):
+        assert nmr.format_ground_atom(("pred", ("svm", 0, "benign"))) == "pred(svm,0,benign)"
+        assert nmr.format_ground_atom(("flag", ())) == "flag"
+
+
 class TestParser:
     def test_revision_rule_shape(self):
         program = parse_program(

@@ -146,9 +146,9 @@ class TestColumnsMatchRowOracle:
             beliefs, meta, truth = random_beliefs(rng)
             rows = belief_rows(beliefs)
             fact_base, row_fact_base = kb.encode(beliefs, meta), row_encode(rows, meta)
-            assert fact_base == row_fact_base
+            assert list(fact_base) == list(row_fact_base)
             kb.serialize(fact_base, tmp_path / "a.lp")
-            kb.serialize(row_fact_base, tmp_path / "b.lp")
+            kb.serialize(nmr.Relations.of(row_fact_base), tmp_path / "b.lp")
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
             finals = apply_revision(beliefs, fact_base, program)
