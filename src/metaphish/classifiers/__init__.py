@@ -9,7 +9,6 @@ from metaphish.classifiers.models import (
     Beliefs,
     ClassifierKind,
     GridSearchResult,
-    HyperGrid,
     TrainedModel,
     effective_candidates,
     generate_initial_beliefs,
@@ -30,7 +29,6 @@ __all__ = [
     "ClassifierKind",
     "DecisionTree",
     "GridSearchResult",
-    "HyperGrid",
     "KNearestNeighbors",
     "KernelSVM",
     "RandomForest",

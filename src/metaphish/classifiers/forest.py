@@ -25,18 +25,15 @@ class RandomForest:
     as row ids, so no tree copies rows.
     """
 
-    def __init__(self, n_estimators=100, criterion="gini", max_depth=None,
-                 min_samples_split=2, seed=0):
+    def __init__(self, n_estimators=100, criterion="gini", max_depth=None, seed=0):
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
         check_integer("n_estimators", n_estimators, 1)
         check_integer("max_depth", max_depth, 0, none_ok=True)
-        check_integer("min_samples_split", min_samples_split, 2)
         check_integer("seed", seed, 0)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.seed = seed
         self.trees_: list[DecisionTree] = []
 
@@ -50,7 +47,6 @@ class RandomForest:
         rng = np.random.default_rng([self.seed, t])
         n, d = table.X.shape
         tree = DecisionTree(criterion=self.criterion, max_depth=self.max_depth,
-                            min_samples_split=self.min_samples_split,
                             max_features=min(d, math.ceil(math.sqrt(d))), rng=rng)
         return tree.fit(table.X, table.y, rng.integers(0, n, size=n), table)
 
@@ -61,7 +57,7 @@ class RandomForest:
         forest that ``fit`` grows with ``n_estimators=n`` on the same data.
         """
         forest = RandomForest(n_estimators=n, criterion=self.criterion, max_depth=self.max_depth,
-                              min_samples_split=self.min_samples_split, seed=self.seed)
+                              seed=self.seed)
         forest.trees_ = self.trees_[:n]
         return forest
 
@@ -74,8 +70,7 @@ class RandomForest:
         if any(tree.search_depth_ is None for tree in self.trees_):
             raise ValueError("a tree of the forest has no record of its split searches")
         forest = RandomForest(n_estimators=len(self.trees_), criterion=self.criterion,
-                              max_depth=max_depth, min_samples_split=self.min_samples_split,
-                              seed=self.seed)
+                              max_depth=max_depth, seed=self.seed)
         limit = math.inf if max_depth is None else max_depth
         if self.max_depth is not None and limit > self.max_depth:
             raise ValueError(f"max_depth {max_depth} is deeper than the forest's {self.max_depth}")

@@ -44,34 +44,16 @@ class ClassifierKind(str, Enum):
 KIND_ORDER = tuple(ClassifierKind)
 
 
-@dataclass(frozen=True)
-class HyperGrid:
-    """Named candidate lists, enumerated by itertools.product in field order."""
-
-    kind: ClassifierKind
-    parameter_lists: dict[str, tuple]
-
-
-DEFAULT_GRIDS: dict[ClassifierKind, HyperGrid] = {
-    ClassifierKind.SVM: HyperGrid(
-        ClassifierKind.SVM,
-        {"C": (0.1, 1.0, 10.0), "kernel": ("linear", "rbf"), "gamma": ("scale", "auto")},
-    ),
-    ClassifierKind.KNN: HyperGrid(
-        ClassifierKind.KNN,
-        {"k": (3, 5, 7, 9), "weights": ("uniform", "distance"),
-         "metric": ("euclidean", "manhattan")},
-    ),
-    ClassifierKind.DT: HyperGrid(
-        ClassifierKind.DT,
-        {"criterion": ("gini", "entropy"), "max_depth": (3, 5, 10, None),
-         "min_samples_split": (2, 5, 10)},
-    ),
-    ClassifierKind.RF: HyperGrid(
-        ClassifierKind.RF,
-        {"n_estimators": (100, 200), "max_depth": (5, 10, None),
-         "criterion": ("gini", "entropy")},
-    ),
+# per kind, named candidate lists, enumerated by itertools.product in order
+DEFAULT_GRIDS: dict[ClassifierKind, dict[str, tuple]] = {
+    ClassifierKind.SVM: {"C": (0.1, 1.0, 10.0), "kernel": ("linear", "rbf"),
+                         "gamma": ("scale", "auto")},
+    ClassifierKind.KNN: {"k": (3, 5, 7, 9), "weights": ("uniform", "distance"),
+                         "metric": ("euclidean", "manhattan")},
+    ClassifierKind.DT: {"criterion": ("gini", "entropy"), "max_depth": (3, 5, 10, None),
+                        "min_samples_split": (2, 5, 10)},
+    ClassifierKind.RF: {"n_estimators": (100, 200), "max_depth": (5, 10, None),
+                        "criterion": ("gini", "entropy")},
 }
 
 # winning configurations from the benchmark model-selection run
@@ -83,18 +65,18 @@ BEST_CONFIGS: dict[ClassifierKind, dict] = {
 }
 
 
-def effective_candidates(grid: HyperGrid) -> list[dict]:
-    """Grid candidates in enumeration order, with duplicates removed.
+def effective_candidates(kind: ClassifierKind, grid: Mapping[str, tuple]) -> list[dict]:
+    """The candidates of ``kind``'s ``grid`` in enumeration order, with
+    duplicates removed.
 
     gamma is meaningless for the linear kernel, so linear candidates drop it
     and collapse to one effective fit each.
     """
-    names = list(grid.parameter_lists)
     seen = set()
     out = []
-    for values in itertools.product(*grid.parameter_lists.values()):
-        params = dict(zip(names, values))
-        if grid.kind is ClassifierKind.SVM and params.get("kernel") == "linear":
+    for values in itertools.product(*grid.values()):
+        params = dict(zip(grid, values))
+        if kind is ClassifierKind.SVM and params.get("kernel") == "linear":
             params.pop("gamma", None)
         key = tuple(sorted(params.items(), key=lambda kv: kv[0]))
         if key in seen:
@@ -148,7 +130,6 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    kind: ClassifierKind
     params: dict
     cv_accuracy: float
     candidate_scores: tuple[tuple[dict, float], ...]
@@ -215,7 +196,7 @@ def _score_forests(group: list[dict], seed: int, X_fit, y_fit, X_val, y_val) -> 
     return accs
 
 
-def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
+def grid_search(kind: ClassifierKind, grid: Mapping[str, tuple], data: Dataset,
                 folds, seed: int = 42) -> GridSearchResult:
     """Pick the candidate with the best mean fold accuracy.
 
@@ -239,7 +220,7 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
     folds = [frozenset(f) for f in folds]
     if not folds:
         raise ValueError("no folds given")
-    candidates = effective_candidates(grid)
+    candidates = effective_candidates(kind, grid)
     if not candidates:
         raise ValueError("empty hyperparameter grid")
 
@@ -278,7 +259,7 @@ def grid_search(kind: ClassifierKind, grid: HyperGrid, data: Dataset,
         scores.append((params, mean_acc))
         if best is None or mean_acc > best[1]:
             best = (params, mean_acc)
-    return GridSearchResult(kind, best[0], best[1], tuple(scores))
+    return GridSearchResult(best[0], best[1], tuple(scores))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -301,11 +282,13 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     """The model that :func:`save_model` wrote to ``path`` in the run whose
     dataset is ``data`` and whose training rows are ``train_ids``.
 
-    KNN's training rows and SVM's support vectors are rebuilt as
-    ``scaler.scale(data.X[data.rows(train_ids)])``, bitwise the matrix the fit
-    saw, so the stored scaler must be the one those rows give.  Raises
-    ValueError (or KeyError or TypeError) on a file that breaks the schema,
-    such as a parameter its kind's grid lacks: see the estimators' ``from_dict``.
+    The stored scaler must be the one the training rows give, so a file of
+    another split or with an edited scaler is refused.  KNN's training rows
+    and SVM's support vectors are rebuilt as
+    ``scaler.scale(data.X[data.rows(train_ids)])``, bitwise the matrix the
+    fit saw.  Raises ValueError (or KeyError or TypeError) on a file that
+    breaks the schema, such as a parameter its kind's grid lacks: see the
+    estimators' ``from_dict``.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     fmt = payload.get("format") if type(payload) is dict else None
@@ -316,7 +299,7 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     params, seed, state = payload["params"], payload["seed"], payload["state"]
     if type(params) is not dict or type(state) is not dict or type(seed) is not int:
         raise ValueError("params and state must be objects, and seed an integer")
-    unknown = sorted(set(params) - set(DEFAULT_GRIDS[kind].parameter_lists))
+    unknown = sorted(set(params) - set(DEFAULT_GRIDS[kind]))
     if unknown:
         raise ValueError(f"params not in the {kind.value} grid: {', '.join(map(repr, unknown))}")
     scaler = ScalerStats(float_list(payload["scaler"], "means"),
@@ -325,15 +308,15 @@ def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     if scaler.width != width:
         raise ValueError(f"the scaler is {scaler.width} features wide "
                          f"but the dataset has {width}")
+    refit = fit_scaler(data, train_ids)
+    if not (np.array_equal(refit.means, scaler.means)
+            and np.array_equal(refit.std_devs, scaler.std_devs)):
+        raise ValueError("the scaler is not the one the manifest's training rows give")
     if kind is ClassifierKind.DT:
         estimator = DecisionTree.from_dict(state, width, **params)
     elif kind is ClassifierKind.RF:
         estimator = RandomForest.from_dict(state, width, seed=seed, **params)
     else:
-        refit = fit_scaler(data, train_ids)
-        if not (np.array_equal(refit.means, scaler.means)
-                and np.array_equal(refit.std_devs, scaler.std_devs)):
-            raise ValueError("the scaler is not the one the manifest's training rows give")
         rows = data.rows(train_ids)
         train_x = scaler.scale(data.X[rows])
         if kind is ClassifierKind.KNN:

@@ -284,7 +284,7 @@ def _meta_flags(cfg: argparse.Namespace, data, test_ids) -> dict[int, bool]:
     return dict(zip(rows.tolist(), data.meta[rows].tolist()))
 
 
-def _load_rules(cfg: argparse.Namespace) -> nmr.Program:
+def _read_rules(cfg: argparse.Namespace) -> nmr.Program:
     """The bundled revision program, or the ``--rules`` file, checked before any work."""
     if not cfg.rules:
         return revision.revision_program()
@@ -292,7 +292,7 @@ def _load_rules(cfg: argparse.Namespace) -> nmr.Program:
     if not path.is_file():
         raise ConfigError(f"rule file not found: {path}; fix the rule file path")
     try:
-        program = revision.load_rules(path)
+        program = nmr.parse_program(path.read_text(encoding="utf-8"))
         # the fact predicates have fixed arities, so a clash shows before grounding
         nmr.check_arities(program, [(kb.PRED, ("svm", 0, "phishing")), (kb.META, (0, "yes"))])
     except nmr.ParseError as exc:  # its message starts with line:column
@@ -303,7 +303,7 @@ def _load_rules(cfg: argparse.Namespace) -> nmr.Program:
 
 
 def cmd_revise(cfg: argparse.Namespace) -> int:
-    program = _load_rules(cfg)
+    program = _read_rules(cfg)
     data = _load_dataset(cfg)
     out_dir = Path(cfg.out)
     train_ids, test_ids = _read_manifest(out_dir, len(data))

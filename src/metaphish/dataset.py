@@ -27,6 +27,9 @@ FEATURE_COUNT = 87
 LABEL_LEGITIMATE = 0
 LABEL_PHISHING = 1
 
+LABEL_COLUMN = "status"
+IGNORE_COLUMNS = ("url",)  # skipped where the header has them
+
 _LABEL_ALIASES = {"legitimate": 0, "phishing": 1, "0": 0, "1": 1}
 _META_FLAGS = {"0": 0, "1": 1}
 _META_TAG_NAMES = {"description", "keywords", "keyword", "author"}
@@ -115,7 +118,6 @@ class SplitPlan:
     train_ids: frozenset[int]
     test_ids: frozenset[int]
     folds: tuple[frozenset[int], ...]
-    seed: int
 
     def __post_init__(self):
         if self.train_ids & self.test_ids:
@@ -130,16 +132,14 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column mapping for the dataset CSV.
+    """Column mapping for the dataset CSV, beside :data:`LABEL_COLUMN` and
+    :data:`IGNORE_COLUMNS`.
 
-    ``meta_column`` and ``ignore_columns`` are used only when present in the
-    header; the remaining columns must be exactly ``feature_count`` numeric
-    feature columns.
+    ``meta_column`` is used only when present in the header; the columns
+    other than these must be exactly ``feature_count`` numeric features.
     """
 
-    label_column: str = "status"
     meta_column: str | None = "meta_present"
-    ignore_columns: tuple[str, ...] = ("url",)
     feature_count: int = FEATURE_COUNT
 
 
@@ -161,15 +161,13 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        if schema.label_column not in header:
-            raise ValueError(f"{path}: label column {schema.label_column!r} not in header")
-        label_idx = header.index(schema.label_column)
+        if LABEL_COLUMN not in header:
+            raise ValueError(f"{path}: label column {LABEL_COLUMN!r} not in header")
+        label_idx = header.index(LABEL_COLUMN)
         meta_idx = None
         if schema.meta_column is not None and schema.meta_column in header:
             meta_idx = header.index(schema.meta_column)
-        skip = {label_idx, meta_idx} | {
-            header.index(c) for c in schema.ignore_columns if c in header
-        }
+        skip = {label_idx, meta_idx} | {header.index(c) for c in IGNORE_COLUMNS if c in header}
         feature_idx = [i for i in range(len(header)) if i not in skip]
         if len(feature_idx) != schema.feature_count:
             raise ValueError(
@@ -331,7 +329,7 @@ def make_split(
             folds[i % n_folds].add(rid)
 
     train_ids = frozenset(i for ids in train_by_label.values() for i in ids)
-    return SplitPlan(train_ids, frozenset(test_ids), tuple(frozenset(f) for f in folds), seed)
+    return SplitPlan(train_ids, frozenset(test_ids), tuple(frozenset(f) for f in folds))
 
 
 # Where a meta start tag can begin: html.parser starts a tag only at "<" plus

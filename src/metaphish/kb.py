@@ -32,6 +32,8 @@ META = "meta"
 CLASS_TO_SYMBOL = {0: "benign", 1: "phishing"}
 SYMBOL_TO_CLASS = {"benign": 0, "phishing": 1}
 META_TO_SYMBOL = {False: "no", True: "yes"}
+# the first symbols of every fact table, so that encode and load_facts code alike
+SYMBOLS = (*META_TO_SYMBOL.values(), *SYMBOL_TO_CLASS)
 
 
 def encode(beliefs, meta_flags: Mapping[int, bool]) -> nmr.Relations:
@@ -44,7 +46,7 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> nmr.Relations:
     absent = next((iid for iid in ids if iid not in meta_flags), None)
     if absent is not None:
         raise ValueError(f"belief references instance {absent} absent from meta flags")
-    facts = nmr.Relations()
+    facts = nmr.Relations({}, SYMBOLS)
     id_codes = facts.encode(beliefs.ids)
     flags = np.fromiter(map(meta_flags.__getitem__, ids), bool, len(ids))
     no, yes = (facts.code(META_TO_SYMBOL[flag]) for flag in (False, True))
@@ -122,8 +124,8 @@ def load_facts(path: str | Path) -> nmr.Relations:
     ``meta`` fact.  Any other line raises ValueError naming the file and line.
     """
     *lines, rest = Path(path).read_bytes().decode("ascii", errors="replace").split("\n")
-    # encode's symbol order: the flags, the classes, then each classifier as it first appears
-    facts = nmr.Relations({}, (*META_TO_SYMBOL.values(), *SYMBOL_TO_CLASS))
+    # encode's symbol order: SYMBOLS, then each other constant as it first appears
+    facts = nmr.Relations({}, SYMBOLS)
     code = facts.code
     rows = {META: array("q"), PRED: array("q")}  # each table's codes, row after row
     meta_ids = set()

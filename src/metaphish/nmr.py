@@ -89,12 +89,8 @@ class Rule:
     body_pos: tuple[Atom, ...] = ()
     body_neg: tuple[Atom, ...] = ()
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body_pos and not self.body_neg
-
     def __str__(self):
-        if self.is_fact:
+        if not self.body_pos and not self.body_neg:
             return f"{self.head}."
         body = [str(a) for a in self.body_pos] + [f"not {a}" for a in self.body_neg]
         return f"{self.head} :- {', '.join(body)}."
@@ -102,15 +98,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
-    """Parsed rules plus their predicate-level dependency structure.
-
-    ``dependency_graph`` maps each head predicate to the set of
-    ``(body_predicate, negated)`` pairs it depends on; ``strata`` assigns
-    every predicate its evaluation layer (0 = lowest).
-    """
+    """Parsed rules; ``strata`` assigns every predicate its evaluation layer
+    (0 = lowest)."""
 
     rules: tuple[Rule, ...]
-    dependency_graph: dict[str, frozenset[tuple[str, bool]]]
     strata: dict[str, int]
 
 
@@ -144,12 +135,6 @@ class AnswerSet:
     def __eq__(self, other):
         return isinstance(other, AnswerSet) and self.atoms == other.atoms
 
-    def holds(self, predicate: str, *args) -> bool:
-        return (predicate, tuple(args)) in self.atoms
-
-    def with_predicate(self, predicate: str) -> list[GroundAtom]:
-        return sorted((a for a in self.atoms if a[0] == predicate), key=_atom_sort_key)
-
 
 @dataclass(frozen=True, eq=False)
 class GroundProgram:
@@ -168,11 +153,6 @@ class GroundProgram:
         rules: dict[GroundRule, None] = {}
         _evaluate(*self.source, rules)
         return tuple(rules)
-
-
-def _atom_sort_key(atom: GroundAtom):
-    # mixed str/int argument tuples are not directly comparable
-    return (atom[0], tuple((0, a) if isinstance(a, int) else (1, str(a)) for a in atom[1]))
 
 
 def format_ground_atom(atom: GroundAtom) -> str:
@@ -317,7 +297,7 @@ def _check_safety(rules: list[Rule]) -> None:
                     )
 
 
-def _dependency_graph(rules: Iterable[tuple]) -> dict[str, set[tuple[str, bool]]]:
+def _predicate_graph(rules: Iterable[tuple]) -> dict[str, set[tuple[str, bool]]]:
     """The ``(predicate, negated)`` dependencies of each predicate, from
     ``(head, positive body, negative body)`` triples of predicates."""
     graph: dict[str, set[tuple[str, bool]]] = {}
@@ -382,11 +362,9 @@ def parse_program(text: str) -> Program:
     """
     rules = _Parser(text).parse_rules()
     _check_safety(rules)
-    graph = _dependency_graph((rule.head.predicate, [a.predicate for a in rule.body_pos],
+    graph = _predicate_graph((rule.head.predicate, [a.predicate for a in rule.body_pos],
                                [a.predicate for a in rule.body_neg]) for rule in rules)
-    strata = _stratify(graph)
-    frozen = {pred: frozenset(deps) for pred, deps in graph.items()}
-    return Program(tuple(rules), frozen, strata)
+    return Program(tuple(rules), _stratify(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +638,7 @@ def solve(ground_program: GroundProgram) -> AnswerSet:
     Within a stratum the positive fixpoint is iterated with lower-stratum
     negations treated as decided.  Output is independent of rule order.
     """
-    strata = _stratify(_dependency_graph((head[0], [a[0] for a in pos], [a[0] for a in neg])
+    strata = _stratify(_predicate_graph((head[0], [a[0] for a in pos], [a[0] for a in neg])
                                          for head, pos, neg in ground_program.rules))  # a re-check
     by_stratum: dict[int, list[GroundRule]] = {}
     for rule in ground_program.rules:

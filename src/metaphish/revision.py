@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -30,10 +29,6 @@ def default_rules_text() -> str:
 def revision_program() -> nmr.Program:
     """The bundled three-rule revision program (two strata: revise below final)."""
     return nmr.parse_program(default_rules_text())
-
-
-def load_rules(path: str | Path) -> nmr.Program:
-    return nmr.parse_program(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,7 @@ def flatten_tree(root: dict) -> dict:
     return flat
 
 
-def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None,
-                min_samples_split=2, seed=0) -> dict:
+def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None, seed=0) -> dict:
     """``RandomForest.to_dict()`` grown by ``grow_tree`` on copied bootstrap
     rows, each tree drawing its sample and features from ``(seed, t)``."""
     n, d = X.shape
@@ -195,7 +194,7 @@ def grow_forest(X, y, n_estimators, criterion="gini", max_depth=None,
         rng = np.random.default_rng([seed, t])
         sample = rng.integers(0, n, size=n)
         trees.append(grow_tree(X[sample], y[sample], criterion, max_depth,
-                               min_samples_split, max_features, rng))
+                               max_features=max_features, rng=rng))
     return {"trees": trees}
 
 
@@ -217,7 +216,7 @@ def fit_every_forest(grid, data: Dataset, folds, seed: int = 42):
     first best params."""
     folds = [frozenset(f) for f in folds]
     scores = []
-    for params in effective_candidates(grid):
+    for params in effective_candidates(ClassifierKind.RF, grid):
         accs = []
         for holdout in folds:
             fit_ids = frozenset().union(*(f for f in folds if f is not holdout))
@@ -586,8 +585,21 @@ def tarjan_stratify(graph: dict[str, set[tuple[str, bool]]]) -> dict[str, int]:
     return strata
 
 
+def atom_sort_key(atom: GroundAtom):
+    """A total order on ground atoms: mixed str/int argument tuples are not
+    directly comparable."""
+    return (atom[0], tuple((0, a) if isinstance(a, int) else (1, str(a)) for a in atom[1]))
+
+
+def predicate_graph(program: Program) -> dict[str, set[tuple[str, bool]]]:
+    """The ``(predicate, negated)`` dependencies of each predicate of
+    ``program``, built by the graph builder ``parse_program`` stratifies."""
+    return nmr._predicate_graph((rule.head.predicate, [a.predicate for a in rule.body_pos],
+                                 [a.predicate for a in rule.body_neg]) for rule in program.rules)
+
+
 def random_predicate_graph(rng: random.Random, max_preds: int = 7) -> dict[str, set[tuple[str, bool]]]:
-    """A random predicate dependency graph in ``nmr._dependency_graph``'s shape,
+    """A random predicate dependency graph in ``nmr._predicate_graph``'s shape,
     with positive and negated edges; many have a cycle through a negated edge."""
     preds = [f"p{k}" for k in range(rng.randint(1, max_preds))]
     graph = {p: set() for p in preds}

@@ -33,6 +33,13 @@ def pipeline_rerun(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def seed_7_run(tmp_path_factory):
+    """The same run as ``pipeline_run``, but with another split (``--seed 7``)."""
+    out = tmp_path_factory.mktemp("pipeline") / "seed7"
+    return _run_pipeline(out, FIXTURE_CSV, seed=7)
+
+
+@pytest.fixture(scope="session")
 def benchmark_run(tmp_path_factory):
     """Trained models on the real benchmark CSV, plus the training wall time.
 

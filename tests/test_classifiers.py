@@ -369,6 +369,7 @@ class TestGrowerMatchesOracle:
         for case in range(16):
             n, d = int(gen.integers(TABLE_ROWS + 1, 2 * TABLE_ROWS)), int(gen.integers(1, 5))
             params = self._params(gen)
+            del params["min_samples_split"]  # a forest's trees keep the default of 2
             X, y = _rank_matrix(gen, n, d, case % 2 == 0)
             forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
             want = grow_forest(X, y, 4, seed=case, **params)
@@ -379,6 +380,7 @@ class TestGrowerMatchesOracle:
         for case in range(80):
             n, d = int(gen.integers(2, 50)), int(gen.integers(1, 12))
             params = self._params(gen)
+            del params["min_samples_split"]  # a forest's trees keep the default of 2
             X, y = _rank_matrix(gen, n, d, case % 2 == 0)
             forest = RandomForest(n_estimators=4, seed=case, **params).fit(X, y)
             want = grow_forest(X, y, 4, seed=case, **params)
@@ -464,7 +466,6 @@ class TestTreeArguments:
         (lambda: DecisionTree(max_depth=-1), "max_depth must be an integer of at least 0 or None, got -1"),
         (lambda: DecisionTree(max_depth=1.5), "max_depth must be an integer of at least 0 or None, got 1.5"),
         (lambda: DecisionTree(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
-        (lambda: RandomForest(min_samples_split=0), "min_samples_split must be an integer of at least 2, got 0"),
         (lambda: DecisionTree(max_features=1.5, rng=np.random.default_rng(0)),
          "max_features must be an integer of at least 1 or None, got 1.5"),
         (lambda: DecisionTree(max_features="3", rng=np.random.default_rng(0)),
@@ -472,7 +473,7 @@ class TestTreeArguments:
         (lambda: DecisionTree(max_features=True, rng=np.random.default_rng(0)),
          "max_features must be an integer of at least 1 or None, got True"),
     ], ids=["rf-no-trees", "rf-negative-trees", "rf-negative-seed", "rf-negative-depth",
-            "dt-negative-depth", "dt-fractional-depth", "dt-split-0", "rf-split-0",
+            "dt-negative-depth", "dt-fractional-depth", "dt-split-0",
             "dt-fractional-features", "dt-string-features", "dt-bool-features"])
     def test_bad_argument_is_rejected_when_built(self, make, message):
         # each of these built, and all but the seed also fit: a forest of no
@@ -863,6 +864,11 @@ class TestRandomForest:
         forest = RandomForest(n_estimators=3)
         forest.trees_ = [_leaf(1), _leaf(1), _leaf(0)]
         assert forest.predict(np.zeros((1, 2))).tolist() == [1]
+
+    def test_takes_no_min_samples_split(self):
+        # its trees keep DecisionTree's default of 2, as the RF grid has no such param
+        with pytest.raises(TypeError):
+            RandomForest(min_samples_split=2)
 
     def test_deterministic_given_seed(self):
         X, y = separable_set(80, seed=3)

@@ -219,7 +219,7 @@ class TestRevise:
         beliefs = Beliefs([7], {ClassifierKind.SVM: [1]})
         facts = kb.encode(beliefs, {7: True})
         assert list(map(nmr.format_ground_atom, facts)) == ["meta(7,yes)", "pred(svm,7,phishing)"]
-        assert nmr.ground(revision.revision_program(), facts).model.holds("revise", "svm", 7)
+        assert ("revise", ("svm", 7)) in nmr.ground(revision.revision_program(), facts).model.atoms
         assert len(iterated) == 2 and len(decoded) == 1  # what runs on demand is counted
 
     def test_revise_builds_no_decision_row(self, pipeline_run, tmp_path, monkeypatch):
@@ -745,6 +745,13 @@ PARAM_FAULTS = {
 }
 
 
+def _shift_scaler_means(text):
+    """Add 100.0 to every scaler mean, in the file's compact JSON form."""
+    payload = json.loads(text)
+    payload["scaler"]["means"] = [mean + 100.0 for mean in payload["scaler"]["means"]]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _with_params(extra):
     """Put the entries of ``extra`` first in the model file's params."""
     entries = json.dumps(extra, separators=(",", ":"))[1:-1]
@@ -760,6 +767,7 @@ MODEL_FAULTS = {
     "string-last-number": _number_after(None, '"x"'),
     "empty-last-list": _empty_last_list,
     "not-utf-8": lambda text: text.replace('"', '"' + NOT_UTF_8, 1),
+    "shifted-scaler-means": _shift_scaler_means,
 }
 MANIFEST_FAULTS = {
     **FAULTS,
@@ -799,6 +807,39 @@ FAULT_CASES = [(name, fault) for name, faults in FILE_FAULTS.items()
                for fault in [*faults, *(["swap"] if name in SWAPS else [])]]
 
 
+SCALER_MESSAGE = "the scaler is not the one the manifest's training rows give"
+
+
+def _line_span(data, at):
+    """The start and end (past its line end) of the line holding byte ``at``."""
+    start = data.rfind(b"\n", 0, at) + 1
+    end = data.find(b"\n", at)
+    return start, len(data) if end < 0 else end + 1
+
+
+INSERTS = {"insert-comma": b",", "insert-cr": b"\r", "insert-bom": b"\xef\xbb\xbf",
+           "insert-test": b"test"}
+BYTE_EDITS = ("cut", "replace", "duplicate-line", "swap-lines", *INSERTS)
+
+
+def _byte_edit(data, edit, at, to, byte):
+    """``data`` after one of :data:`BYTE_EDITS` at the positions ``at`` and
+    ``to`` (taken modulo the length), with ``byte`` for "replace"."""
+    if not data:
+        return INSERTS.get(edit, data)
+    at, to = at % len(data), to % len(data)
+    if edit == "cut":
+        return data[:at]
+    if edit == "replace":
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    if edit in INSERTS:
+        return data[:at] + INSERTS[edit] + data[at:]
+    (a, b), (c, d) = sorted([_line_span(data, at), _line_span(data, to)])
+    if edit == "duplicate-line":
+        return data[:b] + data[a:b] + data[b:]
+    return data if c < b else data[:a] + data[c:d] + data[b:c] + data[a:b] + data[d:]
+
+
 class TestDamagedRunFiles:
     @pytest.mark.parametrize("name,fault", FAULT_CASES, ids=[f"{n}-{f}" for n, f in FAULT_CASES])
     def test_revise_names_the_file_or_writes_the_same_outputs(self, pipeline_run, tmp_path,
@@ -834,8 +875,66 @@ class TestDamagedRunFiles:
         if name == "run_inputs.kv":
             assert INPUTS_MESSAGES[fault] in err, err
         if fault in PARAM_FAULTS and not set(PARAM_FAULTS[fault]) <= set(
-                DEFAULT_GRIDS[ClassifierKind(name[len("model_"):-len(".json")])].parameter_lists):
+                DEFAULT_GRIDS[ClassifierKind(name[len("model_"):-len(".json")])]):
             assert rc == 2 and "not a usable model file (params not in the " in err, err
+        if fault == "shifted-scaler-means":
+            assert rc == 2 and SCALER_MESSAGE in err, err
+
+    @pytest.mark.parametrize("stale", MODEL_FILES)
+    def test_model_file_of_another_split_is_named(self, pipeline_run, seed_7_run, tmp_path,
+                                                  capsys, stale):
+        # as if 'train --classifier' with another --seed rewrote every other
+        # file: the stale model's scaler is not the new training rows'
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        for name in {*MODEL_FILES, "split_manifest.csv", "run_inputs.kv"} - {stale}:
+            (out / name).write_bytes((seed_7_run / name).read_bytes())
+        rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"error: {out / stale}: not a usable model file ({SCALER_MESSAGE})" in err, err
+        assert not (out / "facts.lp").exists()
+
+    def test_random_edits_name_the_file_or_change_nothing_hypothesis(self, pipeline_run,
+                                                                      tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        out = tmp_path / "out"
+
+        def revise(name, data):
+            shutil.rmtree(out, ignore_errors=True)
+            _copy_run(pipeline_run, out)
+            (out / name).write_bytes(data)
+            rc = main(["revise", *DATASET_ARGS, "--out", str(out)])
+            return rc, capsys.readouterr().err
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.sampled_from(["split_manifest.csv", "run_inputs.kv"]),
+                          st.lists(st.tuples(st.sampled_from(BYTE_EDITS), st.integers(0, 10**6),
+                                             st.integers(0, 10**6), st.integers(0, 255)),
+                                   min_size=1, max_size=3))
+        def edited_run_file(name, edits):
+            data = (pipeline_run / name).read_bytes()
+            for edit in edits:
+                data = _byte_edit(data, *edit)
+            rc, err = revise(name, data)
+            if rc == 0:
+                for output in REVISE_OUTPUTS:
+                    assert (out / output).read_bytes() == (pipeline_run / output).read_bytes()
+            else:
+                assert rc == 2 and f"error: {out / name}" in err, err
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.sampled_from(MODEL_FILES), st.sampled_from(["means", "std_devs"]),
+                          st.integers(0, 86), st.floats(allow_nan=False, allow_infinity=False))
+        def edited_scaler(name, key, index, value):
+            payload = json.loads((pipeline_run / name).read_text())
+            hypothesis.assume(payload["scaler"][key][index] != value)
+            payload["scaler"][key][index] = value
+            rc, err = revise(name, json.dumps(payload).encode())
+            assert rc == 2 and f"error: {out / name}: not a usable model file" in err, err
+
+        edited_run_file()
+        edited_scaler()
 
 
 META_PAGE = ('<html><head><meta name="description" content="a shop"></head>'

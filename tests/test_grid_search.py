@@ -7,7 +7,6 @@ from metaphish.classifiers import (
     DEFAULT_GRIDS,
     ClassifierKind,
     DecisionTree,
-    HyperGrid,
     KNearestNeighbors,
     RandomForest,
     effective_candidates,
@@ -23,22 +22,22 @@ class TestGridDefinitions:
     def test_svm_grid_dedupes_linear_gamma(self):
         grid = DEFAULT_GRIDS[ClassifierKind.SVM]
         raw = 1
-        for values in grid.parameter_lists.values():
+        for values in grid.values():
             raw *= len(values)
         assert raw == 12
-        effective = effective_candidates(grid)
+        effective = effective_candidates(ClassifierKind.SVM, grid)
         assert len(effective) == 9
         linear = [p for p in effective if p["kernel"] == "linear"]
         assert all("gamma" not in p for p in linear)
         assert len(linear) == 3
 
     def test_grid_cardinalities(self):
-        assert len(effective_candidates(DEFAULT_GRIDS[ClassifierKind.KNN])) == 16
-        assert len(effective_candidates(DEFAULT_GRIDS[ClassifierKind.DT])) == 24
-        assert len(effective_candidates(DEFAULT_GRIDS[ClassifierKind.RF])) == 12
+        for kind, count in ((ClassifierKind.KNN, 16), (ClassifierKind.DT, 24),
+                            (ClassifierKind.RF, 12)):
+            assert len(effective_candidates(kind, DEFAULT_GRIDS[kind])) == count
 
     def test_enumeration_order_first_field_slowest(self):
-        effective = effective_candidates(DEFAULT_GRIDS[ClassifierKind.KNN])
+        effective = effective_candidates(ClassifierKind.KNN, DEFAULT_GRIDS[ClassifierKind.KNN])
         assert effective[0] == {"k": 3, "weights": "uniform", "metric": "euclidean"}
         assert effective[1] == {"k": 3, "weights": "uniform", "metric": "manhattan"}
         assert effective[-1] == {"k": 9, "weights": "distance", "metric": "manhattan"}
@@ -62,8 +61,7 @@ class TestGridSearch:
     def test_singleton_grid_returned_unconditionally(self):
         records = make_records(40, d=3, seed=2, shift=1.0)
         split = make_split(records, 0.25, 3, seed=0)
-        grid = HyperGrid(ClassifierKind.KNN, {"k": (3,), "weights": ("uniform",),
-                                              "metric": ("euclidean",)})
+        grid = {"k": (3,), "weights": ("uniform",), "metric": ("euclidean",)}
         result = grid_search(ClassifierKind.KNN, grid, records, split.folds)
         assert result.params == {"k": 3, "weights": "uniform", "metric": "euclidean"}
 
@@ -72,10 +70,7 @@ class TestGridSearch:
         # estimator, then check the winner and the mean accuracies
         records = _noisy_records()
         split = make_split(records, 0.2, 5, seed=1)
-        grid = HyperGrid(
-            ClassifierKind.KNN,
-            {"k": (1, 9), "weights": ("uniform",), "metric": ("euclidean",)},
-        )
+        grid = {"k": (1, 9), "weights": ("uniform",), "metric": ("euclidean",)}
         result = grid_search(ClassifierKind.KNN, grid, records, split.folds)
 
         expected = {}
@@ -103,10 +98,7 @@ class TestGridSearch:
     def test_tie_broken_by_enumeration_order(self):
         records = make_records(40, d=2, seed=4, shift=3.0)  # trivially separable
         split = make_split(records, 0.25, 4, seed=0)
-        grid = HyperGrid(
-            ClassifierKind.DT,
-            {"criterion": ("gini",), "max_depth": (5, 10), "min_samples_split": (2,)},
-        )
+        grid = {"criterion": ("gini",), "max_depth": (5, 10), "min_samples_split": (2,)}
         result = grid_search(ClassifierKind.DT, grid, records, split.folds)
         assert result.params["max_depth"] == 5
         accs = [acc for _, acc in result.candidate_scores]
@@ -116,8 +108,7 @@ class TestGridSearch:
         records = make_records(12, d=2, seed=0)
         folds = [frozenset({0, 2, 4}), frozenset({1, 3, 5}), frozenset({6, 8, 10})]
         # third fold is all label 0 (even ids)
-        grid = HyperGrid(ClassifierKind.KNN, {"k": (1,), "weights": ("uniform",),
-                                              "metric": ("euclidean",)})
+        grid = {"k": (1,), "weights": ("uniform",), "metric": ("euclidean",)}
         with pytest.raises(ValueError, match="single class"):
             grid_search(ClassifierKind.KNN, grid, records, folds)
 
@@ -132,8 +123,7 @@ class TestGridSearch:
         monkeypatch.setattr(models_module, "fit_scaler", spy)
         records = make_records(30, d=2, seed=6, shift=1.0)
         split = make_split(records, 0.2, 3, seed=0)
-        grid = HyperGrid(ClassifierKind.KNN, {"k": (1, 3), "weights": ("uniform",),
-                                              "metric": ("euclidean",)})
+        grid = {"k": (1, 3), "weights": ("uniform",), "metric": ("euclidean",)}
         grid_search(ClassifierKind.KNN, grid, records, split.folds)
         assert len(calls) == 3  # once per fold, shared by both candidates
         for fold in split.folds:
@@ -176,9 +166,8 @@ class TestSharedForests:
     def test_scores_equal_fitting_every_candidate(self, fields):
         data = _noisy_records(n=60, seed=9, flip=0.25)
         split = make_split(data, 0.2, 3, seed=2)
-        grid = HyperGrid(ClassifierKind.RF, fields)
-        result = grid_search(ClassifierKind.RF, grid, data, split.folds, seed=5)
-        scores, best = fit_every_forest(grid, data, split.folds, seed=5)
+        result = grid_search(ClassifierKind.RF, fields, data, split.folds, seed=5)
+        scores, best = fit_every_forest(fields, data, split.folds, seed=5)
         assert result.candidate_scores == scores  # exact float equality
         assert result.params == best
         assert result.cv_accuracy == max(acc for _, acc in scores)
@@ -189,7 +178,7 @@ class TestSharedForests:
         (RF_GRIDS["three-sizes"], 1, 5),
         (RF_GRIDS["single-size"], 1, 3),
         (RF_GRIDS["mixed-depths"], 1, 5),
-        (DEFAULT_GRIDS[ClassifierKind.RF].parameter_lists, 2, 200),  # 12 candidates
+        (DEFAULT_GRIDS[ClassifierKind.RF], 2, 200),  # 12 candidates
     ], ids=["decreasing", "three-sizes", "single-size", "mixed-depths", "default"])
     def test_one_forest_fit_per_group_and_fold(self, monkeypatch, fields, groups, size):
         grown = []
@@ -202,7 +191,7 @@ class TestSharedForests:
         monkeypatch.setattr(RandomForest, "fit", spy)
         data = _noisy_records(n=60, seed=9, flip=0.25)
         split = make_split(data, 0.2, 3, seed=2)
-        grid_search(ClassifierKind.RF, HyperGrid(ClassifierKind.RF, fields), data, split.folds)
+        grid_search(ClassifierKind.RF, fields, data, split.folds)
         assert grown == [size] * (groups * len(split.folds))
 
     def test_default_grid_fits_and_predicts_each_distinct_tree_once(self, monkeypatch):

@@ -224,6 +224,17 @@ class TestLoadFacts:
         facts = encode(Beliefs(ids, classes), {iid: bool(meta[iid]) for iid in ids})
         _assert_same_columns(kb.load_facts(pipeline_run / "facts.lp"), facts)
 
+    def test_ids_past_the_self_coded_range_keep_encode_symbols(self, tmp_path):
+        # an id of 2**62 or more is a symbol, coded after kb.SYMBOLS on both sides
+        ids = [5, 2**62, 2**63 - 1]
+        beliefs = Beliefs(ids, {ClassifierKind.SVM: [1, 0, 1], ClassifierKind.RF: [0, 1, 1]})
+        facts = encode(beliefs, dict(zip(ids, (True, False, True))))
+        path = tmp_path / "facts.lp"
+        serialize(facts, path)
+        read = kb.load_facts(path)
+        assert read.symbols == [*kb.SYMBOLS, 2**62, 2**63 - 1, "rf", "svm"]
+        _assert_same_columns(read, facts)
+
     def test_base_lines_are_encode_facts(self, tmp_path):
         path = tmp_path / "facts.lp"
         path.write_text("".join(line + "\n" for line in BASE_LINES))
