@@ -33,7 +33,7 @@ from metaphish.classifiers import (
 )
 from metaphish.dataset import (
     CsvSchema,
-    fit_scaler,  # noqa: F401  (unused here; perfbench/spans.py times cli.fit_scaler)
+    fit_scaler,
     load_dataset,
     load_meta_from_snapshots,
     make_split,
@@ -112,10 +112,13 @@ def _load_dataset(cfg: argparse.Namespace):
             if cfg.meta_column not in header:
                 raise ConfigError(f"{path}: meta column {cfg.meta_column!r} is not in the "
                                   f"header; fix --meta-column")
-        return load_dataset(path, CsvSchema(meta_column=cfg.meta_column or CsvSchema.meta_column))
+        data = load_dataset(path, CsvSchema(meta_column=cfg.meta_column or CsvSchema.meta_column))
     except (ValueError, csv.Error) as exc:  # a damaged file: name it (the loader names the row)
         detail = str(exc) if str(exc).startswith(f"{path}: ") else f"{path}: {exc}"
         raise ConfigError(f"{detail}; fix the dataset") from None
+    if not len(data):
+        raise ConfigError(f"{path}: a header but no data rows; fix the dataset")
+    return data
 
 
 def _fingerprint(data) -> dict[str, str]:
@@ -223,9 +226,14 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     data = _load_dataset(cfg)
     counts = train_class_counts(data, cfg.test_fraction)
     # a grid search scores each fold, so every fold needs a row of each class
-    limit = min(counts.values()) if cfg.params == "grid" else sum(counts.values())
+    grid = cfg.params == "grid"
+    limit = min(counts.get(label, 0) for label in (0, 1)) if grid else sum(counts.values())
+    rows = "of the smaller class " if grid else ""
+    if limit < 2:  # fewer than the fewest folds
+        raise ConfigError(f"{cfg.dataset}: the train rows {rows}number {limit}, too few for "
+                          f"2 folds, the fewest; pass {'--best-config or ' if grid else ''}"
+                          f"a smaller --test-fraction, or fix the dataset")
     if cfg.folds > limit:
-        rows = "of the smaller class " if cfg.params == "grid" else ""
         raise ConfigError(f"--folds {cfg.folds} is more than the train rows {rows}allow: "
                           f"pass --folds {limit} or fewer, or a smaller --test-fraction")
     split = make_split(data, cfg.test_fraction, cfg.folds, cfg.seed)
@@ -309,13 +317,14 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
     train_ids, test_ids = _read_manifest(out_dir, len(data))
     _check_inputs(cfg, out_dir, data)
     meta_flags = _meta_flags(cfg, data, test_ids)  # before any model loads
+    fitted = fit_scaler(data, train_ids)  # the scaler every model file must hold
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
         if not path.is_file():
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
         try:
-            models[kind] = load_model(path, data, train_ids)
+            models[kind] = load_model(path, data, train_ids, fitted)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(

@@ -2,22 +2,19 @@
 
 Class labels cross into the symbolic layer as named constants
 (0 <-> benign, 1 <-> phishing); the 0/1 coding is confined to
-:func:`encode` and :data:`SYMBOL_TO_CLASS`.  Serialization emits ground
-facts one per line in solver-compatible syntax so the file can also be fed
-to external ASP tooling for cross-validation.  Facts are
-:class:`nmr.Relations`, the integer-coded argument columns :mod:`nmr`
-grounds: every ``meta`` fact by instance id, then every ``pred`` fact by
-(instance id, classifier), in ``facts.lp`` order.  :func:`encode` builds
-them from the belief columns, :func:`serialize` writes them, and
-:func:`load_facts` reads back the lines :func:`serialize` writes, and only
-those, into the columns and symbol table that :func:`encode` builds.
+:func:`encode` and :data:`SYMBOL_TO_CLASS`.  Facts are :class:`nmr.Relations`,
+the integer-coded argument columns :mod:`nmr` grounds: every ``meta`` fact by
+instance id, then every ``pred`` fact by (instance id, classifier), in
+``facts.lp`` order.  :func:`encode` builds them from the belief columns,
+:func:`serialize` writes them one ground fact a line in solver syntax, which
+external ASP tooling also reads, and :func:`load_facts` reads back those
+lines, and only those, into the columns and symbol table :func:`encode` builds.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -62,53 +59,29 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> nmr.Relations:
 
 
 def serialize(facts: nmr.Relations, path: str | Path) -> int:
-    """Write one fact per line as ``predicate(args).`` and return bytes written.
-
-    No spaces, trailing period, ``\\n`` line ends, each predicate's facts in
-    the order of ``facts`` (for :func:`encode`'s facts, the byte-stable
-    ``facts.lp`` order).  A line is made of templates: the text of an
-    argument column that holds more than symbols, and between two such
-    columns the text of the symbol columns with their punctuation, like
-    ``pred(svm,`` and ``,benign).``; each template is formatted once per
-    distinct row of its columns.
-    """
-    chunks = []
-    for pred, table in facts.tables.items():
-        n, arity = table.shape
-        parts, run = [], []  # the per-row texts; the columns of the template being built
-        text = pred + ("(" if arity else ".\n")
-        for k, col in enumerate(table.T, start=1):
-            if n and col.max() < 0:  # symbols only: into the template
-                run.append(col)
-                text += "{}"
-            else:  # other constants: a template of their own
-                parts += [_filled(facts, text, run, n), _filled(facts, "{}", [col], n)]
-                run, text = [], ""
-            text += ").\n" if k == arity else ","
-        parts.append(_filled(facts, text, run, n))
-        chunks.append("".join(chain.from_iterable(zip(*parts))))
-    data = "".join(chunks).encode("ascii")
+    """Write every ``meta(<id>,<flag>).`` line, then every ``pred(<classifier>,<id>,<class>).``
+    line, each table in its order, and return the bytes written.  A missing table writes
+    nothing; another predicate, or a table of another arity, raises ValueError naming it."""
+    other = sorted(set(facts.tables) - {META, PRED})
+    if other:
+        raise ValueError(f"facts.lp holds only {META} and {PRED} facts, not {', '.join(other)}")
+    symbols = np.array(facts.symbols, dtype=object)
+    columns = {}  # each table's argument columns, as lists of constants
+    for pred, arity in ((META, 2), (PRED, 3)):
+        table = facts.tables.get(pred, np.zeros((0, arity), np.int64)).T
+        if len(table) != arity:
+            raise ValueError(f"{pred} facts take {arity} arguments, not {len(table)}")
+        cells = table.astype(object)
+        cells[table < 0] = symbols[-1 - table[table < 0]]
+        columns[pred] = cells.tolist()
+    data = "".join([f"{META}({iid},{flag}).\n" for iid, flag in zip(*columns[META])]
+                   + [f"{PRED}({kind},{iid},{cls}).\n" for kind, iid, cls in zip(*columns[PRED])]
+                   ).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)
 
 
-def _filled(facts: nmr.Relations, text: str, run: list[np.ndarray], n: int):
-    """The ``n`` texts of ``text`` with each row's constants of the columns
-    ``run`` in its ``{}`` places, formatted once per distinct row."""
-    if not run:
-        return repeat(text, n)
-    columns = np.column_stack(run)
-    _, first, inverse = np.unique(nmr.row_keys(columns, columns[:0])[0],
-                                  return_index=True, return_inverse=True)
-    if text == "{}":  # one column alone
-        texts = list(map(str, facts.constants(columns[first, 0])))
-    else:
-        texts = [text.format(*row) for row in facts.decode(columns[first])]
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-# the two line shapes serialize writes: meta(<id>,yes|no). and
-# pred(<classifier>,<id>,benign|phishing)., an id without sign or leading zero
+# the lines serialize writes of encode's facts, an id without sign or leading zero
 _ID = "(0|[1-9][0-9]*)"
 _LINE = re.compile(rf"{META}\({_ID},({'|'.join(META_TO_SYMBOL.values())})\)\."
                    rf"|{PRED}\(({'|'.join(kind.value for kind in KIND_ORDER)}),{_ID},"

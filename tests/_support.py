@@ -413,7 +413,7 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[GroundAtom, ..
 
 def atom_serialize(facts: Iterable[GroundAtom], path) -> int:
     """``kb.serialize`` one fact at a time: ``predicate(args).`` and a line
-    end per fact, in order (the oracle for its line templates)."""
+    end per fact, in order (the oracle for its two line shapes)."""
     data = "".join(f"{nmr.format_ground_atom(atom)}.\n" for atom in facts).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from metaphish import cli, kb, nmr, revision
+from metaphish import dataset as dataset_module
 from metaphish.classifiers import DEFAULT_GRIDS, Beliefs, ClassifierKind
+from metaphish.classifiers import models as models_module
 from metaphish.cli import main
 from metaphish.dataset import extract_meta_presence
 from metaphish.revision import parse_kv
@@ -83,6 +85,33 @@ class TestTrain:
         out = tmp_path / "out"
         assert main(["train", *DATASET_ARGS, *args, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows,args,message", [
+        ("header-only", ["--grid-search"], "a header but no data rows; fix the dataset"),
+        ("phishing-only", ["--grid-search"], "the train rows of the smaller class number 0, "
+         "too few for 2 folds, the fewest; pass --best-config or a smaller --test-fraction, "
+         "or fix the dataset"),
+        ("one-phishing", ["--grid-search"], "the train rows of the smaller class number 1,"),
+        ("one-row", ["--best-config"], "the train rows number 1, too few for 2 folds, the "
+         "fewest; pass a smaller --test-fraction, or fix the dataset"),
+    ], ids=["header-only-grid", "phishing-only-grid", "one-phishing-grid", "one-row-best"])
+    def test_dataset_too_small_to_split_is_named(self, tmp_path, capsys, rows, args, message):
+        # the header-only and one-class grid searches ended in exit 1; the
+        # others advised --folds 1, under the least of 2 (DATASET_FAULTS
+        # holds the header-only file without --grid-search)
+        header, *lines = FIXTURE_CSV.read_text().splitlines()
+        phishing = [line for line in lines if ",phishing," in line]
+        kept = {"header-only": [], "phishing-only": phishing, "one-row": lines[:1],
+                "one-phishing": [line for line in lines if ",phishing," not in line]
+                                + phishing[:1]}[rows]
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("".join(f"{line}\n" for line in (header, *kept)))
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(dataset), *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {dataset}: {message}" in err, err
+        assert not re.search(r"--folds [01]\b", err), err
         assert not out.exists()
 
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
@@ -188,6 +217,22 @@ class TestRevise:
         out = _copy_run(pipeline_run, tmp_path / "out")
         assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
         assert made == []
+        for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == PINNED_ARTIFACTS[name], name
+
+    def test_revise_fits_the_scaler_once(self, pipeline_run, tmp_path, monkeypatch):
+        # the four model files share one split, so one fit checks all their scalers
+        fits = []
+
+        def spy(real):
+            return lambda data, ids: fits.append(len(ids)) or real(data, ids)
+
+        for module in (cli, models_module, dataset_module):
+            monkeypatch.setattr(module, "fit_scaler", spy(module.fit_scaler))
+        out = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
+        assert fits == [160]
         for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == PINNED_ARTIFACTS[name], name
@@ -1075,6 +1120,7 @@ DATASET_FAULTS = {
     "trailing-blank-line": lambda text: text + "\n",
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "quoted-url": edit_row(set_cell(0, lambda cell: f'"{cell}?a=1,b=2"')),
+    "header-only": lambda text: text[:text.index("\n") + 1],
 }
 TRAIN_OUTPUTS = (*MODEL_FILES, "split_manifest.csv", "run_inputs.kv", "cv_summary.kv")
 REVISE_OUTPUTS = ("facts.lp", "final_beliefs.csv", "report.kv", "report.txt")

@@ -114,25 +114,41 @@ class TestSerialize:
         assert meta_back == meta
 
     def test_same_bytes_as_one_fact_at_a_time(self, tmp_path):
-        # the line templates against the per-fact writer: encode's facts, and
-        # fact bases grouped from atoms whose argument columns mix symbols,
-        # ids, ints past the self-coded range and negative ints
+        # the two line shapes against the per-fact writer, on encode's facts
         rng = random.Random(25)
-        consts = ("svm", "benign", 0, 7, 2**62, 2**63 + 1, -3, "x_1")
         for n in (0, 1, 9, 200):
             beliefs, meta, _ = random_scenario(rng, n)
             facts = encode(beliefs, meta)
             assert serialize(facts, tmp_path / "a.lp") == atom_serialize(tuple(facts),
                                                                          tmp_path / "b.lp")
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
-        for _ in range(200):
-            atoms = [(pred, tuple(rng.choice(consts[:rng.randint(1, len(consts))])
-                                  for _ in range(arity)))
-                     for pred, arity in (("p", 3), ("q", 0), ("r", 1), ("s", 2))
-                     for _ in range(rng.randint(0, 6))]
-            assert serialize(nmr.Relations.of(atoms), tmp_path / "a.lp") == \
-                atom_serialize(atoms, tmp_path / "b.lp")
+
+    def test_ids_past_the_self_coded_range_print_as_digits(self, tmp_path):
+        # ids of 2**62 or more are symbols, mixed here with self-coded ids
+        rng = random.Random(28)
+        for n in (1, 9, 200):
+            ids = sorted({*rng.sample(range(2**62 - 3, 2**62 + 3), 3),
+                          *(rng.randrange(2**62, 2**63) for _ in range(n))})
+            classes = {kind: [rng.randrange(2) for _ in ids] for kind in KIND_ORDER}
+            facts = encode(Beliefs(ids, classes), {iid: rng.random() < 0.5 for iid in ids})
+            assert (facts.tables["meta"][:, 0] < 0).any()
+            assert serialize(facts, tmp_path / "a.lp") == atom_serialize(tuple(facts),
+                                                                         tmp_path / "b.lp")
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
+            assert f"meta({ids[-1]},".encode() in (tmp_path / "a.lp").read_bytes()
+
+    @pytest.mark.parametrize("atoms,message", [
+        ([("pred", ("svm", 0, "benign")), ("final", ("svm", 0, "benign"))],
+         "only meta and pred facts, not final"),
+        ([("meta", (0, "yes")), ("q", ()), ("p", (1,))], "only meta and pred facts, not p, q"),
+        ([("meta", (0, "yes", 1))], "meta facts take 2 arguments, not 3"),
+        ([("meta", (0, "yes")), ("pred", ("svm", 0))], "pred facts take 3 arguments, not 2"),
+    ], ids=["other-predicate", "other-predicates", "meta-arity", "pred-arity"])
+    def test_other_predicate_or_arity_is_named(self, tmp_path, atoms, message):
+        path = tmp_path / "facts.lp"
+        with pytest.raises(ValueError, match=message):
+            serialize(nmr.Relations.of(atoms), path)
+        assert not path.exists()
 
     def test_byte_stable(self, tmp_path):
         beliefs = Beliefs(range(20), {ClassifierKind.KNN: [i % 2 for i in range(20)]})
