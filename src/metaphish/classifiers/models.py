@@ -278,17 +278,17 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path, data: Dataset, train_ids, fitted: ScalerStats) -> TrainedModel:
+def load_model(path: str | Path, data: Dataset, train_ids) -> TrainedModel:
     """The model that :func:`save_model` wrote to ``path`` in the run whose
-    dataset is ``data`` and whose training rows are ``train_ids``; ``fitted``
-    is ``fit_scaler(data, train_ids)``, fit once for all of the run's files.
+    dataset is ``data`` and whose training rows are ``train_ids``.
 
-    The stored scaler must be ``fitted``, so a file of another split or with
-    an edited scaler is refused.  KNN's training rows and SVM's support
-    vectors are rebuilt as ``fitted.scale(data.X[data.rows(train_ids)])``,
-    bitwise the matrix the fit saw.  Raises ValueError (or KeyError or
-    TypeError) on a file that breaks the schema, such as a parameter its
-    kind's grid lacks: see the estimators' ``from_dict``.
+    The stored scaler must be the one the training rows give, so a file of
+    another split or with an edited scaler is refused.  KNN's training rows
+    and SVM's support vectors are rebuilt as
+    ``scaler.scale(data.X[data.rows(train_ids)])``, bitwise the matrix the
+    fit saw.  Raises ValueError (or KeyError or TypeError) on a file that
+    breaks the schema, such as a parameter its kind's grid lacks: see the
+    estimators' ``from_dict``.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     fmt = payload.get("format") if type(payload) is dict else None
@@ -308,8 +308,9 @@ def load_model(path: str | Path, data: Dataset, train_ids, fitted: ScalerStats) 
     if scaler.width != width:
         raise ValueError(f"the scaler is {scaler.width} features wide "
                          f"but the dataset has {width}")
-    if not (np.array_equal(fitted.means, scaler.means)
-            and np.array_equal(fitted.std_devs, scaler.std_devs)):
+    refit = fit_scaler(data, train_ids)
+    if not (np.array_equal(refit.means, scaler.means)
+            and np.array_equal(refit.std_devs, scaler.std_devs)):
         raise ValueError("the scaler is not the one the manifest's training rows give")
     if kind is ClassifierKind.DT:
         estimator = DecisionTree.from_dict(state, width, **params)
@@ -317,7 +318,7 @@ def load_model(path: str | Path, data: Dataset, train_ids, fitted: ScalerStats) 
         estimator = RandomForest.from_dict(state, width, seed=seed, **params)
     else:
         rows = data.rows(train_ids)
-        train_x = fitted.scale(data.X[rows])
+        train_x = scaler.scale(data.X[rows])
         if kind is ClassifierKind.KNN:
             estimator = KNearestNeighbors(**params).fit(train_x, data.y[rows])
         else:

@@ -33,7 +33,7 @@ from metaphish.classifiers import (
 )
 from metaphish.dataset import (
     CsvSchema,
-    fit_scaler,
+    fit_scaler,  # noqa: F401  (unused here; perfbench/spans.py times cli.fit_scaler)
     load_dataset,
     load_meta_from_snapshots,
     make_split,
@@ -317,14 +317,13 @@ def cmd_revise(cfg: argparse.Namespace) -> int:
     train_ids, test_ids = _read_manifest(out_dir, len(data))
     _check_inputs(cfg, out_dir, data)
     meta_flags = _meta_flags(cfg, data, test_ids)  # before any model loads
-    fitted = fit_scaler(data, train_ids)  # the scaler every model file must hold
     models = {}
     for kind in KIND_ORDER:
         path = out_dir / MODEL_FILES[kind]
         if not path.is_file():
             raise ConfigError(f"model file not found: {path} (run 'train' first)")
         try:
-            models[kind] = load_model(path, data, train_ids, fitted)
+            models[kind] = load_model(path, data, train_ids)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(

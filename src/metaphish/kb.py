@@ -59,24 +59,13 @@ def encode(beliefs, meta_flags: Mapping[int, bool]) -> nmr.Relations:
 
 
 def serialize(facts: nmr.Relations, path: str | Path) -> int:
-    """Write every ``meta(<id>,<flag>).`` line, then every ``pred(<classifier>,<id>,<class>).``
-    line, each table in its order, and return the bytes written.  A missing table writes
-    nothing; another predicate, or a table of another arity, raises ValueError naming it."""
-    other = sorted(set(facts.tables) - {META, PRED})
-    if other:
-        raise ValueError(f"facts.lp holds only {META} and {PRED} facts, not {', '.join(other)}")
-    symbols = np.array(facts.symbols, dtype=object)
-    columns = {}  # each table's argument columns, as lists of constants
-    for pred, arity in ((META, 2), (PRED, 3)):
-        table = facts.tables.get(pred, np.zeros((0, arity), np.int64)).T
-        if len(table) != arity:
-            raise ValueError(f"{pred} facts take {arity} arguments, not {len(table)}")
-        cells = table.astype(object)
-        cells[table < 0] = symbols[-1 - table[table < 0]]
-        columns[pred] = cells.tolist()
-    data = "".join([f"{META}({iid},{flag}).\n" for iid, flag in zip(*columns[META])]
-                   + [f"{PRED}({kind},{iid},{cls}).\n" for kind, iid, cls in zip(*columns[PRED])]
-                   ).encode("ascii")
+    """Write :func:`encode`'s facts, every ``meta(<id>,<flag>).`` line and then every
+    ``pred(<classifier>,<id>,<class>).`` line, each table in its order, and return the
+    bytes written.  A missing table writes nothing."""
+    meta, pred = (facts.decode(facts.tables.get(name, np.empty((0, 0), np.int64)))
+                  for name in (META, PRED))
+    data = "".join([f"{META}({iid},{flag}).\n" for iid, flag in meta]
+                   + [f"{PRED}({kind},{iid},{cls}).\n" for kind, iid, cls in pred]).encode("ascii")
     Path(path).write_bytes(data)
     return len(data)
 

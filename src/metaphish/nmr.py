@@ -415,11 +415,13 @@ class Relations:
         """The constants of an array of codes."""
         if not len(codes) or codes.min() >= 0:
             return codes.tolist()
-        return [self.symbols[-1 - v] if v < 0 else v for v in codes.tolist()]
+        cells = codes.astype(object)
+        cells[codes < 0] = np.array(self.symbols, dtype=object)[-1 - codes[codes < 0]]
+        return cells.tolist()
 
-    def decode(self, table: np.ndarray) -> list[tuple]:
-        """The rows of a table of codes, as tuples of constants."""
-        return list(zip(*map(self.constants, table.T))) if table.shape[1] else [()] * len(table)
+    def decode(self, table: np.ndarray) -> Iterable[tuple]:
+        """The rows of a table of codes, as tuples of constants, one at a time."""
+        return zip(*map(self.constants, table.T)) if table.shape[1] else repeat((), len(table))
 
     def __len__(self) -> int:
         return sum(map(len, self.tables.values()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def _positions(codes: np.ndarray, found: np.ndarray) -> np.ndarray:
     return np.where(codes[at] == found, at, -1)
 
 
-def _first_decision(found: list[tuple]) -> tuple:
+def _first_decision(found: Iterable[tuple]) -> tuple:
     """The argument tuple among ``found`` that comes first in
     final_beliefs.csv order, read as ``(classifier, instance id, ...)``: by
     instance id, then :data:`KIND_ORDER`, then the text of the tuple."""

@@ -170,9 +170,8 @@ def test_c4_benchmark_accuracies(benchmark_run):
     test_ids = {rid for rid, role in roles if role == "test"}
     rows = data.rows(test_ids)
     truth = data.y[rows]
-    fitted = fit_scaler(data, train_ids)
     for kind in KIND_ORDER:
-        model = load_model(out_dir / f"model_{kind.value}.json", data, train_ids, fitted)
+        model = load_model(out_dir / f"model_{kind.value}.json", data, train_ids)
         accuracy = float((predict_batch(model, data.X[rows]) == truth).mean())
         target = TABLE_I_TARGETS[kind]
         assert abs(accuracy - target) <= ACCURACY_TOLERANCE, (

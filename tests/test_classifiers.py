@@ -31,7 +31,7 @@ from metaphish.classifiers import knn as knn_module
 from metaphish.classifiers import svm as svm_module
 from metaphish.classifiers import tree as tree_module
 from metaphish.classifiers.tree import TABLE_ROWS, RankTable, impurity_tables
-from metaphish.dataset import Dataset, fit_scaler, load_dataset
+from metaphish.dataset import Dataset, load_dataset
 from _support import (
     FIXTURE_CSV,
     broadcast_distances,
@@ -936,7 +936,7 @@ class TestTrainedModelApi:
         before = predict_batch(model, records.X)
         path = tmp_path / f"{kind.value}.json"
         save_model(model, path)
-        loaded = load_model(path, records, train_ids, fit_scaler(records, train_ids))
+        loaded = load_model(path, records, train_ids)
         after = predict_batch(loaded, records.X)
         assert before.tolist() == after.tolist()
         assert loaded.params == model.params
@@ -982,7 +982,7 @@ class TestTrainedModelApi:
             payload["scaler"][key] = payload["scaler"][key][:width - 1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"scaler is {width - 1} features wide"):
-            load_model(path, records, train_ids, fit_scaler(records, train_ids))
+            load_model(path, records, train_ids)
 
     def test_load_rejects_scaler_halves_of_unequal_length(self, tmp_path, records, train_ids):
         path = tmp_path / "model.json"
@@ -991,7 +991,7 @@ class TestTrainedModelApi:
         payload["scaler"]["std_devs"].pop()
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="equal length"):
-            load_model(path, records, train_ids, fit_scaler(records, train_ids))
+            load_model(path, records, train_ids)
 
     def test_train_empty_ids(self, records):
         with pytest.raises(ValueError, match="empty training set"):
@@ -1031,7 +1031,7 @@ class TestModelFileSchema:
         model = train(ClassifierKind.DT, {"max_depth": None}, data, ids)
         path = tmp_path / "deep.json"
         save_model(model, path)
-        loaded = load_model(path, data, ids, fit_scaler(data, ids))
+        loaded = load_model(path, data, ids)
         assert predict_batch(loaded, X).tolist() == predict_batch(model, X).tolist() == y.tolist()
 
     def test_files_hold_no_rows(self, tmp_path, records, train_ids):
@@ -1040,7 +1040,7 @@ class TestModelFileSchema:
         _, knn = self._saved(tmp_path, records, train_ids, ClassifierKind.KNN, {"k": 3})
         assert knn["state"] == {}
         assert set(svm["state"]) == {"support_rows", "dual_coef", "intercept", "gamma_value"}
-        model = load_model(svm_path, records, train_ids, fit_scaler(records, train_ids))
+        model = load_model(svm_path, records, train_ids)
         fitted = train(ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"}, records, train_ids)
         assert model.estimator.support_x_.tobytes() == fitted.estimator.support_x_.tobytes()
         assert model.estimator.support_rows_.tolist() == svm["state"]["support_rows"]
@@ -1117,12 +1117,11 @@ class TestModelFileSchema:
     def test_schema_violation_is_rejected(self, tmp_path, records, train_ids, kind, params,
                                           edit, message):
         path, payload = self._saved(tmp_path, records, train_ids, kind, params)
-        fitted = fit_scaler(records, train_ids)
-        assert load_model(path, records, train_ids, fitted).kind is kind  # the untouched file loads
+        assert load_model(path, records, train_ids).kind is kind  # the untouched file loads
         edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(message)):
-            load_model(path, records, train_ids, fitted)
+            load_model(path, records, train_ids)
 
     @pytest.mark.parametrize("kind", list(ClassifierKind))
     def test_saving_a_loaded_model_rewrites_its_file(self, pipeline_run, tmp_path, kind):
@@ -1130,8 +1129,7 @@ class TestModelFileSchema:
         with open(pipeline_run / "split_manifest.csv", newline="") as fh:
             train_ids = {int(row["id"]) for row in csv.DictReader(fh) if row["role"] == "train"}
         path = pipeline_run / f"model_{kind.value}.json"
-        model = load_model(path, data, train_ids, fit_scaler(data, train_ids))
-        save_model(model, tmp_path / path.name)
+        save_model(load_model(path, data, train_ids), tmp_path / path.name)
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
     def test_fixture_model_files_are_small(self, pipeline_run):

@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 from metaphish import cli, kb, nmr, revision
-from metaphish import dataset as dataset_module
 from metaphish.classifiers import DEFAULT_GRIDS, Beliefs, ClassifierKind
-from metaphish.classifiers import models as models_module
 from metaphish.cli import main
 from metaphish.dataset import extract_meta_presence
 from metaphish.revision import parse_kv
@@ -217,22 +215,6 @@ class TestRevise:
         out = _copy_run(pipeline_run, tmp_path / "out")
         assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
         assert made == []
-        for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            assert digest == PINNED_ARTIFACTS[name], name
-
-    def test_revise_fits_the_scaler_once(self, pipeline_run, tmp_path, monkeypatch):
-        # the four model files share one split, so one fit checks all their scalers
-        fits = []
-
-        def spy(real):
-            return lambda data, ids: fits.append(len(ids)) or real(data, ids)
-
-        for module in (cli, models_module, dataset_module):
-            monkeypatch.setattr(module, "fit_scaler", spy(module.fit_scaler))
-        out = _copy_run(pipeline_run, tmp_path / "out")
-        assert main(["revise", *DATASET_ARGS, "--out", str(out)]) == 0
-        assert fits == [160]
         for name in ("facts.lp", "final_beliefs.csv", "report.kv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == PINNED_ARTIFACTS[name], name

@@ -7,6 +7,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# imported for a reader outside the module: perfbench/spans.py times cli.fit_scaler
+KEPT = {("metaphish/cli.py", "fit_scaler")}
+
+
 def unused_imports(source: str) -> set[str]:
     """The names that ``source``'s imports bind and that it neither
     references nor lists in ``__all__``."""
@@ -35,4 +39,4 @@ def test_no_module_has_an_unused_import():
     found = {(path.relative_to(SRC).as_posix(), name)
              for path in sorted(SRC.rglob("*.py"))
              for name in unused_imports(path.read_text(encoding="utf-8"))}
-    assert found == set()
+    assert found == KEPT  # and each kept name is still unused, so still needs its entry

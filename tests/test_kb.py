@@ -137,19 +137,6 @@ class TestSerialize:
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
             assert f"meta({ids[-1]},".encode() in (tmp_path / "a.lp").read_bytes()
 
-    @pytest.mark.parametrize("atoms,message", [
-        ([("pred", ("svm", 0, "benign")), ("final", ("svm", 0, "benign"))],
-         "only meta and pred facts, not final"),
-        ([("meta", (0, "yes")), ("q", ()), ("p", (1,))], "only meta and pred facts, not p, q"),
-        ([("meta", (0, "yes", 1))], "meta facts take 2 arguments, not 3"),
-        ([("meta", (0, "yes")), ("pred", ("svm", 0))], "pred facts take 3 arguments, not 2"),
-    ], ids=["other-predicate", "other-predicates", "meta-arity", "pred-arity"])
-    def test_other_predicate_or_arity_is_named(self, tmp_path, atoms, message):
-        path = tmp_path / "facts.lp"
-        with pytest.raises(ValueError, match=message):
-            serialize(nmr.Relations.of(atoms), path)
-        assert not path.exists()
-
     def test_byte_stable(self, tmp_path):
         beliefs = Beliefs(range(20), {ClassifierKind.KNN: [i % 2 for i in range(20)]})
         fb = encode(beliefs, {i: True for i in range(20)})
