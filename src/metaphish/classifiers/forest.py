@@ -84,8 +84,8 @@ class RandomForest:
             raise ValueError("forest is not fitted")
         X = check_query(X, self.trees_[0].n_features_)
         votes = np.zeros(len(X), dtype=np.int64)
-        for tree in self.trees_:
-            votes += tree.predict(X)
+        for tree in self.trees_:  # X is checked once, not once per tree
+            votes += tree._route(X)
         return majority(votes, len(self.trees_))
 
     def to_dict(self) -> dict:

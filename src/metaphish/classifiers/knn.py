@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from metaphish.classifiers.schema import check_integer, finite_query, training_set
+from metaphish.classifiers.schema import check_integer, check_query, training_set
 
 # Elements per block: its query rows times the training rows plus the k x d
 # values that each query's candidates gather for the exact distances.
@@ -106,7 +106,7 @@ class KNearestNeighbors:
         if self.X_ is None:
             raise ValueError("classifier is not fitted")
         n, d = self.X_.shape
-        Q = finite_query(X, d)
+        Q = check_query(X, d)
         out = np.empty(len(Q), dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // (n + min(self.k, n) * d))
         for start in range(0, len(Q), step):

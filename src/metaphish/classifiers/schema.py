@@ -50,17 +50,12 @@ def check_integer(name: str, value, least: int, none_ok: bool = False) -> None:
 
 def check_query(X, n_features: int) -> np.ndarray:
     """``X`` as a float64 matrix; ValueError naming both widths unless it is
-    2-D with the ``n_features`` columns the estimator was fit on."""
+    2-D with the ``n_features`` columns the estimator was fit on, and
+    ValueError on a value that is not finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"pass a 2-D X with the {n_features} feature columns the model "
                          f"was fit on; got X of shape {X.shape}")
-    return X
-
-
-def finite_query(X, n_features: int) -> np.ndarray:
-    """:func:`check_query`, and a ValueError on a value that is not finite."""
-    X = check_query(X, n_features)
     if not np.isfinite(X).all():
         raise ValueError("X holds NaN or infinite values; pass finite feature values")
     return X

@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from metaphish.classifiers.schema import (
-    finite_query,
+    check_query,
     float_list,
     int_list,
     number,
@@ -46,14 +46,20 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
     return float(gamma)
 
 
+def _positive(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 < value < math.inf
+
+
 class KernelSVM:
     """Binary SVM over labels {0,1}; internally trained on {-1,+1}."""
 
     def __init__(self, C=1.0, kernel="linear", gamma="scale"):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
-        if isinstance(C, bool) or not isinstance(C, numbers.Real) or not 0 < C < math.inf:
+        if not _positive(C):
             raise ValueError(f"C must be a positive number, got {C!r}")
+        if not (gamma in ("scale", "auto") if isinstance(gamma, str) else _positive(gamma)):
+            raise ValueError(f"gamma must be 'scale', 'auto' or a positive number, got {gamma!r}")
         self.C = float(C)
         self.kernel = kernel
         self.gamma = gamma
@@ -148,7 +154,7 @@ class KernelSVM:
     def decision_function(self, X) -> np.ndarray:
         if self.support_x_ is None:
             raise ValueError("classifier is not fitted")
-        X = finite_query(X, self.support_x_.shape[1])
+        X = check_query(X, self.support_x_.shape[1])
         if len(self.support_x_) == 0:
             return np.full(len(X), self.intercept_)
         K = self._kernel_matrix(X, self.support_x_)

@@ -250,10 +250,13 @@ class DecisionTree:
         return int(features[f]), _threshold(float(below), float(above)), r + 1, int(pos[f, r])
 
     def predict(self, X) -> np.ndarray:
-        """Route row-index arrays down the tree; empty partitions stop early."""
         if self.root_ is None:
             raise ValueError("tree is not fitted")
-        X = check_query(X, self.n_features_)
+        return self._route(check_query(X, self.n_features_))
+
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of an ``X`` already checked: route row-index arrays
+        down the tree; empty partitions stop early."""
         out = np.empty(len(X), dtype=np.int64)
         stack = [(self.root_, np.arange(len(X)))]
         while stack:

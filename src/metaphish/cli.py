@@ -236,6 +236,9 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     if cfg.folds > limit:
         raise ConfigError(f"--folds {cfg.folds} is more than the train rows {rows}allow: "
                           f"pass --folds {limit} or fewer, or a smaller --test-fraction")
+    if sum(counts.values()) == len(data):
+        raise ConfigError(f"{cfg.dataset}: --test-fraction {cfg.test_fraction} puts none of "
+                          f"its {len(data)} rows in the test set; pass a larger --test-fraction")
     split = make_split(data, cfg.test_fraction, cfg.folds, cfg.seed)
     out_dir = Path(cfg.out)
     try:
@@ -302,7 +305,7 @@ def _read_rules(cfg: argparse.Namespace) -> nmr.Program:
     try:
         program = nmr.parse_program(path.read_text(encoding="utf-8"))
         # the fact predicates have fixed arities, so a clash shows before grounding
-        nmr.check_arities(program, [(kb.PRED, ("svm", 0, "phishing")), (kb.META, (0, "yes"))])
+        nmr.check_arities(program, kb.ARITY)
     except nmr.ParseError as exc:  # its message starts with line:column
         raise ConfigError(f"{path}:{exc}; fix the rule file") from None
     except (nmr.ProgramError, UnicodeDecodeError) as exc:

@@ -25,6 +25,7 @@ from metaphish.classifiers import KIND_ORDER
 
 PRED = "pred"
 META = "meta"
+ARITY = {META: 2, PRED: 3}  # meta(id,flag), pred(classifier,id,class)
 
 CLASS_TO_SYMBOL = {0: "benign", 1: "phishing"}
 SYMBOL_TO_CLASS = {"benign": 0, "phishing": 1}
@@ -89,7 +90,7 @@ def load_facts(path: str | Path) -> nmr.Relations:
     # encode's symbol order: SYMBOLS, then each other constant as it first appears
     facts = nmr.Relations({}, SYMBOLS)
     code = facts.code
-    rows = {META: array("q"), PRED: array("q")}  # each table's codes, row after row
+    rows = {pred: array("q") for pred in ARITY}  # each table's codes, row after row
     meta_ids = set()
     last = (META, -1, "")  # the (predicate, id, classifier) of the line before
     for number, line in enumerate(lines, start=1):
@@ -119,6 +120,6 @@ def load_facts(path: str | Path) -> nmr.Relations:
         raise ValueError(f"{path}, line {number}: {problem}")
     if rest:
         raise ValueError(f"{path}, line {len(lines) + 1}: {rest!r} has no line end")
-    for pred, arity in ((META, 2), (PRED, 3)):
+    for pred, arity in ARITY.items():
         facts.tables[pred] = np.frombuffer(rows[pred], np.int64).reshape(-1, arity)
     return facts

@@ -5,12 +5,12 @@ with default negation, no function symbols, no disjunction, no aggregates.
 A program is parsed, checked for rule safety and stratification (a cycle
 through ``not`` is rejected, naming the first in sorted order; otherwise
 the strata are the least predicate levels, found by relaxation), and
-grounded against facts taken as given: stratum by stratum, semi-naively,
-through join plans run a set at a time over integer-coded argument columns
-(:class:`Relations`).  The atoms derived are the unique stable model,
+grounded against a fact base of integer-coded argument columns
+(:class:`Relations`): stratum by stratum, semi-naively, through join plans
+run a set at a time.  The atoms derived are the unique stable model,
 ``GroundProgram.model``; the ground rules are enumerated only when
-``GroundProgram.rules`` is read, by evaluating again.  :func:`solve` and the
-reduct-based :func:`check_stability` read them: oracles for the model.
+``GroundProgram.rules`` is read, by evaluating again.  :func:`solve` reads
+them: an oracle for the model.
 
 Ground atoms are plain ``(predicate, args)`` tuples where each argument is a
 symbol (str) or an integer.
@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -140,13 +140,13 @@ class AnswerSet:
 class GroundProgram:
     """What :func:`ground` found: the stable model and its counters.
 
-    ``rules`` (one :class:`GroundRule` per distinct fact, in input order, then
+    ``rules`` (one :class:`GroundRule` per distinct fact, in table order, then
     one per firing, in firing order) is enumerated on first read, by
     evaluating ``source`` (the program and its facts) again, and kept."""
 
     stats: EvalStats
     model: AnswerSet
-    source: tuple[Program, Relations | tuple[GroundAtom, ...]] = field(repr=False)
+    source: tuple[Program, Relations] = field(repr=False)
 
     @cached_property
     def rules(self) -> tuple[GroundRule, ...]:
@@ -384,17 +384,6 @@ class Relations:
         self.symbols = list(symbols)
         self._codes = {symbol: -1 - k for k, symbol in enumerate(self.symbols)}
 
-    @classmethod
-    def of(cls, atoms: Iterable[GroundAtom]):
-        """``atoms``, of one arity per predicate, grouped by predicate in one pass."""
-        rel, rows = cls(), {}
-        for pred, args in atoms:
-            rows.setdefault(pred, []).append(args)
-        for pred, args in rows.items():
-            codes = [rel.code(a) for row in args for a in row]
-            rel.tables[pred] = np.array(codes, np.int64).reshape(len(args), len(args[0]))
-        return rel
-
     def code(self, constant) -> int:
         """The code of ``constant``, adding a new symbol to the table."""
         if isinstance(constant, (int, np.integer)) and 0 <= constant < _SELF_CODED:
@@ -564,50 +553,42 @@ def _fire(plan: _Plan, rel: Relations, marks: dict[str, int], rules: dict | None
     return len(bound)
 
 
-def check_arities(program: Program, facts) -> None:
-    """Raise :class:`ArityError` if a predicate of the program or the facts
-    (a :class:`Relations`, or atoms) is used with two different arities."""
-    arity: dict[str, int] = {}
-    in_facts = ([(pred, table.shape[1]) for pred, table in facts.tables.items()]
-                if isinstance(facts, Relations) else
-                dict.fromkeys((pred, len(args)) for pred, args in facts))
-    for pred, n, rule in chain(((pred, n, None) for pred, n in in_facts),
-                               ((atom.predicate, len(atom.terms), rule) for rule in program.rules
-                                for atom in (rule.head, *rule.body_pos, *rule.body_neg))):
-        seen = arity.setdefault(pred, n)
-        if seen != n:
-            context = "the fact base" if rule is None else f"rule '{rule}'"
-            raise ArityError(f"predicate {pred!r} used with arity {n} in {context} "
-                             f"but with arity {seen} elsewhere")
+def check_arities(program: Program, arities: Mapping[str, int]) -> None:
+    """Raise :class:`ArityError` if a predicate of the program is used with
+    two different arities, or with another than ``arities`` gives it."""
+    arity = dict(arities)
+    for rule in program.rules:
+        for atom in (rule.head, *rule.body_pos, *rule.body_neg):
+            n = len(atom.terms)
+            seen = arity.setdefault(atom.predicate, n)
+            if seen != n:
+                raise ArityError(f"predicate {atom.predicate!r} used with arity {n} in rule "
+                                 f"'{rule}' but with arity {seen} elsewhere")
 
 
-def ground(program: Program, facts: Iterable[GroundAtom] = ()) -> GroundProgram:
+def ground(program: Program, facts: Relations) -> GroundProgram:
     """Instantiate the program over every substitution whose positive body is
     satisfiable by derivable atoms (facts included as empty-body ground rules).
 
-    ``facts`` is a :class:`Relations`, kept as given, or atoms, grouped into
-    one.  Strata run bottom-up, each semi-naively (Bancilhon & Ramakrishnan
-    1986): after a first pass over all atoms, each pass joins the rules with
-    a body predicate of the stratum against the last pass's new atoms only,
-    through join plans compiled once per rule and run a set at a time, so
-    every instantiation fires once.  The model's atoms are decoded, and the
-    ground rules enumerated, on first read; only the order of ``rules``
-    follows the order of ``facts``."""
-    fact_atoms = facts if isinstance(facts, Relations) else tuple(facts)
-    check_arities(program, fact_atoms)
-    firings, model = _evaluate(program, fact_atoms, None)
+    ``facts`` is kept as given.  Strata run bottom-up, each semi-naively
+    (Bancilhon & Ramakrishnan 1986): after a first pass over all atoms, each
+    pass joins the rules with a body predicate of the stratum against the
+    last pass's new atoms only, through join plans compiled once per rule and
+    run a set at a time, so every instantiation fires once.  The model's
+    atoms are decoded, and the ground rules enumerated, on first read."""
+    check_arities(program, {pred: table.shape[1] for pred, table in facts.tables.items()})
+    firings, model = _evaluate(program, facts, None)
     stats = EvalStats(firings, len(model))
-    return GroundProgram(stats, AnswerSet(model, stats), (program, fact_atoms))
+    return GroundProgram(stats, AnswerSet(model, stats), (program, facts))
 
 
-def _evaluate(program: Program, facts, rules: dict | None) -> tuple[int, Relations]:
+def _evaluate(program: Program, facts: Relations, rules: dict | None) -> tuple[int, Relations]:
     """The firings and model of :func:`ground`; with a dict ``rules``, each
     distinct fact and each firing also becomes a ground rule in it."""
     if rules is not None:  # an insertion-ordered set: the facts may repeat
         rules.update(dict.fromkeys(GroundRule(atom, (), ()) for atom in facts))
-    given = facts if isinstance(facts, Relations) else Relations.of(facts)
-    rel, marks = Relations({}, given.symbols), {}
-    _extend(rel, marks, {pred: [table] for pred, table in given.tables.items()})
+    rel, marks = Relations({}, facts.symbols), {}
+    _extend(rel, marks, {pred: [table] for pred, table in facts.tables.items()})
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
         by_stratum.setdefault(program.strata[rule.head.predicate], []).append(rule)
@@ -660,24 +641,3 @@ def solve(ground_program: GroundProgram) -> AnswerSet:
                         derived.add(head)
                         changed = True
     return AnswerSet(derived, EvalStats(firings, len(derived)))
-
-
-def check_stability(ground_program: GroundProgram, candidate) -> bool:
-    """Reduct-based stable-model test, independent of the stratified evaluator.
-
-    Drops rules with a negative literal inside the candidate, strips the
-    remaining negative literals, and compares the candidate with the least
-    model of the resulting positive program.
-    """
-    cand = frozenset(getattr(candidate, "atoms", candidate))  # an AnswerSet, or atoms
-    reduct = [(head, pos) for head, pos, neg in ground_program.rules
-              if not any(n in cand for n in neg)]
-    least: set[GroundAtom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in reduct:
-            if head not in least and all(p in least for p in pos):
-                least.add(head)
-                changed = True
-    return least == cand

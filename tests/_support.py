@@ -374,7 +374,7 @@ def row_apply_revision(beliefs: list[InitialBelief], facts: tuple[GroundAtom, ..
         program = revision.revision_program()
     final_by_key: dict[tuple, int] = {}
     conflicts = set()
-    atoms = [args for pred, args in nmr.ground(program, facts).model.atoms if pred == "final"]
+    atoms = [args for pred, args in ground_atoms(program, facts).model.atoms if pred == "final"]
     for bad, message in ((lambda a: len(a) != 3, "unexpected arity for final atom {atom}"),
                          (lambda a: a[2] not in kb.SYMBOL_TO_CLASS,
                           "unknown class symbol {symbol!r} in final atom {atom}")):
@@ -700,6 +700,44 @@ def _join(body: tuple[Atom, ...], store: _AtomStore) -> Iterator[dict]:
     return expand(0, {})
 
 
+def relations_of(atoms: Iterable[GroundAtom]) -> nmr.Relations:
+    """``atoms``, of one arity per predicate, grouped by predicate in one pass:
+    a table per predicate in order of first appearance, its rows in input order."""
+    rel, rows = nmr.Relations(), {}
+    for pred, args in atoms:
+        rows.setdefault(pred, []).append(args)
+    for pred, args in rows.items():
+        codes = [rel.code(a) for row in args for a in row]
+        rel.tables[pred] = np.array(codes, np.int64).reshape(len(args), len(args[0]))
+    return rel
+
+
+def ground_atoms(program: Program, atoms: Iterable[GroundAtom] = ()) -> nmr.GroundProgram:
+    """``nmr.ground`` over ``atoms``, grouped into a fact base by :func:`relations_of`."""
+    return nmr.ground(program, relations_of(atoms))
+
+
+def check_stability(ground_program, candidate) -> bool:
+    """Reduct-based stable-model test, independent of the stratified evaluator.
+
+    Drops rules with a negative literal inside the candidate, strips the
+    remaining negative literals, and compares the candidate with the least
+    model of the resulting positive program.
+    """
+    cand = frozenset(getattr(candidate, "atoms", candidate))  # an AnswerSet, or atoms
+    reduct = [(head, pos) for head, pos, neg in ground_program.rules
+              if not any(n in cand for n in neg)]
+    least: set[GroundAtom] = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, pos in reduct:
+            if head not in least and all(p in least for p in pos):
+                least.add(head)
+                changed = True
+    return least == cand
+
+
 def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> SimpleNamespace:
     """``nmr.ground`` as a fixpoint that re-joins every rule of a stratum until
     a pass adds nothing, one tuple at a time through a first-argument index
@@ -707,7 +745,7 @@ def naive_ground(program: Program, facts: Iterable[GroundAtom] = ()) -> SimpleNa
     model and set of rules; its ``stats.firings`` counts every instantiation
     once per pass, so at least twice."""
     fact_atoms = [(pred, tuple(args)) for pred, args in facts]
-    check_arities(program, fact_atoms)
+    check_arities(program, {pred: len(args) for pred, args in fact_atoms})
 
     store = _AtomStore()
     ground_rules: list[GroundRule] = []

@@ -37,7 +37,9 @@ from test_revision import REFERENCE_REPORT_KV
 from _support import (
     atom_sort_key,
     benchmark_csv,
+    check_stability,
     direct_revision,
+    ground_atoms,
     make_records,
     random_scenario,
     random_stratified_program,
@@ -185,7 +187,7 @@ def test_c5_solver_matches_exhaustive_oracle():
     start = time.perf_counter()
     for _ in range(500):
         program = nmr.parse_program(random_stratified_program(rng, max_atoms=11))
-        gp = nmr.ground(program)
+        gp = ground_atoms(program)
         answer = nmr.solve(gp)
         universe = sorted(
             {a for r in gp.rules for a in (r.head, *r.pos, *r.neg)},
@@ -196,7 +198,7 @@ def test_c5_solver_matches_exhaustive_oracle():
         for size in range(len(universe) + 1):
             for combo in itertools.combinations(universe, size):
                 candidate = frozenset(combo)
-                if nmr.check_stability(gp, candidate):
+                if check_stability(gp, candidate):
                     stable.append(candidate)
         assert stable == [answer.atoms]
     elapsed = time.perf_counter() - start
@@ -211,12 +213,12 @@ def test_c5_solver_matches_exhaustive_oracle_hypothesis():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.randoms(use_true_random=False))
     def check(rng):
-        gp = nmr.ground(nmr.parse_program(random_stratified_program(rng, max_atoms=11)))
+        gp = ground_atoms(nmr.parse_program(random_stratified_program(rng, max_atoms=11)))
         universe = {a for r in gp.rules for a in (r.head, *r.pos, *r.neg)}
         stable = [frozenset(combo)
                   for size in range(len(universe) + 1)
                   for combo in itertools.combinations(universe, size)
-                  if nmr.check_stability(gp, frozenset(combo))]
+                  if check_stability(gp, frozenset(combo))]
         assert stable == [nmr.solve(gp).atoms] == [gp.model.atoms]
 
     check()
@@ -229,9 +231,9 @@ def test_c6_withdrawal_witness():
 
     program = revision_program()
     base = [("pred", ("rf", 42, "phishing"))]
-    before = nmr.solve(nmr.ground(program, base))
+    before = nmr.solve(ground_atoms(program, base))
     assert ("final", ("rf", 42, "phishing")) in before.atoms
-    after = nmr.solve(nmr.ground(program, base + [("meta", (42, "yes"))]))
+    after = nmr.solve(ground_atoms(program, base + [("meta", (42, "yes"))]))
     assert ("final", ("rf", 42, "phishing")) not in after.atoms
     assert ("final", ("rf", 42, "benign")) in after.atoms
 

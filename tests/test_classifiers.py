@@ -768,10 +768,12 @@ class TestKNN:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_row_is_rejected(self, bad):
         # a NaN row had NaN distances to every training row, and predicted 1;
-        # the SVM's decision value was NaN, and it predicted 0
+        # the SVM's decision value was NaN, and it predicted 0; the tree and
+        # the forest routed NaN and inf rows down a branch, and predicted 1
         Q = np.zeros((3, 5))
         Q[1, 2] = bad
-        for model in (KNearestNeighbors(k=3), KernelSVM()):
+        for model in (KNearestNeighbors(k=3), KernelSVM(), DecisionTree(),
+                      RandomForest(n_estimators=3)):
             model.fit(np.eye(5), np.array([0, 1, 0, 1, 1]))
             with pytest.raises(ValueError, match="pass finite feature values"):
                 model.predict(Q)
@@ -841,6 +843,17 @@ class TestKernelSVM:
         X, y = separable_set(100, seed=9)
         svm = KernelSVM(C=1.0, kernel="rbf", gamma="scale").fit(X, y)
         assert svm.n_iter_ < svm_module.MAX_ITER
+
+    @pytest.mark.parametrize("gamma", ["bogus", "", -2.0, 0, float("nan"), float("inf"), True,
+                                       None, [1.0]])
+    def test_gamma_is_checked_when_built(self, gamma):
+        # "bogus" failed only in fit, and -2.0 fitted
+        with pytest.raises(ValueError, match="gamma must be 'scale', 'auto' or a positive number"):
+            KernelSVM(kernel="rbf", gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", ["scale", "auto", 0.5, 2, np.float32(0.25)])
+    def test_usable_gamma_is_kept(self, gamma):
+        assert KernelSVM(kernel="rbf", gamma=gamma).gamma is gamma
 
     def test_single_class_degenerate(self):
         X = np.array([[0.0], [1.0]])
@@ -1058,6 +1071,8 @@ class TestModelFileSchema:
          lambda p: p["params"].__setitem__("C", 0), "C must be a positive number"),
         (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
          lambda p: p["params"].__setitem__("kernel", "poly"), "unknown kernel"),
+        (ClassifierKind.SVM, {"C": 1.0, "kernel": "rbf"},
+         lambda p: p["params"].__setitem__("gamma", "bogus"), "gamma must be 'scale', 'auto'"),
         (ClassifierKind.KNN, {"k": 3},
          lambda p: p["params"].__setitem__("metric", "cosine"), "unknown metric"),
         (ClassifierKind.KNN, {"k": 3},

@@ -93,16 +93,23 @@ class TestTrain:
         ("one-phishing", ["--grid-search"], "the train rows of the smaller class number 1,"),
         ("one-row", ["--best-config"], "the train rows number 1, too few for 2 folds, the "
          "fewest; pass a smaller --test-fraction, or fix the dataset"),
-    ], ids=["header-only-grid", "phishing-only-grid", "one-phishing-grid", "one-row-best"])
+        ("one-per-class", ["--folds", "2"], "--test-fraction 0.2 puts none of its 2 rows in "
+         "the test set; pass a larger --test-fraction"),
+        ("all", ["--test-fraction", "0.001", "--classifier", "dt"], "--test-fraction 0.001 "
+         "puts none of its 200 rows in the test set; pass a larger --test-fraction"),
+    ], ids=["header-only-grid", "phishing-only-grid", "one-phishing-grid", "one-row-best",
+            "no-test-row-of-2", "no-test-row-of-200"])
     def test_dataset_too_small_to_split_is_named(self, tmp_path, capsys, rows, args, message):
         # the header-only and one-class grid searches ended in exit 1; the
-        # others advised --folds 1, under the least of 2 (DATASET_FAULTS
-        # holds the header-only file without --grid-search)
+        # one-row and one-phishing runs advised --folds 1, under the least of
+        # 2; the last two wrote a manifest with no test row and exited 0
+        # (DATASET_FAULTS holds the header-only file without --grid-search)
         header, *lines = FIXTURE_CSV.read_text().splitlines()
         phishing = [line for line in lines if ",phishing," in line]
+        legitimate = [line for line in lines if ",phishing," not in line]
         kept = {"header-only": [], "phishing-only": phishing, "one-row": lines[:1],
-                "one-phishing": [line for line in lines if ",phishing," not in line]
-                                + phishing[:1]}[rows]
+                "one-phishing": legitimate + phishing[:1],
+                "one-per-class": phishing[:1] + legitimate[:1], "all": lines}[rows]
         dataset = tmp_path / "data.csv"
         dataset.write_text("".join(f"{line}\n" for line in (header, *kept)))
         out = tmp_path / "out"
@@ -526,9 +533,11 @@ class TestRevise:
          "n_estimators must be an integer of at least 1, got 0"),
         ("model_dt.json", lambda p: p["params"].__setitem__("max_depth", -1),
          "max_depth must be an integer of at least 0 or None, got -1"),
+        ("model_svm.json", lambda p: p["params"].__setitem__("gamma", "bogus"),
+         "gamma must be 'scale', 'auto' or a positive number, got 'bogus'"),
     ], ids=["svm-dual-coef-nan", "dt-threshold-nan", "knn-k-0", "svm-gamma-value-str",
             "knn-k-str", "rf-no-trees", "format-1", "format-2", "rf-seed-negative",
-            "rf-n-estimators-0", "dt-max-depth-negative"])
+            "rf-n-estimators-0", "dt-max-depth-negative", "svm-gamma-str"])
     def test_model_schema_violation_is_usage_error(self, pipeline_run, tmp_path, capsys,
                                                    name, edit, message):
         # each of these ended with exit 0 and a wrong answer, or exit 1, before

@@ -11,7 +11,7 @@ from metaphish.classifiers import KIND_ORDER, Beliefs, ClassifierKind
 from metaphish.dataset import load_dataset
 from metaphish.kb import CLASS_TO_SYMBOL, SYMBOL_TO_CLASS, encode, serialize
 
-from _support import FIXTURE_CSV, atom_serialize, random_scenario
+from _support import FIXTURE_CSV, atom_serialize, random_scenario, relations_of
 
 
 def _texts(facts):
@@ -70,7 +70,7 @@ class TestEncode:
 class TestSerialize:
     def test_single_fact_golden_bytes(self, tmp_path):
         path = tmp_path / "facts.lp"
-        n = serialize(nmr.Relations.of([("pred", ("svm", 0, "benign"))]), path)
+        n = serialize(relations_of([("pred", ("svm", 0, "benign"))]), path)
         assert path.read_bytes() == b"pred(svm,0,benign).\n"
         assert n == 20
 

@@ -18,8 +18,6 @@ from metaphish.nmr import (
     SafetyError,
     StratificationError,
     Variable,
-    check_stability,
-    ground,
     parse_program,
     solve,
 )
@@ -29,6 +27,8 @@ from metaphish.revision import revision_program
 from _support import (
     assert_cycle_in_graph,
     atom_sort_key,
+    check_stability,
+    ground_atoms,
     naive_ground,
     positive_instantiations,
     predicate_graph,
@@ -157,7 +157,7 @@ class TestGround:
             ("pred", ("rf", 7, "benign")),
             ("meta", (7, "yes")),
         ]
-        gp = ground(program, facts)
+        gp = ground_atoms(program, facts)
         constants = {
             a
             for rule in gp.rules
@@ -168,35 +168,36 @@ class TestGround:
 
     def test_empty_fact_base(self):
         program = parse_program(REVISION_TEXT)
-        gp = ground(program, [])
+        gp = ground_atoms(program, [])
         assert all(not r.pos and not r.neg for r in gp.rules)
         assert gp.rules == ()
 
     def test_program_facts_become_ground_rules(self):
-        gp = ground(parse_program("a. b :- a."))
+        gp = ground_atoms(parse_program("a. b :- a."))
         heads = {r.head for r in gp.rules}
         assert ("a", ()) in heads and ("b", ()) in heads
 
     def test_arity_mismatch(self):
         program = parse_program("q(X) :- p(X).")
         with pytest.raises(ArityError, match="arity"):
-            ground(program, [("p", (1, 2))])
+            ground_atoms(program, [("p", (1, 2))])
 
     def test_arity_mismatch_across_rules(self):
         with pytest.raises(ArityError):
-            ground(parse_program("q(X) :- p(X). q(X) :- p(X, X)."))
+            ground_atoms(parse_program("q(X) :- p(X). q(X) :- p(X, X)."))
 
     def test_duplicate_facts_collapse(self):
-        gp = ground(parse_program("a."), [("a", ())])
+        gp = ground_atoms(parse_program("a."), [("a", ())])
         assert len(gp.rules) == 1
 
     def test_rules_are_enumerated_once_when_read(self):
-        gp = ground(parse_program(REVISION_TEXT), [("pred", ("svm", 7, "phishing"))])
+        gp = ground_atoms(parse_program(REVISION_TEXT), [("pred", ("svm", 7, "phishing"))])
         assert gp.rules is gp.rules
 
     def test_rules_keep_the_eager_order(self):
-        # distinct facts in input order, then the firings in evaluation order:
-        # stratum by stratum, and within one, pass by pass
+        # distinct facts in table order (a table per predicate, in order of
+        # first appearance, its rows in input order), then the firings in
+        # evaluation order: stratum by stratum, and within one, pass by pass
         program = parse_program("""
             path(X,Y) :- edge(X,Y).
             path(X,Z) :- path(X,Y), edge(Y,Z).
@@ -207,12 +208,12 @@ class TestGround:
         node = lambda x: ("node", (x,))
         facts = [edge("a", "b"), node("c"), edge("b", "c"), edge("a", "b"), node("a"),
                  node("c"), edge("c", "d")]
-        assert ground(program, facts).rules == (
+        assert ground_atoms(program, facts).rules == (
             GroundRule(edge("a", "b"), (), ()),
-            GroundRule(node("c"), (), ()),
             GroundRule(edge("b", "c"), (), ()),
-            GroundRule(node("a"), (), ()),
             GroundRule(edge("c", "d"), (), ()),
+            GroundRule(node("c"), (), ()),
+            GroundRule(node("a"), (), ()),
             GroundRule(path("a", "b"), (edge("a", "b"),), ()),
             GroundRule(path("b", "c"), (edge("b", "c"),), ()),
             GroundRule(path("c", "d"), (edge("c", "d"),), ()),
@@ -225,7 +226,7 @@ class TestGround:
 
     def test_repeated_variable_must_unify(self):
         program = parse_program("q(X) :- p(X, X).")
-        answer = solve(ground(program, [("p", (1, 2)), ("p", (3, 3))]))
+        answer = solve(ground_atoms(program, [("p", (1, 2)), ("p", (3, 3))]))
         assert ("q", (3,)) in answer.atoms
         assert ("q", (1,)) not in answer.atoms
 
@@ -234,7 +235,7 @@ class TestGround:
         # stability oracle needs them to build reducts for other candidates
         program = parse_program(REVISION_TEXT)
         facts = [("pred", ("svm", 7, "phishing")), ("meta", (7, "yes"))]
-        gp = ground(program, facts)
+        gp = ground_atoms(program, facts)
         blocked = GroundRule(
             ("final", ("svm", 7, "phishing")),
             (("pred", ("svm", 7, "phishing")),),
@@ -253,7 +254,7 @@ class TestGround:
                 for cl in ("svm", "knn", "dt", "rf"):
                     facts.append(("pred", (cl, i, "phishing" if i % 2 else "benign")))
                 facts.append(("meta", (i, "yes" if i % 3 == 0 else "no")))
-            gp = ground(program, facts)
+            gp = ground_atoms(program, facts)
             total = solve(gp)
             firings.append(gp.stats.firings + total.stats.firings)
         r1 = firings[1] / firings[0]
@@ -275,39 +276,39 @@ class TestGround:
                 facts.append(("pred", (cl, i, cls)))
                 n_pred += 1
                 n_revised += meta and cls == "phishing"
-        gp = ground(revision_program(), facts)
+        gp = ground_atoms(revision_program(), facts)
         assert gp.stats.firings == n_pred + 2 * n_revised
         assert len(gp.rules) == len(facts) + gp.stats.firings
 
 
 class TestSolve:
     def test_negation_blocks_when_underivable(self):
-        gp = ground(parse_program("a. b :- a, not c."))
+        gp = ground_atoms(parse_program("a. b :- a, not c."))
         assert solve(gp).atoms == {("a", ()), ("b", ())}
 
     def test_negation_blocks_when_derivable(self):
-        gp = ground(parse_program("a. c. b :- a, not c."))
+        gp = ground_atoms(parse_program("a. c. b :- a, not c."))
         assert solve(gp).atoms == {("a", ()), ("c", ())}
 
     def test_positive_chain(self):
-        gp = ground(parse_program("e(1,2). e(2,3). t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))
+        gp = ground_atoms(parse_program("e(1,2). e(2,3). t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))
         answer = solve(gp)
         assert {a for a in answer.atoms if a[0] == "t"} == {
             ("t", (1, 2)), ("t", (2, 3)), ("t", (1, 3))}
 
     def test_two_strata(self):
-        gp = ground(parse_program("q :- not p. r :- q."))
+        gp = ground_atoms(parse_program("q :- not p. r :- q."))
         assert solve(gp).atoms == {("q", ()), ("r", ())}
 
     def test_order_independence(self):
         text = "a. d :- not b. b :- a, c. e :- d, not b."
         rules = [line.strip() for line in text.split(". ") if line.strip()]
-        baseline = solve(ground(parse_program(text)))
+        baseline = solve(ground_atoms(parse_program(text)))
         rng = random.Random(4)
         for _ in range(10):
             rng.shuffle(rules)
             shuffled = ". ".join(r.rstrip(".") for r in rules) + "."
-            assert solve(ground(parse_program(shuffled))).atoms == baseline.atoms
+            assert solve(ground_atoms(parse_program(shuffled))).atoms == baseline.atoms
 
     def test_fact_order_independence(self):
         program = parse_program(REVISION_TEXT)
@@ -318,12 +319,12 @@ class TestSolve:
             ("pred", ("svm", 2, "phishing")),
             ("meta", (2, "no")),
         ]
-        first = ground(program, facts)
+        first = ground_atoms(program, facts)
         baseline = solve(first)
         rng = random.Random(14)
         for _ in range(10):
             rng.shuffle(facts)
-            gp = ground(program, facts)
+            gp = ground_atoms(program, facts)
             assert solve(gp).atoms == baseline.atoms
             # only the order of the ground rules may follow the facts
             assert set(gp.rules) == set(first.rules)
@@ -338,17 +339,17 @@ class TestSolve:
             positive = "\n".join(
                 line for line in text.splitlines() if "not " not in line
             )
-            base = solve(ground(parse_program(positive)))
-            extended = solve(ground(parse_program(positive + "\nextra0.\n")))
+            base = solve(ground_atoms(parse_program(positive)))
+            extended = solve(ground_atoms(parse_program(positive + "\nextra0.\n")))
             assert base.atoms <= extended.atoms
 
     def test_withdrawal_witness(self):
         # adding meta evidence removes a previously derived phishing verdict
         program = parse_program(REVISION_TEXT)
         base_facts = [("pred", ("svm", 1, "phishing"))]
-        before = solve(ground(program, base_facts))
+        before = solve(ground_atoms(program, base_facts))
         assert ("final", ("svm", 1, "phishing")) in before.atoms
-        after = solve(ground(program, base_facts + [("meta", (1, "yes"))]))
+        after = solve(ground_atoms(program, base_facts + [("meta", (1, "yes"))]))
         assert ("final", ("svm", 1, "phishing")) not in after.atoms
         assert ("final", ("svm", 1, "benign")) in after.atoms
 
@@ -359,7 +360,7 @@ class TestGroundModel:
     def test_random_programs_match_solve(self):
         rng = random.Random(41)
         for _ in range(3000):
-            gp = ground(parse_program(random_stratified_program(rng)))
+            gp = ground_atoms(parse_program(random_stratified_program(rng)))
             assert gp.model == solve(gp)
 
     def test_revision_program_on_random_fact_bases(self):
@@ -372,7 +373,7 @@ class TestGroundModel:
                     facts.append(("pred", (cl, i, rng.choice(("phishing", "benign")))))
                 if rng.random() < 0.8:  # some instances carry no meta fact
                     facts.append(("meta", (i, rng.choice(("yes", "no")))))
-            gp = ground(program, facts)
+            gp = ground_atoms(program, facts)
             assert gp.model == solve(gp)
 
     def test_recursive_program_with_negation(self):
@@ -380,13 +381,13 @@ class TestGroundModel:
             "v(X) :- e(X,Y). v(Y) :- e(X,Y). t(X,Y) :- e(X,Y). "
             "t(X,Z) :- t(X,Y), e(Y,Z). n(X) :- v(X), not t(X,X)."
         )
-        gp = ground(program, [("e", (0, 1)), ("e", (1, 0)), ("e", (1, 2))])
+        gp = ground_atoms(program, [("e", (0, 1)), ("e", (1, 0)), ("e", (1, 2))])
         assert [a for a in gp.model.atoms if a[0] == "n"] == [("n", (2,))]
         rng = random.Random(47)
         for _ in range(300):
             n = rng.randint(1, 6)
             edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
-            gp = ground(program, [("e", edge) for edge in edges])
+            gp = ground_atoms(program, [("e", edge) for edge in edges])
             assert gp.model == solve(gp)
             assert check_stability(gp, gp.model)
 
@@ -399,7 +400,7 @@ class TestSemiNaive:
     @staticmethod
     def check(text, facts):
         program = parse_program(text)
-        gp = ground(program, facts)
+        gp = ground_atoms(program, facts)
         oracle = naive_ground(program, facts)
         assert gp.model == oracle.model
         assert set(gp.rules) == set(oracle.rules)
@@ -429,7 +430,7 @@ class TestSemiNaive:
         for _ in range(400):
             text, facts = random_nonground_program(rng, AWKWARD_RULE_CONSTS, AWKWARD_FACT_CONSTS)
             self.check(text, facts)
-            self.check_decoded(ground(parse_program(text), facts))
+            self.check_decoded(ground_atoms(parse_program(text), facts))
 
     def test_awkward_constants_match_naive_ground_hypothesis(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -450,7 +451,7 @@ class TestSemiNaive:
         edges = [("e", (a, b)) for a, b in zip(nodes, nodes[1:])]
         for facts in (edges, edges + [("e", (nodes[-1], nodes[0]))], edges + [("e", (5, 5))]):
             self.check(text, facts)
-            self.check_decoded(ground(parse_program(text), facts))
+            self.check_decoded(ground_atoms(parse_program(text), facts))
 
     @staticmethod
     def check_decoded(gp):
@@ -468,22 +469,22 @@ class TestSemiNaive:
 
 class TestCheckStability:
     def test_fact_program(self):
-        gp = ground(parse_program("a."))
+        gp = ground_atoms(parse_program("a."))
         assert check_stability(gp, {("a", ())})
         assert not check_stability(gp, set())
 
     def test_accepts_answer_set_object(self):
-        gp = ground(parse_program("a. b :- not c."))
+        gp = ground_atoms(parse_program("a. b :- not c."))
         assert check_stability(gp, solve(gp))
 
     def test_rejects_supersets(self):
-        gp = ground(parse_program("a. b :- not c."))
+        gp = ground_atoms(parse_program("a. b :- not c."))
         assert not check_stability(gp, {("a", ()), ("b", ()), ("c", ())})
 
     def test_random_programs_match_oracle(self):
         rng = random.Random(23)
         for _ in range(60):
-            gp = ground(parse_program(random_stratified_program(rng, max_atoms=8)))
+            gp = ground_atoms(parse_program(random_stratified_program(rng, max_atoms=8)))
             answer = solve(gp)
             stable = [c for c in all_candidates(gp) if check_stability(gp, c)]
             assert stable == [answer.atoms]
@@ -491,7 +492,7 @@ class TestCheckStability:
     def test_solve_output_always_stable(self):
         rng = random.Random(29)
         for _ in range(100):
-            gp = ground(parse_program(random_stratified_program(rng)))
+            gp = ground_atoms(parse_program(random_stratified_program(rng)))
             assert check_stability(gp, solve(gp))
 
 

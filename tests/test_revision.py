@@ -20,7 +20,9 @@ from metaphish.revision import (
 from _support import (
     belief_rows,
     direct_revision,
+    ground_atoms,
     random_scenario,
+    relations_of,
     row_apply_revision,
     row_build_report,
     row_encode,
@@ -37,7 +39,7 @@ class TestRevisionProgram:
 
     def test_phishing_with_meta_revises(self):
         answer = nmr.solve(
-            nmr.ground(revision_program(), [("pred", ("svm", 7, "phishing")), ("meta", (7, "yes"))])
+            ground_atoms(revision_program(), [("pred", ("svm", 7, "phishing")), ("meta", (7, "yes"))])
         )
         assert ("final", ("svm", 7, "benign")) in answer.atoms
         assert ("revise", ("svm", 7)) in answer.atoms
@@ -45,7 +47,7 @@ class TestRevisionProgram:
 
     def test_benign_without_meta_passes_through(self):
         answer = nmr.solve(
-            nmr.ground(revision_program(), [("pred", ("svm", 8, "benign")), ("meta", (8, "no"))])
+            ground_atoms(revision_program(), [("pred", ("svm", 8, "benign")), ("meta", (8, "no"))])
         )
         assert ("final", ("svm", 8, "benign")) in answer.atoms
         assert not any(pred == "revise" for pred, _ in answer.atoms)
@@ -148,7 +150,7 @@ class TestColumnsMatchRowOracle:
             fact_base, row_fact_base = kb.encode(beliefs, meta), row_encode(rows, meta)
             assert list(fact_base) == list(row_fact_base)
             kb.serialize(fact_base, tmp_path / "a.lp")
-            kb.serialize(nmr.Relations.of(row_fact_base), tmp_path / "b.lp")
+            kb.serialize(relations_of(row_fact_base), tmp_path / "b.lp")
             assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
             finals = apply_revision(beliefs, fact_base, program)
